@@ -19,6 +19,7 @@ import (
 	"time"
 
 	hammer "repro"
+	"repro/internal/bitstr"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -426,21 +427,8 @@ func (s *server) requestOptions(wc *wireConfig) (*core.Options, error) {
 	return &opts, nil
 }
 
-// reconstructResponse is one reconstruction on the wire, with the metadata a
-// monitoring client wants next to the distribution.
-type reconstructResponse struct {
-	Dist    map[string]float64 `json:"dist"`
-	Support int                `json:"support"`
-	Engine  string             `json:"engine"`
-	Radius  int                `json:"radius"`
-}
-
 type batchRequest struct {
 	Requests []json.RawMessage `json:"requests"`
-}
-
-type batchResponse struct {
-	Results []reconstructResponse `json:"results"`
 }
 
 type errorResponse struct {
@@ -494,6 +482,8 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// The histogram is validated here, so an invalid one never reaches a
+	// cache tier: no miss is counted and no disk or peer is consulted.
 	rr, err := decodeReconstruct(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, -1, err)
@@ -516,7 +506,7 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		if opts != nil {
 			eff = *opts
 		}
-		key = cache.Key(rr.counts, eff)
+		key = cache.KeyEntries(rr.entries, rr.width, eff)
 		if cached, ok := s.cache.Get(key); ok {
 			w.Header().Set(engineHeader, cached.Engine)
 			w.Header().Set(cacheHeader, cacheHit)
@@ -530,7 +520,7 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 					// the disk; the stored bytes are written verbatim, so an
 					// L2 hit is byte-identical to the miss that filled it.
 					if len(cbody) <= maxCachedResponseBytes {
-						s.cache.Put(key, cachedResult{Body: cbody, Engine: engine})
+						s.putL1(key, cbody, engine)
 					}
 					w.Header().Set(engineHeader, engine)
 					w.Header().Set(cacheHeader, cacheHitL2)
@@ -550,7 +540,7 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 			if raw, ok := s.peers.Get(key); ok {
 				if engine, cbody, ok := l2Decode(raw); ok {
 					if len(cbody) <= maxCachedResponseBytes {
-						s.cache.Put(key, cachedResult{Body: cbody, Engine: engine})
+						s.putL1(key, cbody, engine)
 						if s.l2 != nil {
 							s.l2.Put(key, raw)
 						}
@@ -563,12 +553,12 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	in, _, err := dist.FromHistogram(rr.counts)
+	in, err := dist.FromEntries(rr.width, rr.entries)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, -1, err)
 		return
 	}
-	var resp reconstructResponse
+	var out rendered
 	served := false
 	if s.coord != nil {
 		eff := s.sch.Options()
@@ -579,7 +569,7 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 			sresp, serr := s.reconstructSharded(r.Context(), eff, in, rr.schedDeadline())
 			switch {
 			case serr == nil:
-				resp, served = sresp, true
+				out, served = sresp, true
 			case statusFor(r, serr) != http.StatusBadRequest:
 				// Deadline admission rejections (504/429) and client
 				// cancellation (499) end the request; any other coordinator
@@ -591,7 +581,7 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	}
 	if !served {
 		err = s.sch.Reconstruct(r.Context(), sched.Request{In: in, Opts: opts, Deadline: rr.schedDeadline()}, func(res *core.Result) error {
-			resp = toResponse(res)
+			out = renderReconstruct(res)
 			return nil
 		})
 		if err != nil {
@@ -599,30 +589,41 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	w.Header().Set(engineHeader, resp.Engine)
+	w.Header().Set(engineHeader, out.engine)
 	if key == "" {
-		writeJSON(w, http.StatusOK, resp)
+		if out.err != nil {
+			writeEncodeFailure(w)
+			return
+		}
+		writeJSONBytes(w, http.StatusOK, out.body)
 		return
 	}
-	// Render once: the same bytes are stored (immutable from here on) and
-	// written, so a later hit is byte-identical to this miss.
-	body, err = encodeJSON(resp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, -1, err)
+	if out.err != nil {
+		writeError(w, http.StatusInternalServerError, -1, out.err)
 		return
 	}
-	// Outsized responses (a histogram near the 32 MiB body cap renders to
-	// tens of MiB) are served but not stored, or -cache-entries such bodies
-	// would bound tens of GiB of memory instead of the documented
-	// entries × 1 MiB worst case. The same cap bounds per-entry L2 disk use.
-	if len(body) <= maxCachedResponseBytes {
-		s.cache.Put(key, cachedResult{Body: body, Engine: resp.Engine})
+	// Rendered once: the same bytes are stored (immutable from here on) and
+	// written, so a later hit is byte-identical to this miss. Outsized
+	// responses (a histogram near the 32 MiB body cap renders to tens of
+	// MiB) are served but not stored, or -cache-entries such bodies would
+	// bound tens of GiB of memory instead of the documented entries × 1 MiB
+	// worst case. The same cap bounds per-entry L2 disk use.
+	if len(out.body) <= maxCachedResponseBytes {
+		s.putL1(key, out.body, out.engine)
 		if s.l2 != nil {
-			s.l2.Put(key, l2Encode(resp.Engine, body))
+			s.l2.Put(key, l2Encode(out.engine, out.body))
 		}
 	}
 	w.Header().Set(cacheHeader, cacheMiss)
-	writeJSONBytes(w, http.StatusOK, body)
+	writeJSONBytes(w, http.StatusOK, out.body)
+}
+
+// putL1 stores a response body in the in-memory cache at exactly its
+// length: the entry lives as long as the cache keeps it, so the slack of a
+// render buffer or of a body read from disk or a peer must not live with
+// it.
+func (s *server) putL1(key string, body []byte, engine string) {
+	s.cache.Put(key, cachedResult{Body: exactCopy(body), Engine: engine})
 }
 
 // l2Encode frames one second-level cache entry: uvarint engine-name length,
@@ -682,7 +683,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, -1, fmt.Errorf("empty batch"))
 		return
 	}
-	results := make([]reconstructResponse, len(req.Requests))
+	// Each member renders inside its consume callback, while the session
+	// that owns the result is still held; the body is assembled in order
+	// once all are done.
+	members := make([]rendered, len(req.Requests))
 	err := s.sch.Batch(r.Context(), len(req.Requests),
 		func(i int) (sched.Request, error) {
 			rr, err := decodeReconstruct(req.Requests[i])
@@ -693,30 +697,23 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return sched.Request{}, err
 			}
-			d, _, err := dist.FromHistogram(rr.counts)
+			d, err := dist.FromEntries(rr.width, rr.entries)
 			return sched.Request{In: d, Opts: opts, Deadline: rr.schedDeadline()}, err
 		},
 		func(i int, res *core.Result) error {
-			results[i] = toResponse(res)
+			members[i] = appendResult(nil, 2, res)
 			return nil
 		})
 	if err != nil {
 		writeError(w, statusFor(r, err), failedIndex(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: results})
-}
-
-// toResponse copies a session-owned result into an independently owned wire
-// response; it runs inside the scheduler's consume callbacks, before the
-// session is released back to the pool.
-func toResponse(res *core.Result) reconstructResponse {
-	return reconstructResponse{
-		Dist:    dist.ToHistogram(res.Out),
-		Support: res.Out.Len(),
-		Engine:  res.Engine,
-		Radius:  res.Radius,
+	out, err := renderBatch(members)
+	if err != nil {
+		writeEncodeFailure(w)
+		return
 	}
+	writeJSONBytes(w, http.StatusOK, out)
 }
 
 // mediaType returns the request's canonical media type — lowercased, with
@@ -804,11 +801,14 @@ func bodyStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// reconstructRequest is one decoded reconstruction request: the histogram,
-// the optional per-request config override, and the optional deadline budget
+// reconstructRequest is one decoded reconstruction request: the validated
+// histogram as width-bit entries in ascending outcome order with their raw
+// masses (what both the cache key and the Dist are built from), the optional
+// per-request config override, and the optional deadline budget
 // ({"deadline_ms": N} — 0 means no deadline).
 type reconstructRequest struct {
-	counts   map[string]float64
+	entries  []dist.Entry
+	width    int
 	override *wireConfig
 	deadline time.Duration
 }
@@ -822,30 +822,40 @@ func (rr *reconstructRequest) schedDeadline() time.Time {
 	return time.Now().Add(rr.deadline)
 }
 
-// decodeReconstruct decodes one reconstruction request: a bare {"0101": mass}
-// histogram object, or a {"counts": {...}} wrapper optionally carrying a
-// per-request {"config": {...}} override and a {"deadline_ms": N} budget. The
-// bare form is tried first: it parses in one pass (a wrapper body fails it
-// immediately — "counts" maps to an object, not a number), and it is the
-// shape cache-hit traffic arrives in, where decoding is most of the remaining
-// latency.
+// decodeReconstruct decodes and validates one reconstruction request: a bare
+// {"0101": mass} histogram object, or a {"counts": {...}} wrapper optionally
+// carrying a per-request {"config": {...}} override and a {"deadline_ms": N}
+// budget. Histograms decode in one pass through dist.Histogram, which
+// accepts exactly what encoding/json into a map[string]float64 accepted; the
+// small wrapper stays on encoding/json, with "counts" matched and merged as
+// that map field was. The bare form is tried first: a wrapper body fails it
+// at its first value, and it is the shape cache-hit traffic arrives in.
 func decodeReconstruct(body []byte) (*reconstructRequest, error) {
-	var bare map[string]float64
-	bareErr := json.Unmarshal(body, &bare)
+	var bare dist.Histogram
+	bareErr := bare.UnmarshalJSON(body)
 	if bareErr == nil {
-		return &reconstructRequest{counts: bare}, nil
+		es, n, err := bare.Entries()
+		if err != nil {
+			return nil, err
+		}
+		return &reconstructRequest{entries: es, width: n}, nil
 	}
 	var wrapped struct {
-		Counts     map[string]float64 `json:"counts"`
-		Config     *wireConfig        `json:"config"`
-		DeadlineMS int64              `json:"deadline_ms"`
+		Counts     dist.Histogram `json:"counts"`
+		Config     *wireConfig    `json:"config"`
+		DeadlineMS int64          `json:"deadline_ms"`
 	}
-	if err := json.Unmarshal(body, &wrapped); err == nil && len(wrapped.Counts) > 0 {
+	if err := json.Unmarshal(body, &wrapped); err == nil && !wrapped.Counts.Empty() {
 		if wrapped.DeadlineMS < 0 {
 			return nil, fmt.Errorf("deadline_ms must be non-negative, got %d", wrapped.DeadlineMS)
 		}
+		es, n, err := wrapped.Counts.Entries()
+		if err != nil {
+			return nil, err
+		}
 		return &reconstructRequest{
-			counts:   wrapped.Counts,
+			entries:  es,
+			width:    n,
 			override: wrapped.Config,
 			deadline: time.Duration(wrapped.DeadlineMS) * time.Millisecond,
 		}, nil
@@ -855,13 +865,17 @@ func decodeReconstruct(body []byte) (*reconstructRequest, error) {
 
 // decodeHistogram is the CLI's reading of the same shapes (per-request config
 // overrides and deadlines are an HTTP concern; the CLI's configuration comes
-// from flags).
+// from flags), returned in the facade's string-keyed form.
 func decodeHistogram(body []byte) (map[string]float64, error) {
 	rr, err := decodeReconstruct(body)
 	if err != nil {
 		return nil, err
 	}
-	return rr.counts, nil
+	h := make(map[string]float64, len(rr.entries))
+	for _, e := range rr.entries {
+		h[bitstr.Format(e.X, rr.width)] = e.P
+	}
+	return h, nil
 }
 
 // statusFor maps a reconstruction error to an HTTP status: deadline
@@ -903,9 +917,9 @@ func failedIndex(err error) int {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := encodeJSON(v)
 	if err != nil {
-		// Unreachable for the wire types (plain structs and string-keyed
-		// maps); keep the envelope shape if a future type breaks that.
-		http.Error(w, `{"error": "response encoding failed", "index": -1}`, http.StatusInternalServerError)
+		// Unreachable for the envelope types (plain structs and maps);
+		// keep the envelope shape if a future type breaks that.
+		writeEncodeFailure(w)
 		return
 	}
 	writeJSONBytes(w, status, body)

@@ -10,14 +10,16 @@ import (
 
 	hammer "repro"
 	"repro/internal/bitstr"
+	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/serve"
 )
 
 // benchHistogramJSON builds one §6.6-shaped workload histogram (Hamming
 // cluster plus uniform tail) as a wire body.
-func benchHistogramJSON(b *testing.B, bits, support int) []byte {
-	b.Helper()
+func benchHistogramJSON(tb testing.TB, bits, support int) []byte {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(42))
 	d := dist.New(bits)
 	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(bits)
@@ -33,22 +35,21 @@ func benchHistogramJSON(b *testing.B, bits, support int) []byte {
 	d.Range(func(x bitstr.Bits, p float64) { h[bitstr.Format(x, bits)] = p })
 	body, err := json.Marshal(h)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return body
 }
 
 // benchReconstruct drives POST /v1/reconstruct through the full handler
-// stack (middleware, decode, cache, JSON encode) with the recorder as the
+// stack (middleware, decode, cache, render) with the recorder as the
 // wire.
-func benchReconstruct(b *testing.B, cacheEntries int, wantHeader string) {
+func benchReconstruct(b *testing.B, cacheEntries int, body []byte, wantHeader string) {
 	b.Helper()
 	srv, err := newServerWith(hammer.Config{}, 1, serve.Config{}, cacheEntries)
 	if err != nil {
 		b.Fatal(err)
 	}
 	mux := srv.mux()
-	body := benchHistogramJSON(b, 20, 4000)
 	do := func() *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/v1/reconstruct", strings.NewReader(string(body)))
 		req.Header.Set("Content-Type", "application/json")
@@ -59,6 +60,7 @@ func benchReconstruct(b *testing.B, cacheEntries int, wantHeader string) {
 	if rec := do(); rec.Code != http.StatusOK {
 		b.Fatalf("warm-up status %d: %s", rec.Code, rec.Body)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := do()
@@ -77,11 +79,93 @@ func benchReconstruct(b *testing.B, cacheEntries int, wantHeader string) {
 // BenchmarkUncachedReconstruct for the hit speedup (cmd/cachebench emits the
 // ratio as BENCH_cache.json; the acceptance floor is 10x).
 func BenchmarkCachedReconstruct(b *testing.B) {
-	benchReconstruct(b, 64, cacheHit)
+	benchReconstruct(b, 64, benchHistogramJSON(b, 20, 4000), cacheHit)
+}
+
+// BenchmarkCachedReconstructShuffled is BenchmarkCachedReconstruct with the
+// body's members shuffled, so every hit also pays the decoder's sort.
+func BenchmarkCachedReconstructShuffled(b *testing.B) {
+	benchReconstruct(b, 64, shuffledHistogramJSON(b), cacheHit)
 }
 
 // BenchmarkUncachedReconstruct is the same request served with caching
 // disabled: a full reconstruction per timed request.
 func BenchmarkUncachedReconstruct(b *testing.B) {
-	benchReconstruct(b, 0, "")
+	benchReconstruct(b, 0, benchHistogramJSON(b, 20, 4000), "")
+}
+
+// benchDecodeKey times what a cache hit does before the lookup: decode the
+// body and hash its key.
+func benchDecodeKey(b *testing.B, body []byte) {
+	opts := core.Options{}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rr, err := decodeReconstruct(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cache.KeyEntries(rr.entries, rr.width, opts) == "" {
+			b.Fatal("empty key")
+		}
+	}
+}
+
+// shuffledHistogramJSON is the 20-bit/4000-outcome bench body with its
+// members in random order, so the scanner must sort.
+func shuffledHistogramJSON(tb testing.TB) []byte {
+	var h map[string]float64
+	if err := json.Unmarshal(benchHistogramJSON(tb, 20, 4000), &h); err != nil {
+		tb.Fatal(err)
+	}
+	keys := make([]string, 0, len(h))
+	for k := range h {
+		keys = append(keys, k)
+	}
+	rand.New(rand.NewSource(7)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	var sb strings.Builder
+	sb.WriteByte('{')
+	for i, k := range keys {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		v, _ := json.Marshal(h[k])
+		sb.WriteString(`"` + k + `":` + string(v))
+	}
+	sb.WriteByte('}')
+	return []byte(sb.String())
+}
+
+// BenchmarkDecodeKey: decode plus cache key of the 20-bit/4000-outcome
+// body, members in ascending order (as encoding/json writes maps).
+func BenchmarkDecodeKey(b *testing.B) {
+	benchDecodeKey(b, benchHistogramJSON(b, 20, 4000))
+}
+
+// BenchmarkDecodeKeyShuffled is BenchmarkDecodeKey on the same histogram
+// with its members shuffled.
+func BenchmarkDecodeKeyShuffled(b *testing.B) {
+	benchDecodeKey(b, shuffledHistogramJSON(b))
+}
+
+// BenchmarkRenderReconstruct renders the /v1/reconstruct body of a
+// 4000-outcome result.
+func BenchmarkRenderReconstruct(b *testing.B) {
+	rr, err := decodeReconstruct(benchHistogramJSON(b, 20, 4000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := dist.FromEntries(rr.width, rr.entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := &core.Result{Out: d, Engine: core.EngineBlocked, Radius: 9}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := renderReconstruct(res); out.err != nil {
+			b.Fatal(out.err)
+		}
+	}
 }

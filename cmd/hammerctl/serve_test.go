@@ -114,6 +114,8 @@ func TestServeReconstructErrors(t *testing.T) {
 		"mixed width": `{"01": 1, "011": 1}`,
 		"empty":       `{}`,
 		"no mass":     `{"01": 0}`,
+		"overflow":    `{"01": 1.7e308, "10": 1.7e308}`,
+		"tiny total":  `{"0": 5e-324, "1": 5e-324}`,
 	} {
 		code, resp := postJSON(t, ts.URL+"/v1/reconstruct", body)
 		if code != http.StatusBadRequest {
@@ -187,6 +189,8 @@ func TestServeBatchFailFastIndex(t *testing.T) {
 	for name, body := range map[string]string{
 		"empty batch": `{"requests": []}`,
 		"not a batch": `42`,
+		"overflow":    `{"requests": [{"01": 1.7e308, "10": 1.7e308}]}`,
+		"tiny total":  `{"requests": [{"0": 5e-324, "1": 5e-324}]}`,
 	} {
 		if code, _ := postJSON(t, ts.URL+"/v1/batch", body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d", name, code)

@@ -10,7 +10,6 @@ import (
 
 	hammer "repro"
 	"repro/internal/bitstr"
-	"repro/internal/dist"
 	"repro/internal/serve"
 	"repro/internal/stream"
 	"repro/internal/wal"
@@ -60,23 +59,14 @@ type streamIngestRequest struct {
 	Counts map[string]int `json:"counts"`
 }
 
-type streamIngestResponse struct {
+// streamIngestAck acknowledges a plain ingest. With ?snapshot=1 the same
+// members are followed by "snapshot", the reconstruction of everything
+// ingested so far, atomic with the ingest (rendered by renderIngestSnapshot).
+type streamIngestAck struct {
 	ID       string `json:"id"`
 	Ingested int    `json:"ingested"`
 	Shots    int    `json:"shots"`
 	Support  int    `json:"support"`
-	// Snapshot is present when the request asked for ?snapshot=1: the
-	// reconstruction of everything ingested so far, atomic with the ingest.
-	Snapshot *streamSnapshotResponse `json:"snapshot,omitempty"`
-}
-
-type streamSnapshotResponse struct {
-	ID      string             `json:"id"`
-	Shots   int                `json:"shots"`
-	Support int                `json:"support"`
-	Dist    map[string]float64 `json:"dist"`
-	Engine  string             `json:"engine"`
-	Radius  int                `json:"radius"`
 }
 
 type streamDeleteResponse struct {
@@ -172,47 +162,37 @@ func (s *server) handleStreamShots(w http.ResponseWriter, r *http.Request) {
 	s.streamIngest(w, r, r.PathValue("id"))
 }
 
-// snapshotLocked reconstructs a held session and formats the response.
-// Callers hold both the session (via Manager.Do) and a scheduler worker
-// slot: once the slot is held, a snapshot of a non-empty session cannot
-// fail (Stream.Snapshot takes no context and the options were validated at
-// session creation).
-func snapshotLocked(id string, st *stream.Stream) (*streamSnapshotResponse, error) {
-	res, err := st.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &streamSnapshotResponse{
-		ID:      id,
-		Shots:   st.Shots(),
-		Support: st.Support(),
-		Dist:    dist.ToHistogram(res.Out),
-		Engine:  res.Engine,
-		Radius:  res.Radius,
-	}, nil
-}
-
 // errEmptyStream keeps the "session exists but has nothing to reconstruct
 // yet" failure (409) distinguishable from bad input.
 var errEmptyStream = errors.New("snapshot of empty session (no shots ingested)")
 
 func (s *server) streamSnapshot(w http.ResponseWriter, r *http.Request, id string) {
-	var resp *streamSnapshotResponse
+	var out rendered
 	err := s.mgr.Do(id, func(st *stream.Stream) error {
 		if st.Shots() == 0 {
 			return errEmptyStream
 		}
 		return s.sch.Do(r.Context(), func() error {
-			var err error
-			resp, err = snapshotLocked(id, st)
-			return err
+			// Once the slot is held, a snapshot of a non-empty session
+			// cannot fail: Stream.Snapshot takes no context and the
+			// options were validated at session creation.
+			res, err := st.Snapshot()
+			if err != nil {
+				return err
+			}
+			out = renderSnapshot(id, st.Shots(), st.Support(), res)
+			return nil
 		})
 	})
 	if err != nil {
 		writeError(w, streamStatus(r, err), -1, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if out.err != nil {
+		writeEncodeFailure(w)
+		return
+	}
+	writeJSONBytes(w, http.StatusOK, out.body)
 }
 
 func (s *server) streamDelete(w http.ResponseWriter, r *http.Request, id string) {
@@ -286,7 +266,10 @@ func (s *server) streamIngest(w http.ResponseWriter, r *http.Request, id string)
 	}
 	q := r.URL.Query().Get("snapshot")
 	wantSnapshot := q == "1" || q == "true"
-	var resp streamIngestResponse
+	var (
+		ack  streamIngestAck
+		snap rendered
+	)
 	err = s.mgr.DoSession(id, func(sess *serve.Session) error {
 		st := sess.Stream()
 		ingest := func() error {
@@ -324,13 +307,13 @@ func (s *server) streamIngest(w http.ResponseWriter, r *http.Request, id string)
 			if err := sess.Record(pairs); err != nil {
 				return err
 			}
-			resp = streamIngestResponse{ID: id, Ingested: total, Shots: st.Shots(), Support: st.Support()}
+			ack = streamIngestAck{ID: id, Ingested: total, Shots: st.Shots(), Support: st.Support()}
 			if wantSnapshot {
-				snap, err := snapshotLocked(id, st)
+				res, err := st.Snapshot()
 				if err != nil {
 					return err
 				}
-				resp.Snapshot = snap
+				snap = renderIngestSnapshot(ack, res)
 			}
 			return nil
 		}
@@ -347,5 +330,13 @@ func (s *server) streamIngest(w http.ResponseWriter, r *http.Request, id string)
 		writeError(w, streamStatus(r, err), -1, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if !wantSnapshot {
+		writeJSON(w, http.StatusOK, ack)
+		return
+	}
+	if snap.err != nil {
+		writeEncodeFailure(w)
+		return
+	}
+	writeJSONBytes(w, http.StatusOK, snap.body)
 }

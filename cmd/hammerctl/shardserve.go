@@ -77,12 +77,12 @@ func (s *server) localStripe(ctx context.Context, spec core.StripeSpec) (core.St
 // quantity ShouldShard just compared against local). The coordinator session
 // carries the request's effective options so flatten, radius, and the merge
 // epilogue match what a single-node run of the same request would do.
-func (s *server) reconstructSharded(ctx context.Context, opts core.Options, in *dist.Dist, deadline time.Time) (reconstructResponse, error) {
+func (s *server) reconstructSharded(ctx context.Context, opts core.Options, in *dist.Dist, deadline time.Time) (rendered, error) {
 	engine, predicted, ok := core.PredictShardCost(opts, in.Len(), in.NumBits(), s.coord.NumReplicas())
 	if !ok {
 		predicted = 0
 	}
-	var resp reconstructResponse
+	var out rendered
 	err := s.sch.DoBudgeted(ctx, "sharded:"+engine, predicted, deadline, func(rctx context.Context) error {
 		sess, err := core.NewSession(opts)
 		if err != nil {
@@ -92,10 +92,10 @@ func (s *server) reconstructSharded(ctx context.Context, opts core.Options, in *
 		if err != nil {
 			return err
 		}
-		resp = toResponse(res)
+		out = renderReconstruct(res)
 		return nil
 	})
-	return resp, err
+	return out, err
 }
 
 // handleShardReconstruct is the replica side: score one stripe of a

@@ -11,7 +11,7 @@ package bitstr
 import (
 	"fmt"
 	"math/bits"
-	"strings"
+	"slices"
 )
 
 // MaxBits is the largest supported bitstring width.
@@ -52,19 +52,23 @@ func MinDistance(x Bits, targets []Bits) int {
 // Format renders x as an n-character binary string, most significant qubit
 // first (the paper's printing convention).
 func Format(x Bits, n int) string {
+	var buf [MaxBits]byte
+	return string(AppendFormat(buf[:0], x, n))
+}
+
+// AppendFormat appends Format(x, n) to dst, so hot paths can render
+// outcomes into a reused buffer without a string allocation each.
+func AppendFormat(dst []byte, x Bits, n int) []byte {
 	if n < 0 || n > MaxBits {
 		panic(fmt.Sprintf("bitstr: Format width %d out of range", n))
 	}
-	var sb strings.Builder
-	sb.Grow(n)
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
 	for i := n - 1; i >= 0; i-- {
-		if x>>uint(i)&1 == 1 {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
+		out[i] = '0' + byte(x&1)
+		x >>= 1
 	}
-	return sb.String()
+	return dst[:len(dst)+n]
 }
 
 // Parse converts a binary string (most significant qubit first) to a Bits

@@ -6,11 +6,14 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"sort"
 	"sync"
 
+	"repro/internal/bitstr"
 	"repro/internal/core"
+	"repro/internal/dist"
 )
 
 // DefaultEntries is the serving layer's default cache capacity. The LRU
@@ -32,20 +35,67 @@ const DefaultEntries = 1024
 // histogram before validating it, and a crafted invalid key must never
 // collide with a valid cached entry.
 func Key(histogram map[string]float64, opts core.Options) string {
-	h := sha256.New()
 	keys := make([]string, 0, len(histogram))
 	for k := range histogram {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var buf [8]byte
+	ks := newKeyStream()
 	for _, k := range keys {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(k)))
-		h.Write(buf[:])
-		h.Write([]byte(k))
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(histogram[k]))
-		h.Write(buf[:])
+		ks.entry(appendKeyEntry(ks.buf, k, histogram[k]))
 	}
+	return ks.sum(opts)
+}
+
+// KeyEntries is Key for a validated histogram already decoded into n-bit
+// entries in strictly ascending outcome order (dist.Histogram.Entries): it
+// hashes the byte stream Key hashes for the equivalent map, so both give
+// the same key, and entries stored under either are found by both.
+func KeyEntries(es []dist.Entry, n int, opts core.Options) string {
+	ks := newKeyStream()
+	var bits [bitstr.MaxBits]byte
+	for _, e := range es {
+		ks.entry(appendKeyEntry(ks.buf, bitstr.AppendFormat(bits[:0], e.X, n), e.P))
+	}
+	return ks.sum(opts)
+}
+
+// appendKeyEntry appends one histogram entry in the keys' serialization: the
+// key's length and the mass's IEEE-754 bits as little-endian uint64s around
+// the key itself. For equal-width bitstrings, ascending string order is
+// ascending outcome order, which is why Key and KeyEntries agree.
+func appendKeyEntry[K string | []byte](dst []byte, k K, p float64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(k)))
+	dst = append(dst, k...)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(p))
+}
+
+// keyStream batches the serialized entries into few hash writes.
+type keyStream struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// keyChunk is how many serialized bytes keyStream gathers per hash write.
+const keyChunk = 4096
+
+func newKeyStream() *keyStream {
+	return &keyStream{h: sha256.New(), buf: make([]byte, 0, keyChunk+256)}
+}
+
+// entry takes buf back after an append and flushes it once it is full.
+func (ks *keyStream) entry(buf []byte) {
+	ks.buf = buf
+	if len(buf) >= keyChunk {
+		ks.h.Write(buf)
+		ks.buf = buf[:0]
+	}
+}
+
+// sum hashes the options after the entries and returns the hex key.
+func (ks *keyStream) sum(opts core.Options) string {
+	h := ks.h
+	h.Write(ks.buf)
 	engine := opts.Engine
 	if engine == "" {
 		engine = core.EngineAuto

@@ -1,10 +1,17 @@
 package cache
 
 import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/bitstr"
 	"repro/internal/core"
+	"repro/internal/dist"
 )
 
 func TestKeyMapOrderIndependent(t *testing.T) {
@@ -61,6 +68,58 @@ func TestKeySensitivity(t *testing.T) {
 	// "" and "auto" are the same engine.
 	if Key(h, core.Options{Engine: core.EngineAuto}) != base {
 		t.Error(`Engine "auto" keyed differently from ""`)
+	}
+}
+
+// TestKeyGolden pins keys computed by Key before KeyEntries existed, when
+// Key hashed each entry with its own writes. Key and KeyEntries must both
+// still produce them: they name the files of existing -cache-dir
+// directories and the entries peers running older builds serve.
+func TestKeyGolden(t *testing.T) {
+	wide := map[string]float64{}
+	for i := 0; i < 300; i++ {
+		// 300 distinct 20-bit outcomes, 36 serialized bytes each: the
+		// stream spans several of keyStream's 4096-byte writes.
+		wide[fmt.Sprintf("%020b", i*7919%(1<<20))] = float64(i%13) / 3
+	}
+	for _, c := range []struct {
+		name string
+		hist map[string]float64
+		opts core.Options
+		want string
+	}{
+		{"two outcomes", map[string]float64{"01": 1, "10": 2}, core.Options{},
+			"0026519dfed1e3a3fa9d0ba07e40d2f634d67bb2041f634809d5066799fe197c"},
+		{"every option", map[string]float64{"01": 1, "10": 2}, core.Options{
+			Radius: 1, Weights: core.UniformWeight, DisableFilter: true,
+			Workers: 8, TopM: 4, Engine: core.EngineExact},
+			"2a759e24bf48745d77bd4e8544bcf9ee86a045722c87cf1649f2b7c5a3bb0077"},
+		{"20 bits", wide, core.Options{Engine: core.EngineBucketed},
+			"7be2c5aabe1cdeed384b930ea76749d1d42e536d3897959044701258afd7e842"},
+		{"64 bits", map[string]float64{
+			strings.Repeat("0", 64):       math.Copysign(0, -1),
+			strings.Repeat("01", 32):      1e-7,
+			"1" + strings.Repeat("0", 63): 5e-324,
+			strings.Repeat("1", 64):       0.1,
+		}, core.Options{Radius: 3},
+			"f43bf5ee9dbbd7bf43b6ab2b17bd8e2eb720cb56caf6e13f1dae94d6633540bc"},
+	} {
+		if got := Key(c.hist, c.opts); got != c.want {
+			t.Errorf("%s: Key = %s, want %s", c.name, got, c.want)
+		}
+		var es []dist.Entry
+		n := 0
+		for k, p := range c.hist {
+			x, err := bitstr.Parse(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			es, n = append(es, dist.Entry{X: x, P: p}), len(k)
+		}
+		slices.SortFunc(es, func(a, b dist.Entry) int { return cmp.Compare(a.X, b.X) })
+		if got := KeyEntries(es, n, c.opts); got != c.want {
+			t.Errorf("%s: KeyEntries = %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 

@@ -12,7 +12,11 @@
 //     map iteration order. Every result-affecting option field (radius,
 //     weight scheme, filter, TopM, engine — with "" normalized to "auto")
 //     participates; Workers deliberately does not, because parallelism never
-//     changes a reconstruction's output.
+//     changes a reconstruction's output. KeyEntries(entries, n, opts) is the
+//     same key for a validated histogram already decoded into sorted n-bit
+//     entries (dist.Histogram): both feed SHA-256 one byte stream through one
+//     serializer, so keys are unchanged from the map form — existing
+//     -cache-dir files and replicas of either version keep hitting.
 //   - Values. The LRU stores values by assignment. Callers must only cache
 //     immutable (never-mutated-after-Put) values: a Get returns the stored
 //     value itself, shared with every other hit.

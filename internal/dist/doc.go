@@ -32,6 +32,27 @@
 //     triangular "ranks after r" suffix of any bucket is one contiguous
 //     span found by a single binary search (SuffixAfter).
 //
+// The wire form of a histogram — a JSON object of bitstring → mass — is
+// decided here too, in one module (histogram.go, json.go):
+//
+//   - Histogram decodes the object in one pass into Entry values sorted by
+//     outcome with their raw masses, plus the width, and rejects exactly
+//     what encoding/json into a map[string]float64 followed by
+//     FromHistogram rejects. It is a json.Unmarshaler with that map's
+//     semantics (repeated members merge, null empties), so a struct field
+//     of type Histogram decodes a request wrapper as a map field did.
+//     Outcomes repeated out of order are folded while decoding, so its
+//     memory follows the distinct outcomes, not the members.
+//   - FromEntries builds the normalized Dist from such entries, adding mass
+//     in ascending outcome order: bit-identical to FromHistogram of the
+//     same histogram, which is key parsing in front of it, so histogram
+//     validation exists once (checkEntries).
+//   - AppendJSON renders a Dist back into the object at a given prefix and
+//     indent, byte for byte as json.MarshalIndent renders ToHistogram(d):
+//     ascending outcomes, floats formatted as encoding/json formats them.
+//   - FromHistogram and ToHistogram keep the string-keyed map form for the
+//     library facade.
+//
 // # Contract
 //
 //   - Goroutine safety: no type in this package is safe for concurrent
@@ -41,8 +62,9 @@
 //   - Determinism: all iteration orders are deterministic — Dist and Counts
 //     range in ascending outcome order, Index buckets in (descending
 //     probability, ascending outcome) order — so every experiment in the
-//     repository reproduces bit-for-bit from its seed. FromHistogram
-//     accumulates keys in sorted order for the same reason.
+//     repository reproduces bit-for-bit from its seed. FromHistogram and
+//     FromEntries accumulate mass in ascending outcome order for the same
+//     reason.
 //   - Reuse: Dist.Reset, Index.Reset, and Packed.Reset rebuild in place
 //     without shedding capacity; the request-oriented core's 0 allocs/op
 //     after warm-up depends on these paths not allocating for same-shape

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -152,6 +153,8 @@ func TestFromHistogram(t *testing.T) {
 		"mixed width": {"01": 1, "011": 1},
 		"bad chars":   {"0x": 1},
 		"no mass":     {"01": 0, "10": 0},
+		"overflow":    {"01": math.MaxFloat64, "10": math.MaxFloat64},
+		"tiny total":  {"0": 5e-324, "1": 5e-324},
 		"negative":    {"01": -1},
 		"too wide":    {strings.Repeat("1", bitstr.MaxBits+1): 1},
 	} {
