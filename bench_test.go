@@ -150,15 +150,14 @@ func syntheticDist(n, uniqueOutcomes int, seed int64) *dist.Dist {
 	return d.Normalize()
 }
 
-// BenchmarkReconstruct compares the scoring engines head to head on the
-// workload the bucketed index targets: a wide (20-bit), low-support (2000
-// unique outcomes) histogram, at the paper's default radius and at a tight
-// radius where weight-bucket pruning bites hardest. The acceptance bar for
-// the bucketed engine is >= 2x over exact on this shape.
+// BenchmarkReconstruct compares the scoring engines head to head on a wide
+// (20-bit), low-support (2000 unique outcomes) histogram, at the paper's
+// default radius, where blocked runs its weight-window scan, and at the
+// tight radius 3, where it runs its block multi-index scan.
 func BenchmarkReconstruct(b *testing.B) {
 	d := syntheticDist(20, 2000, 42)
-	for _, engine := range []string{core.EngineExact, core.EngineBucketed, core.EngineBlocked} {
-		for _, radius := range []int{0, 4} {
+	for _, engine := range []string{core.EngineExact, core.EngineBlocked} {
+		for _, radius := range []int{0, 3} {
 			label := fmt.Sprintf("%d", radius)
 			if radius == 0 {
 				label = fmt.Sprintf("default(%d)", core.DefaultRadius(20))
@@ -256,7 +255,7 @@ const streamBenchBatch = 64
 // matrix, and output distribution every call). Run with -benchmem.
 func BenchmarkSessionReuse(b *testing.B) {
 	d := syntheticDist(20, 2000, 42)
-	for _, engine := range []string{core.EngineExact, core.EngineBucketed, core.EngineBlocked} {
+	for _, engine := range []string{core.EngineExact, core.EngineBlocked} {
 		opts := core.Options{Engine: engine, Workers: 1}
 		b.Run("session/engine="+engine, func(b *testing.B) {
 			sess, err := core.NewSession(opts)

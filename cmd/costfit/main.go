@@ -121,7 +121,7 @@ func main() {
 func printTable(m *cost.Model, bits int) {
 	supports := []int{50, 200, 1000, 4000, 16000}
 	radii := []int{2, 3, 4, defaultRadius(bits)}
-	candidates := []string{cost.EngineExact, cost.EngineBucketed, cost.EngineBlocked}
+	candidates := []string{cost.EngineExact, cost.EngineBlocked}
 	fmt.Printf("| support \\ radius |")
 	for _, r := range radii {
 		label := fmt.Sprintf(" %d |", r)

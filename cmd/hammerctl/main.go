@@ -7,7 +7,7 @@
 //
 //	echo '{"111": 30, "101": 40, "011": 20, "001": 10}' | hammerctl
 //	hammerctl -in results.json -radius 2 -weights exp-decay
-//	hammerctl -in wide.json -engine bucketed -topm 4096
+//	hammerctl -in wide.json -engine blocked -topm 4096
 //
 // The stream subcommand instead ingests a live shot stream — one bitstring
 // per line, optionally followed by a repeat count — and emits reconstructed
@@ -239,7 +239,7 @@ func configFlags(fs *flag.FlagSet) *hammer.Config {
 	fs.BoolVar(&cfg.DisableFilter, "no-filter", false, "disable the lower-probability-neighbor filter")
 	fs.IntVar(&cfg.Workers, "workers", 0, "parallel workers (0 = all CPUs)")
 	fs.IntVar(&cfg.TopM, "topm", 0, "score only the M most probable outcomes (0 = all)")
-	fs.StringVar(&cfg.Engine, "engine", "auto", "scoring engine: auto, exact, bucketed, blocked")
+	fs.StringVar(&cfg.Engine, "engine", "auto", "scoring engine: auto, exact, blocked")
 	return cfg
 }
 

@@ -266,7 +266,7 @@ func TestServeReconstructConfigOverride(t *testing.T) {
 		radius int
 	}{
 		{"base", ``, hammer.Config{Workers: 1}, "exact", 2},
-		{"engine+radius", `{"engine": "bucketed", "radius": 3}`, hammer.Config{Engine: "bucketed", Radius: 3, Workers: 1}, "bucketed", 3},
+		{"engine+radius", `{"engine": "bucketed", "radius": 3}`, hammer.Config{Engine: "bucketed", Radius: 3, Workers: 1}, "blocked", 3},
 		{"blocked engine", `{"engine": "blocked"}`, hammer.Config{Engine: "blocked", Workers: 1}, "blocked", 2},
 		{"radius only", `{"radius": 1}`, hammer.Config{Radius: 1, Workers: 1}, "exact", 1},
 		{"base again", ``, hammer.Config{Workers: 1}, "exact", 2},

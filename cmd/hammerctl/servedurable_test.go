@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	hammer "repro"
 	"repro/internal/cache"
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 // durableClock is an adjustable serve.Config.Now for TTL tests across
@@ -191,6 +194,115 @@ func TestDurableRestartE2E(t *testing.T) {
 	}
 	if err := srv2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableRecoversRetiredEngineName: a -data directory journaled by a
+// server that still had the bucketed engine holds sessions created with
+// {"engine": "bucketed"}. The name is a retired alias of blocked now, so
+// startup must recover the session rather than fail, and its snapshot must
+// match the library's reconstruction of the same counts to 1e-12.
+func TestDurableRecoversRetiredEngineName(t *testing.T) {
+	dataDir := t.TempDir()
+	st, err := wal.Open(dataDir, wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := st.Create("legacy", wal.SessionMeta{Width: 6, Engine: "bucketed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{"111100": 40, "101100": 7, "011100": 5, "000011": 2, "111000": 9}
+	var pairs []wal.Pair
+	for k, v := range counts {
+		x, err := strconv.ParseUint(k, 2, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, wal.Pair{X: x, K: v})
+	}
+	if err := log.Append(pairs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := newDurableServer(t, serve.Config{}, durableConfig{dataDir: dataDir, walSync: "never"})
+	defer srv.Close()
+	if srv.recovered != 1 {
+		t.Fatalf("recovered %d sessions, want 1", srv.recovered)
+	}
+	code, body := doJSON(t, http.MethodGet, ts.URL+"/v1/stream/legacy", "")
+	if code != http.StatusOK {
+		t.Fatalf("snapshot: status %d: %s", code, body)
+	}
+	var snap streamSnapshotResponse
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Engine != "blocked" || snap.Radius != 2 {
+		t.Fatalf("snapshot ran engine %q at radius %d, want blocked at 2", snap.Engine, snap.Radius)
+	}
+	want, err := hammer.RunCounts(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Dist) != len(want) {
+		t.Fatalf("snapshot support %d, library %d", len(snap.Dist), len(want))
+	}
+	for k, p := range want {
+		if q, ok := snap.Dist[k]; !ok || math.Abs(p-q) > 1e-12 {
+			t.Fatalf("%s: snapshot %v, library %v", k, q, p)
+		}
+	}
+}
+
+// TestServeRetiredEngineLabel pins the engine a "bucketed" pin reports. A
+// miss runs blocked and says so in the body and X-Hammer-Engine, and so does
+// the L1 hit it fills. Cache keys hash the pin as sent, so an entry filled
+// for the same request before the name was retired is still found, and that
+// hit replays the label it was stored with: "bucketed".
+func TestServeRetiredEngineLabel(t *testing.T) {
+	const body = `{"counts": {"111100": 40, "101100": 7, "011100": 5, "000011": 2}, "config": {"engine": "bucketed", "radius": 2}}`
+	check := func(ts *httptest.Server, tier, engine string) []byte {
+		t.Helper()
+		code, resp, hdr := postHeaders(t, ts.URL+"/v1/reconstruct", body)
+		if code != http.StatusOK || hdr.Get(cacheHeader) != tier {
+			t.Fatalf("status %d, %s %q, want %q: %s", code, cacheHeader, hdr.Get(cacheHeader), tier, resp)
+		}
+		var rr reconstructResponse
+		if err := json.Unmarshal(resp, &rr); err != nil {
+			t.Fatal(err)
+		}
+		if rr.Engine != engine || hdr.Get(engineHeader) != engine {
+			t.Fatalf("%s: body engine %q, %s %q, want %q", tier, rr.Engine, engineHeader, hdr.Get(engineHeader), engine)
+		}
+		return resp
+	}
+	srv, ts := newFleetServer(t, serve.Config{}, durableConfig{}, fleetConfig{})
+	fresh := check(ts, cacheMiss, "blocked")
+	check(ts, cacheHit, "blocked")
+
+	// The entry an older server wrote to its -cache-dir for this request.
+	rr, err := decodeReconstruct([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := srv.requestOptions(rr.override)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	l2, err := cache.NewDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(fresh, []byte(`"engine": "blocked"`), []byte(`"engine": "bucketed"`), 1)
+	l2.Put(cache.KeyEntries(rr.entries, rr.width, *opts), l2Encode("bucketed", old))
+	_, ts2 := newFleetServer(t, serve.Config{}, durableConfig{cacheDir: dir}, fleetConfig{})
+	if got := check(ts2, cacheHitL2, "bucketed"); !bytes.Equal(got, old) {
+		t.Fatalf("L2 hit %s, stored %s", got, old)
 	}
 }
 

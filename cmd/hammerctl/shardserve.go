@@ -78,12 +78,12 @@ func (s *server) localStripe(ctx context.Context, spec core.StripeSpec) (core.St
 // carries the request's effective options so flatten, radius, and the merge
 // epilogue match what a single-node run of the same request would do.
 func (s *server) reconstructSharded(ctx context.Context, opts core.Options, in *dist.Dist, deadline time.Time) (rendered, error) {
-	engine, predicted, ok := core.PredictShardCost(opts, in.Len(), in.NumBits(), s.coord.NumReplicas())
+	predicted, ok := core.PredictShardCost(opts, in.Len(), in.NumBits(), s.coord.NumReplicas())
 	if !ok {
 		predicted = 0
 	}
 	var out rendered
-	err := s.sch.DoBudgeted(ctx, "sharded:"+engine, predicted, deadline, func(rctx context.Context) error {
+	err := s.sch.DoBudgeted(ctx, "sharded:"+core.EngineBlocked, predicted, deadline, func(rctx context.Context) error {
 		sess, err := core.NewSession(opts)
 		if err != nil {
 			return err
@@ -123,10 +123,9 @@ func (s *server) handleShardReconstruct(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, -1, err)
 		return
 	}
-	engine := spec.Engine
-	if engine == "" {
-		engine = core.EngineBlocked
-	}
+	// Every valid spec runs the blocked scan, whatever name it arrived
+	// under (ScoreStripe rejects the invalid ones).
+	engine := core.EngineBlocked
 	var deadline time.Time
 	if b := req.Budget(); b > 0 {
 		deadline = time.Now().Add(b)

@@ -14,6 +14,7 @@ import (
 
 	hammer "repro"
 	"repro/internal/bitstr"
+	"repro/internal/dist"
 	"repro/internal/serve"
 )
 
@@ -38,6 +39,24 @@ func shardHistogram(t *testing.T, bits, support int, seed int64) string {
 		t.Fatal(err)
 	}
 	return string(body)
+}
+
+// takesMultiIndex reports whether the blocked engine scans the histogram at
+// the given radius with its block multi-index: whether that index's exact
+// candidate count is at most half the weight window's.
+func takesMultiIndex(t *testing.T, hist string, radius int) bool {
+	t.Helper()
+	var counts map[string]float64
+	if err := json.Unmarshal([]byte(hist), &counts); err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := dist.FromHistogram(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := dist.NewIndex(d)
+	_, built := new(dist.MultiIndex).Reset(ix, radius, ix.WindowPairs(radius)/2)
+	return built
 }
 
 // newShardedServer builds a caching-disabled coordinator server fanning out
@@ -95,13 +114,18 @@ func distTVD(a, b map[string]float64) float64 {
 // TestShardE2EMatchesSingleNode pins the end-to-end sharding contract: a
 // reconstruction fanned across two real replica servers matches the
 // single-node answer within 1e-12 total variation, across config overrides
-// including TopM, and reports a sharded: engine label.
+// including TopM, and reports a sharded: engine label. The radius-3 case
+// runs the blocked engine's block multi-index scan on every replica.
 func TestShardE2EMatchesSingleNode(t *testing.T) {
 	replicas := []string{newReplicaServer(t), newReplicaServer(t)}
 	_, coord := newShardedServer(t, replicas, 1)
 	single := newTestServer(t, hammer.Config{}, 2)
 
 	hist := shardHistogram(t, 14, 300, 42)
+	wide := shardHistogram(t, 20, 400, 3)
+	if !takesMultiIndex(t, wide, 3) {
+		t.Fatal("test premise broken: the 20-bit histogram does not take the multi-index scan at radius 3")
+	}
 	for _, tc := range []struct {
 		name string
 		body string
@@ -110,6 +134,7 @@ func TestShardE2EMatchesSingleNode(t *testing.T) {
 		{"blocked pin", fmt.Sprintf(`{"counts": %s, "config": {"engine": "blocked"}}`, hist)},
 		{"bucketed radius", fmt.Sprintf(`{"counts": %s, "config": {"engine": "bucketed", "radius": 4}}`, hist)},
 		{"topm", fmt.Sprintf(`{"counts": %s, "config": {"topm": 120}}`, hist)},
+		{"radius 3", fmt.Sprintf(`{"counts": %s, "config": {"radius": 3}}`, wide)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(coord.URL+"/v1/reconstruct", "application/json", strings.NewReader(tc.body))

@@ -45,7 +45,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	shots := fs.Int("shots", 8192, "trials (0 = infinite-shot limit)")
 	seed := fs.Int64("seed", 1, "noise/sampling seed")
 	applyHammer := fs.Bool("hammer", false, "post-process with HAMMER")
-	engine := fs.String("engine", "auto", "HAMMER scoring engine: auto, exact, bucketed, blocked")
+	engine := fs.String("engine", "auto", "HAMMER scoring engine: auto, exact, blocked")
 	correct := fs.String("correct", "", "known correct outcome (enables PST/IST/EHD report on stderr)")
 	route := fs.Bool("route", true, "route onto a heavy-hex-like coupling before execution")
 	if err := fs.Parse(args); err != nil {

@@ -19,7 +19,7 @@ func validCountsKey(k string) bool {
 // fuzzEngines is the one engine table the facade fuzzers pin: every batch
 // engine must accept what exact accepts and agree with it within 1e-12 on
 // whatever histogram the fuzzer conjures.
-var fuzzEngines = []string{"bucketed", "blocked"}
+var fuzzEngines = []string{"blocked"}
 
 // FuzzRunCounts drives the public facade with adversarial histograms:
 // arbitrary string keys, mixed widths, and non-positive counts must come

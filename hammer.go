@@ -55,10 +55,12 @@ type Config struct {
 	TopM int
 	// Engine selects the scoring engine: "auto" (default — the exact loop
 	// for small supports, the blocked engine otherwise), "exact" (the
-	// reference O(N²) loop), "bucketed" (the popcount-bucketed index
-	// engine), or "blocked" (the bit-packed, cache-blocked engine — the
-	// fastest at the paper's default radius). All engines produce the
-	// same reconstruction up to float64 rounding.
+	// reference O(N²) loop), or "blocked" (one fused pass over the
+	// popcount-bucketed index, scanning the bit-packed weight window or, at
+	// small radii, the block multi-index — whichever visits fewer pairs).
+	// "bucketed", the retired name of blocked's predecessor, is accepted as
+	// an alias of "blocked". All engines produce the same reconstruction up
+	// to float64 rounding.
 	Engine string
 }
 

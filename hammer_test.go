@@ -164,8 +164,9 @@ func wideHistogram(n, tailSize int) (map[string]float64, string) {
 }
 
 // TestCrossEngineGoldenWideTopM extends the facade's cross-engine goldens
-// past width 16: at 20 bits with TopM truncation active the exact and
-// bucketed engines must still agree to 1e-12, and the truncated tail must
+// past width 16: at 20 bits with TopM truncation active the exact engine
+// and the blocked engine, pinned by its retired bucketed name, must still
+// agree to 1e-12, and the truncated tail must
 // take the isolated-scoring path L(x) = Pr(x)² — pinned through the ratio of
 // two tail outcomes, which must equal the squared ratio of their inputs.
 func TestCrossEngineGoldenWideTopM(t *testing.T) {

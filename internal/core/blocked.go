@@ -12,34 +12,43 @@ func init() {
 	Register(Registration{Name: EngineBlocked, Engine: blockedEngine{}})
 }
 
-// blockedEngine computes the same fused triangular pass as bucketedEngine —
-// identical pruning, identical pair enumeration, identical accumulation up to
-// float64 summation order — but drives it through the bit-packed
-// structure-of-arrays view (dist.Packed) instead of per-pair closure
-// callbacks over []IndexEntry. Three mechanical changes buy the speedup:
+// blockedEngine computes Algorithm 1 in one fused triangular pass over
+// unordered pairs of the popcount-bucketed index (dist.Index). Two
+// structural changes make it faster than the exact reference while
+// producing the same reconstruction up to float64 rounding:
 //
-//   - Bit packing: candidate outcomes are one contiguous []uint64 (8 bytes
-//     per candidate versus a 40-byte IndexEntry), with probabilities and
-//     ranks in parallel arrays touched only for admitted pairs. A radius
-//     scan streams cache lines holding eight candidates each instead of
-//     1.6, and the triangular "ranks after mine" suffix of every weight
-//     bucket is one contiguous span found by binary search.
+//   - Fusion: the exact engine walks all pairs twice — once to accumulate
+//     the global CHS (step 1) and once to score neighborhoods against the
+//     finished weight vector (step 3). But a neighborhood score is linear in
+//     the per-distance weights: S(x) = Pr(x) + Σ_d W[d]·A[x][d], where
+//     A[x][d] is the admitted neighborhood strength of x at distance d. The
+//     engine accumulates A and the global CHS together in one triangular
+//     pass, then applies the weights after the fact, halving the number of
+//     Hamming-distance evaluations.
 //
-//   - Cache-blocked tiles: the inner loop processes candidates in 4-wide
-//     tiles, computing the four XOR+popcounts of a tile back to back so the
-//     compiler keeps the operands in registers and the popcounts pipeline,
-//     before the data-dependent accumulates run. No closure call per pair —
-//     the whole pass is one flat loop nest the compiler can see through.
+//   - Pruning: only pairs within the radius contribute, and the engine
+//     visits a candidate set that provably contains them all, chosen per
+//     request from two generators by their exact candidate counts
+//     (blockedScan): the weight window of the packed view (dist.Packed) —
+//     |popcount(x) − popcount(y)| ≤ d(x,y), so each row scans only the
+//     2·maxD+1 weight buckets around its own — or, at small radii, the block
+//     multi-index (dist.MultiIndex), where each row scans only the outcomes
+//     sharing one of its maxD+1 block values.
 //
-//   - Stride-local accumulation: each outer outcome's admitted-neighborhood
-//     credits accumulate into a small stack-resident row (at most 65
-//     float64s) and spill into the per-rank A matrix once per outer row,
-//     keeping the hot accumulator in L1 regardless of support size.
+// The pass walks outcomes in descending probability (the index's rank
+// order), partitioned across workers as pair-balanced contiguous rank
+// stripes (dist.StripePlan). For a pair (i, j) with rank i < j, only the
+// higher-probability side i can receive filtered credit, so each stripe
+// writes only the A-rows of the ranks it owns — no synchronization needed.
+// Per-stripe CHS partials merge through the asynchronous reduction tree
+// (reduce.go) instead of a global barrier; the DisableFilter ablation
+// credits both sides, so that (rare) path keeps per-node A slabs — pooled in
+// the Scratch like every other buffer — and folds them through the same
+// tree.
 //
-// Worker parallelism, row ownership, the DisableFilter slab path, context
-// cancellation, and the weight/score epilogue are shared with the bucketed
-// engine unchanged; cross-engine goldens pin all three batch engines to the
-// exact reference within 1e-12.
+// The index, the scan structures, the stripe plan, the tree rows, and the A
+// matrix live in the Scratch, rebuilt in place per call, so a warmed-up
+// session pays no allocation for any of them.
 type blockedEngine struct{}
 
 func (blockedEngine) Name() string { return EngineBlocked }
@@ -66,14 +75,13 @@ func (blockedEngine) Score(ctx context.Context, p *Problem, s *Scratch) ([]float
 		entries[i] = dist.Entry{X: p.Outs[i], P: p.Probs[i]}
 	}
 	ix := s.index(p.NumBits, entries)
-	pk := s.packed(ix)
+	scan := s.blockedScan(ix, maxD, p.DisableFilter)
 	ranked := ix.Ranked()
 
 	// A[r*stride+d] is the admitted neighborhood strength of the rank-r
-	// outcome at distance d — same ownership discipline as the bucketed
-	// engine: with the filter on, row r is written only by the stripe that
-	// owns rank r; the ablation path uses one pooled slab per tree node and
-	// folds them through the reduction tree.
+	// outcome at distance d. With the filter on, row r is written only by
+	// the stripe that owns rank r; the ablation path uses one pooled slab
+	// per tree node instead and folds them through the reduction tree.
 	S := workers // stripes; already clamped to [1, N]
 	nodes := 2*S - 1
 	shared := !p.DisableFilter || S == 1
@@ -88,7 +96,7 @@ func (blockedEngine) Score(ctx context.Context, p *Problem, s *Scratch) ([]float
 	}
 	treeRows := s.chsRows(nodes, stride)
 	if S == 1 {
-		blockedPass(done, ix, pk, maxD, p.DisableFilter, treeRows[0], acc, 0, N)
+		scan.pass(done, maxD, p.DisableFilter, treeRows[0], acc, 0, N)
 	} else {
 		plan := s.stripePlan(N, S)
 		latches := s.stripeLatches(S - 1)
@@ -99,7 +107,7 @@ func (blockedEngine) Score(ctx context.Context, p *Problem, s *Scratch) ([]float
 			if !shared {
 				rows = slabs[S-1+st]
 			}
-			blockedPass(done, ix, pk, maxD, p.DisableFilter, treeRows[S-1+st], rows, sp.Lo, sp.Hi)
+			scan.pass(done, maxD, p.DisableFilter, treeRows[S-1+st], rows, sp.Lo, sp.Hi)
 		}, func(parent, left, right int) {
 			addInto(treeRows[parent], treeRows[left], treeRows[right])
 			if !shared {
@@ -133,6 +141,110 @@ func (blockedEngine) Score(ctx context.Context, p *Problem, s *Scratch) ([]float
 		scores[e.Ord] = sc * e.P
 	}
 	return chs, w, scores, nil
+}
+
+// blockedScan is one reconstruction's candidate generator: the block
+// multi-index when it is built, the packed weight window otherwise.
+type blockedScan struct {
+	ix *dist.Index
+	pk *dist.Packed
+	mi *dist.MultiIndex
+}
+
+// blockedScan picks and builds the candidate generator for a scan of ix at
+// radius maxD. Both candidate counts are exact and cheap before anything is
+// built — O(n·maxD) from the weight-bucket sizes, O((maxD+1)·N) from the
+// block histograms — and the multi-index runs when it visits at most half
+// the window's pairs; otherwise the window runs. The choice
+// depends only on the outcome set and the radius, so every stripe and every
+// replica of one support makes the same one. The DisableFilter ablation
+// always takes the window.
+func (s *Scratch) blockedScan(ix *dist.Index, maxD int, disableFilter bool) blockedScan {
+	if !disableFilter && maxD < ix.NumBits() {
+		if s.mi == nil {
+			s.mi = new(dist.MultiIndex)
+		}
+		if _, built := s.mi.Reset(ix, maxD, ix.WindowPairs(maxD)/2); built {
+			return blockedScan{ix: ix, mi: s.mi}
+		}
+	}
+	return blockedScan{ix: ix, pk: s.packed(ix)}
+}
+
+// pass runs the scan over the rank stripe [lo, hi) under blockedPass's
+// contract.
+func (sc blockedScan) pass(done <-chan struct{}, maxD int, disableFilter bool, local, rows []float64, lo, hi int) {
+	if sc.mi != nil {
+		multiIndexPass(done, sc.ix, sc.mi, maxD, local, rows, lo, hi)
+		return
+	}
+	blockedPass(done, sc.ix, sc.pk, maxD, disableFilter, local, rows, lo, hi)
+}
+
+// multiIndexPass is blockedPass over the block multi-index: the same rank
+// stripe [lo, hi), the same CHS partial and admitted-strength rows, from a
+// candidate set that holds every pair within the radius. Most candidates are
+// rejected by one popcount and compare; the rarely taken branch for an
+// admitted pair credits it only in the first block on which the two outcomes
+// agree — a pair may share the buckets of several blocks, or collide in a
+// hashed bucket without agreeing — and applies the filter's tie rule: a
+// candidate of equal probability earns CHS credit only.
+func multiIndexPass(done <-chan struct{}, ix *dist.Index, mi *dist.MultiIndex, maxD int, local, rows []float64, lo, hi int) {
+	ranked := ix.Ranked()
+	stride := maxD + 1
+	masks := mi.Masks()
+	for i := lo; i < hi; i++ {
+		if canceled(done) {
+			return
+		}
+		e := &ranked[i]
+		x, pe := e.X, e.P
+		// Self pair: d=0 contributes P(x) once per x.
+		local[0] += pe
+		dst := rows[i*stride : i*stride+stride]
+		for b := range masks {
+			words, probs := mi.After(b, i)
+			probs = probs[:len(words)]
+			for j := nextWithin(x, words, maxD); j < len(words); j += 1 + nextWithin(x, words[j+1:], maxD) {
+				v := x ^ words[j]
+				if firstAgreement(v, masks) != b {
+					continue
+				}
+				d := bits.OnesCount64(v)
+				p := probs[j]
+				local[d] += pe + p
+				if p < pe {
+					dst[d] += p
+				}
+			}
+		}
+	}
+}
+
+// nextWithin returns the index of the first word within Hamming distance
+// maxD of x, or len(words) if there is none. It is the multi-index scan's
+// hot loop, kept in a function of its own: with only a handful of live values
+// the compiler holds them all in registers, where inside multiIndexPass the
+// popcount's fallback call (see blockedPass) would spill them on every
+// candidate.
+func nextWithin(x uint64, words []uint64, maxD int) int {
+	for j, y := range words {
+		if bits.OnesCount64(x^y) <= maxD {
+			return j
+		}
+	}
+	return len(words)
+}
+
+// firstAgreement returns the first block on which two outcomes differing by
+// v agree; a pair within the radius always has one.
+func firstAgreement(v uint64, masks []uint64) int {
+	for b, m := range masks {
+		if v&m == 0 {
+			return b
+		}
+	}
+	return len(masks)
 }
 
 // blockedPass runs one stripe's share of the flat fused pass — the

@@ -82,10 +82,11 @@ type Options struct {
 	TopM int
 
 	// Engine selects the pairwise scoring engine by registry name:
-	// EngineAuto (or empty) picks by support size, EngineExact forces the
-	// reference O(N²) loop, EngineBucketed forces the popcount-bucketed
-	// index engine. Unknown and streaming-only names flow back as errors
-	// from NewSession (the one-shot Reconstruct wrapper panics on them).
+	// EngineAuto (or empty) picks from the cost model, EngineExact forces
+	// the reference O(N²) loop, EngineBlocked forces the fused index engine
+	// (EngineBucketed, its retired name, is an alias). Unknown and
+	// streaming-only names flow back as errors from NewSession (the one-shot
+	// Reconstruct wrapper panics on them).
 	Engine string
 }
 
@@ -134,8 +135,7 @@ type Result struct {
 	Weights []float64
 	// Radius is the maximum admitted Hamming distance actually used.
 	Radius int
-	// Engine names the scoring engine that ran ("exact", "bucketed", or
-	// "blocked").
+	// Engine names the scoring engine that ran ("exact" or "blocked").
 	Engine string
 }
 

@@ -17,30 +17,19 @@ import (
 // to (PredictCost — the admission half). Explicit engine pins never consult
 // the model for selection; only for prediction.
 
-// batchCandidates returns the registered batch engines auto-selection may
-// choose among, in a fixed order so cost ties resolve deterministically.
-func batchCandidates() []string {
-	candidates := make([]string, 0, 3)
-	for _, name := range []string{EngineExact, EngineBucketed, EngineBlocked} {
-		if r, ok := Lookup(name); ok && r.Engine != nil {
-			candidates = append(candidates, name)
-		}
-	}
-	return candidates
-}
+// autoCandidates are the engines auto-selection chooses between, in a fixed
+// order so cost ties resolve deterministically.
+var autoCandidates = []string{EngineExact, EngineBlocked}
 
 // chooseAuto resolves the auto policy for a workload: the active cost
-// model's cheapest predicted engine, falling back to the historical
-// support-size threshold when no candidate is modeled (a stripped-down
-// model installed via cost.SetActive must degrade, not break).
+// model's cheaper prediction of exact and blocked, or blocked when the model
+// covers neither (a stripped-down model installed via cost.SetActive must
+// degrade, not break).
 func chooseAuto(w cost.Workload) string {
-	if name, _, ok := cost.Active().Choose(w, batchCandidates()); ok {
+	if name, _, ok := cost.Active().Choose(w, autoCandidates); ok {
 		return name
 	}
-	if w.Support >= autoEngineThreshold {
-		return EngineBlocked
-	}
-	return EngineExact
+	return EngineBlocked
 }
 
 // PredictCost predicts, without running anything, which engine a request
@@ -61,13 +50,14 @@ func PredictCost(opts Options, support, bits int) (engine string, predicted time
 		Radius:  opts.radius(bits),
 		TopM:    opts.TopM,
 	}
-	m := cost.Active()
 	name := opts.Engine
-	switch name {
-	case "", EngineAuto:
+	if r, err := lookupBatch(name); err == nil {
+		name = r.Name // the registered name behind a pin, "" for auto
+	}
+	if name == "" {
 		name = chooseAuto(w)
 	}
-	d, modeled := m.PredictDuration(name, w)
+	d, modeled := cost.Active().PredictDuration(name, w)
 	if !modeled {
 		return name, 0, false
 	}
@@ -75,31 +65,24 @@ func PredictCost(opts Options, support, bits int) (engine string, predicted time
 }
 
 // PredictShardCost mirrors PredictCost for a stripe-sharded run fanned over
-// `stripes` replicas: the engine is the stripe-capable resolution of the
-// options (pinned bucketed/blocked stick, auto takes the model's pick among
-// the pair) and the prediction is the active model's PredictShardedDuration —
-// per-stripe setup, wire transfer of the full support to every replica, the
-// pair-balanced share of the triangular scan, and one merge fold per tree
-// level. ok is false when the request cannot shard at all (DisableFilter
-// scatters credits across stripe boundaries; an explicit exact pin has no
-// fused pass to stripe) or when the model does not cover the engine. The
-// serve layer shards exactly when both predictions exist and the sharded one
-// is cheaper.
-func PredictShardCost(opts Options, support, bits, stripes int) (engine string, predicted time.Duration, ok bool) {
+// `stripes` replicas: stripes always run the blocked engine (the only engine
+// with a fused pass to stripe), and the prediction is the active model's
+// PredictShardedDuration — per-stripe setup, wire transfer of the full
+// support to every replica, the pair-balanced share of the triangular scan,
+// and one merge fold per tree level. ok is false when the request cannot
+// shard at all (DisableFilter scatters credits across stripe boundaries; an
+// explicit exact pin asks for the unfused reference loop) or when the model
+// does not cover the engine. The serve layer shards exactly when both
+// predictions exist and the sharded one is cheaper.
+func PredictShardCost(opts Options, support, bits, stripes int) (predicted time.Duration, ok bool) {
 	if support <= 0 || bits <= 0 || stripes <= 0 || opts.Radius < 0 {
-		return "", 0, false
+		return 0, false
 	}
 	if opts.DisableFilter || opts.Engine == EngineExact {
-		return "", 0, false
+		return 0, false
 	}
-	maxD := opts.radius(bits)
-	engine = stripeEngineFor(opts.Engine, support, bits, maxD)
-	w := cost.Workload{Support: support, Bits: bits, Radius: maxD, TopM: opts.TopM}
-	d, modeled := cost.Active().PredictShardedDuration(engine, w, stripes)
-	if !modeled {
-		return engine, 0, false
-	}
-	return engine, d, true
+	w := cost.Workload{Support: support, Bits: bits, Radius: opts.radius(bits), TopM: opts.TopM}
+	return cost.Active().PredictShardedDuration(EngineBlocked, w, stripes)
 }
 
 // Calibrate measures this process's registered engines on synthetic

@@ -9,8 +9,8 @@ import (
 )
 
 // TestChooseAutoFallback pins the degradation path: when the active model
-// covers none of the registered candidates, auto-selection falls back to the
-// legacy support-size threshold instead of failing or picking arbitrarily.
+// covers neither auto candidate, auto-selection takes blocked on every
+// support instead of failing or picking arbitrarily.
 func TestChooseAutoFallback(t *testing.T) {
 	prev := cost.Active()
 	defer cost.SetActive(prev)
@@ -19,7 +19,7 @@ func TestChooseAutoFallback(t *testing.T) {
 	}})
 
 	small := goldenDist(4, 3)
-	if res := Reconstruct(small, Options{}); res.Engine != EngineExact {
+	if res := Reconstruct(small, Options{}); res.Engine != EngineBlocked {
 		t.Fatalf("fallback auto on N=%d picked %q", small.Len(), res.Engine)
 	}
 	large := goldenDist(12, 4)
@@ -53,12 +53,11 @@ func TestPredictCostRejectsDegenerate(t *testing.T) {
 // serve layer keys on (sharded cheaper than local only at scale) holds under
 // the default model.
 func TestPredictShardCost(t *testing.T) {
-	engine, _, ok := PredictShardCost(Options{}, 100_000, 20, 4)
-	if !ok || !cost.StripeCapable(engine) {
-		t.Fatalf("PredictShardCost(auto) = %q, %v; want stripe-capable engine, ok", engine, ok)
+	if _, ok := PredictShardCost(Options{}, 100_000, 20, 4); !ok {
+		t.Fatal("PredictShardCost(auto) not modeled")
 	}
-	if eng, _, ok := PredictShardCost(Options{Engine: EngineBucketed}, 4000, 20, 4); !ok || eng != EngineBucketed {
-		t.Fatalf("bucketed pin resolved to %q, %v", eng, ok)
+	if _, ok := PredictShardCost(Options{Engine: EngineBucketed}, 4000, 20, 4); !ok {
+		t.Fatal("bucketed pin not modeled")
 	}
 	for _, tc := range []struct {
 		name string
@@ -72,19 +71,19 @@ func TestPredictShardCost(t *testing.T) {
 		{"zero support", Options{}, 0, 20, 4},
 		{"zero stripes", Options{}, 4000, 20, 0},
 	} {
-		if _, _, ok := PredictShardCost(tc.opts, tc.n, tc.bits, tc.s); ok {
+		if _, ok := PredictShardCost(tc.opts, tc.n, tc.bits, tc.s); ok {
 			t.Errorf("%s: PredictShardCost claimed shardable", tc.name)
 		}
 	}
 	// Crossover: local wins small, sharded wins large (matching the
 	// internal/cost pins, but through the options-resolution path).
 	_, localSmall, _ := PredictCost(Options{Engine: EngineBlocked}, 500, 20)
-	_, shardSmall, _ := PredictShardCost(Options{Engine: EngineBlocked}, 500, 20, 4)
+	shardSmall, _ := PredictShardCost(Options{Engine: EngineBlocked}, 500, 20, 4)
 	if shardSmall <= localSmall {
 		t.Fatalf("sharding 500 outcomes predicted cheaper (%v) than local (%v)", shardSmall, localSmall)
 	}
 	_, localLarge, _ := PredictCost(Options{Engine: EngineBlocked}, 100_000, 20)
-	_, shardLarge, _ := PredictShardCost(Options{Engine: EngineBlocked}, 100_000, 20, 4)
+	shardLarge, _ := PredictShardCost(Options{Engine: EngineBlocked}, 100_000, 20, 4)
 	if shardLarge >= localLarge {
 		t.Fatalf("sharding 100k outcomes predicted slower (%v) than local (%v)", shardLarge, localLarge)
 	}
@@ -104,7 +103,7 @@ func TestCalibrateRefines(t *testing.T) {
 		Bits:     12,
 		Supports: []int{64, 192},
 		Radii:    []int{2, 5},
-		Engines:  []string{EngineExact, EngineBucketed, EngineBlocked},
+		Engines:  []string{EngineExact, EngineBlocked},
 	})
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
@@ -112,7 +111,7 @@ func TestCalibrateRefines(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("calibrated model invalid: %v", err)
 	}
-	for _, name := range []string{EngineExact, EngineBucketed, EngineBlocked} {
+	for _, name := range []string{EngineExact, EngineBlocked} {
 		ns, ok := m.Predict(name, cost.Workload{Support: 500, Bits: 12, Radius: 5})
 		if !ok || ns <= 0 {
 			t.Fatalf("calibrated model predicts %v, %v for %s", ns, ok, name)

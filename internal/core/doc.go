@@ -18,17 +18,20 @@
 // The pairwise scan that dominates the cost is delegated to a pluggable
 // Engine (engine.go), selected by name through a registry the engines
 // self-register into (registry.go): "exact" is the reference O(N²) loop
-// matching Algorithm 1 line by line, "bucketed" computes the same quantities
-// through the popcount-bucketed index of the dist package in a single merged
-// triangular pass, "blocked" drives that same fused pass through the
-// bit-packed structure-of-arrays view (dist.Packed) with a flat, branchless,
-// cache-blocked inner loop — the fastest engine at the paper's default
-// radius and the auto-selection default for large supports — and
-// "incremental" is the streaming-only state of incremental.go. All batch
-// engines produce identical reconstructions up to float64 rounding (pinned
-// to 1e-12 by the cross-engine goldens); selection is automatic by support
-// size unless Options.Engine pins one. Unknown and streaming-only names flow
-// back as errors from one choke point (the registry) on every path.
+// matching Algorithm 1 line by line; "blocked" computes the same quantities
+// in one fused triangular pass over the popcount-bucketed index of the dist
+// package, with a flat inner loop over whichever of two candidate
+// generators visits fewer pairs — the bit-packed weight window
+// (dist.Packed; branchless cache-blocked tiles, the scan at the paper's
+// default radius) or, at small radii, the pigeonhole block multi-index
+// (dist.MultiIndex), chosen per request from exact candidate counts; and
+// "incremental" is the streaming-only state of incremental.go. The retired
+// name "bucketed" resolves to blocked. Both batch engines produce identical
+// reconstructions up to float64 rounding (pinned to 1e-12 by the
+// cross-engine goldens, a metamorphic relabeling oracle, and a fuzzer);
+// auto-selection asks the cost model for the cheaper of the two unless
+// Options.Engine pins one. Unknown and streaming-only names flow back as
+// errors from one choke point (the registry) on every path.
 //
 // # Contract
 //

@@ -13,31 +13,27 @@ import (
 // the registered engines.
 const (
 	// EngineAuto (or the empty string) selects the engine per workload from
-	// the active cost model (internal/cost): the registered batch engine with
-	// the cheapest predicted reconstruction time for the request's (support,
-	// width, radius). Typically that is exact on small supports, bucketed at
-	// tight radii where the index prunes most pairs, and blocked everywhere
+	// the active cost model (internal/cost): exact or blocked, whichever
+	// predicts the cheaper reconstruction for the request's (support, width,
+	// radius) — typically exact on small supports and blocked everywhere
 	// else. Explicit engine names bypass the model entirely.
 	EngineAuto = "auto"
 	// EngineExact is the reference O(N²) double loop, a line-by-line
 	// transcription of Algorithm 1.
 	EngineExact = "exact"
-	// EngineBucketed computes the same quantities through the
-	// popcount-bucketed index in one merged triangular pass.
-	EngineBucketed = "bucketed"
-	// EngineBlocked runs the same fused triangular pass as EngineBucketed
-	// over the bit-packed structure-of-arrays view (dist.Packed) with a
-	// flat, closure-free, cache-blocked inner loop — the fastest batch
-	// engine on every support size the index engines target.
+	// EngineBlocked computes the same quantities in one fused triangular
+	// pass over the popcount-bucketed index, with a flat, closure-free inner
+	// loop over whichever candidate generator visits fewer pairs: the
+	// bit-packed weight window (dist.Packed) or, at small radii, the block
+	// multi-index (dist.MultiIndex).
 	EngineBlocked = "blocked"
+	// EngineBucketed is the retired name of the popcount-bucketed engine
+	// that blocked superseded. It stays accepted wherever engine names
+	// resolve — journaled sessions, handoff payloads and client pins
+	// written before the retirement — as an alias of EngineBlocked, but is
+	// no longer listed by EngineNames.
+	EngineBucketed = "bucketed"
 )
-
-// autoEngineThreshold is the legacy support-size cutover between the exact
-// reference loop and the blocked bit-packed engine. It survives only as
-// chooseAuto's fallback for when the active cost model covers none of the
-// registered candidates (e.g. a stripped model installed via
-// cost.SetActive); normal auto-selection is cost-model-driven.
-const autoEngineThreshold = 64
 
 // Problem is one flattened reconstruction instance handed to an Engine:
 // the unique outcomes in deterministic ascending order, their probabilities,

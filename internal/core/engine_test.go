@@ -34,7 +34,7 @@ func goldenDist(n int, seed int64) *dist.Dist {
 // indexEngines are the batch engines built on the popcount-bucketed index —
 // every cross-engine golden pins each of them against the exact reference
 // from one table, so a new engine inherits the whole net by joining the list.
-var indexEngines = []string{EngineBucketed, EngineBlocked}
+var indexEngines = []string{EngineBlocked}
 
 // TestEnginesAgree is the cross-engine golden test: the exact reference loop
 // and every index engine must produce the same reconstruction within 1e-12 —
@@ -77,7 +77,7 @@ func TestEnginesAgree(t *testing.T) {
 
 // TestEnginesAgreeAcrossOptions sweeps the option surface the engines must
 // agree under: explicit radii, every weight scheme, the filter ablation
-// (which exercises the bucketed engine's slab path), and TopM truncation.
+// (which exercises the blocked engine's slab path), and TopM truncation.
 func TestEnginesAgreeAcrossOptions(t *testing.T) {
 	in := goldenDist(12, 9)
 	cases := []Options{
@@ -158,28 +158,25 @@ func TestEnginesAgreeWideTopM(t *testing.T) {
 }
 
 // TestEngineAutoSelection pins the cost-model auto rule: small supports take
-// the exact reference loop, large supports at the default radius the blocked
-// bit-packed engine, and tight radii on large supports the bucketed index
-// (the popcount buckets prune almost every pair, so the pruned scan beats
-// the unconditional blocked pass). Explicit pins always bypass the model.
+// the exact reference loop and large supports the blocked engine, at the
+// default radius and at tight radii alike (blocked switches to its block
+// multi-index scan there by itself). Explicit pins always bypass the model,
+// and the retired bucketed name pins blocked.
 func TestEngineAutoSelection(t *testing.T) {
 	small := goldenDist(4, 3) // support <= 16
-	if small.Len() >= autoEngineThreshold {
-		t.Fatalf("test premise broken: small support %d", small.Len())
-	}
 	for _, name := range []string{"", EngineAuto} {
 		if res := Reconstruct(small, Options{Engine: name}); res.Engine != EngineExact {
 			t.Fatalf("engine %q on N=%d picked %q", name, small.Len(), res.Engine)
 		}
 	}
 	large := goldenDist(12, 4)
-	if large.Len() < autoEngineThreshold {
+	if large.Len() < 256 {
 		t.Fatalf("test premise broken: large support %d", large.Len())
 	}
 	if res := Reconstruct(large, Options{}); res.Engine != EngineBlocked {
 		t.Fatalf("auto on N=%d picked %q", large.Len(), res.Engine)
 	}
-	if res := Reconstruct(large, Options{Radius: 2}); res.Engine != EngineBucketed {
+	if res := Reconstruct(large, Options{Radius: 2}); res.Engine != EngineBlocked {
 		t.Fatalf("auto on N=%d radius=2 picked %q", large.Len(), res.Engine)
 	}
 	// PredictCost must forecast the engine the session then actually runs —
@@ -189,8 +186,9 @@ func TestEngineAutoSelection(t *testing.T) {
 		want string
 	}{
 		{Options{}, EngineBlocked},
-		{Options{Radius: 2}, EngineBucketed},
+		{Options{Radius: 2}, EngineBlocked},
 		{Options{Engine: EngineExact}, EngineExact},
+		{Options{Engine: EngineBucketed}, EngineBlocked},
 	} {
 		eng, d, ok := PredictCost(tc.opts, large.Len(), large.NumBits())
 		if !ok || eng != tc.want || d <= 0 {
@@ -202,8 +200,8 @@ func TestEngineAutoSelection(t *testing.T) {
 	if res := Reconstruct(large, Options{Engine: EngineExact}); res.Engine != EngineExact {
 		t.Fatalf("pinned exact ran %q", res.Engine)
 	}
-	for _, engine := range indexEngines {
-		if res := Reconstruct(small, Options{Engine: engine}); res.Engine != engine {
+	for _, engine := range []string{EngineBlocked, EngineBucketed} {
+		if res := Reconstruct(small, Options{Engine: engine}); res.Engine != EngineBlocked {
 			t.Fatalf("pinned %s ran %q", engine, res.Engine)
 		}
 	}
@@ -212,16 +210,15 @@ func TestEngineAutoSelection(t *testing.T) {
 func TestEngineNames(t *testing.T) {
 	// Auto leads, then the registered batch engines in sorted order. The
 	// streaming-only incremental registration must not appear: it is not a
-	// valid batch selection.
+	// valid batch selection; nor may the retired bucketed alias.
 	names := EngineNames()
-	if len(names) != 4 || names[0] != EngineAuto || names[1] != EngineBlocked ||
-		names[2] != EngineBucketed || names[3] != EngineExact {
+	if len(names) != 3 || names[0] != EngineAuto || names[1] != EngineBlocked || names[2] != EngineExact {
 		t.Fatalf("EngineNames = %v", names)
 	}
 }
 
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{EngineExact, EngineBucketed, EngineBlocked} {
+	for _, name := range []string{EngineExact, EngineBlocked} {
 		r, ok := Lookup(name)
 		if !ok || r.Engine == nil || r.Streaming {
 			t.Errorf("Lookup(%q) = %+v, %v", name, r, ok)
@@ -234,9 +231,12 @@ func TestRegistry(t *testing.T) {
 	if _, ok := Lookup("fpga"); ok {
 		t.Error("unknown engine resolved")
 	}
-	// Auto is a policy, not a registration.
-	if _, ok := Lookup(EngineAuto); ok {
-		t.Error("auto is registered")
+	// Auto is a policy, not a registration; the retired bucketed name is an
+	// alias resolved by name validation, not a registration either.
+	for _, name := range []string{EngineAuto, EngineBucketed} {
+		if _, ok := Lookup(name); ok {
+			t.Errorf("%s is registered", name)
+		}
 	}
 	for _, name := range []string{"", EngineAuto, EngineExact, EngineBucketed, EngineBlocked} {
 		if err := ValidateEngine(name); err != nil {

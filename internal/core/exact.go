@@ -13,7 +13,7 @@ func init() {
 // exactEngine is the reference implementation: a line-by-line transcription
 // of Algorithm 1. Step 1 accumulates the global CHS over a triangular
 // pairwise loop; step 3 scores every outcome against every other. It is kept
-// verbatim as the semantic baseline the bucketed engine is verified against,
+// verbatim as the semantic baseline the blocked engine is verified against,
 // and remains the faster choice for small supports.
 //
 // The worker bodies are standalone functions called directly on the

@@ -7,7 +7,7 @@ import (
 )
 
 // The asynchronous, atomic-free reduction tree that merges per-stripe
-// partials for the striped engines (bucketed/blocked) and, through
+// partials for the striped blocked engine and, through
 // Session.CombineStripes, for the over-the-wire shard coordinator.
 //
 // Layout: for S stripes the tree is a binary heap of 2S-1 nodes over one

@@ -83,11 +83,15 @@ func ValidateEngine(name string) error {
 
 // lookupBatch resolves a batch-capable registration, mapping unknown and
 // streaming-only names to errors. Auto names resolve to an empty
-// registration: the caller picks per problem size.
+// registration: the caller picks per problem size. The retired name
+// EngineBucketed resolves to the blocked registration here, the one place
+// names resolve, so every path that accepted it still does.
 func lookupBatch(name string) (Registration, error) {
 	switch name {
 	case "", EngineAuto:
 		return Registration{}, nil
+	case EngineBucketed:
+		name = EngineBlocked
 	}
 	r, ok := Lookup(name)
 	if !ok {
@@ -100,11 +104,10 @@ func lookupBatch(name string) (Registration, error) {
 }
 
 // resolve picks the engine for a workload: registered engines by name, auto
-// (or empty) by the active cost model's cheapest prediction over the
-// registered candidates (chooseAuto falls back to the legacy support-size
-// threshold when the model covers none of them). Unknown and streaming-only
-// names come back as errors — the single choke point the session, scheduler,
-// and facades all flow through.
+// (or empty) by the active cost model's cheaper prediction of exact and
+// blocked (chooseAuto takes blocked when the model covers neither). Unknown
+// and streaming-only names come back as errors — the single choke point the
+// session, scheduler, and facades all flow through.
 func resolve(name string, w cost.Workload) (Engine, error) {
 	r, err := lookupBatch(name)
 	if err != nil {

@@ -15,8 +15,9 @@ import (
 
 // Scratch holds the reusable buffers the built-in engines draw their
 // intermediate state from: the CHS/weight/score vectors, the per-worker CHS
-// accumulator rows, and (for the bucketed engine) the index entries, the
-// popcount-bucketed index itself, and the per-rank neighborhood matrix. The
+// accumulator rows, and (for the blocked engine) the index entries, the
+// popcount-bucketed index itself, its scan structures, and the per-rank
+// neighborhood matrix. The
 // zero value is ready; buffers grow to the high-water mark of the problems
 // scored through it and are reused thereafter, so a warmed-up Scratch makes
 // repeated reconstructions allocation-free. It is owned by one Session (or
@@ -30,13 +31,14 @@ type Scratch struct {
 	partial    [][]float64
 	partialBuf []float64
 
-	// Bucketed/blocked engine state: the flattened index entries, the
-	// reusable popcount-bucketed index, the blocked engine's packed
-	// structure-of-arrays view of it, and the per-rank admitted-strength
-	// matrix.
+	// Blocked engine state: the flattened index entries, the reusable
+	// popcount-bucketed index, the two candidate generators over it (the
+	// packed weight-window view and the block multi-index), and the per-rank
+	// admitted-strength matrix.
 	entries []dist.Entry
 	ix      *dist.Index
 	pk      *dist.Packed
+	mi      *dist.MultiIndex
 	acc     []float64
 
 	// DisableFilter ablation state: per-worker A slabs carved out of one

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -175,10 +176,19 @@ func TestSessionResultOwnership(t *testing.T) {
 
 // TestSessionAllocationFreeAfterWarmup asserts the headline property of the
 // refactor: a warmed-up single-threaded session reconstructs without
-// allocating.
+// allocating — on the blocked engine's weight-window scan (default radius)
+// and its block multi-index scan (radius 1) alike.
 func TestSessionAllocationFreeAfterWarmup(t *testing.T) {
-	for _, engine := range []string{EngineExact, EngineBucketed, EngineBlocked} {
-		sess, err := NewSession(Options{Engine: engine, Workers: 1})
+	if !usesMultiIndex(goldenDist(12, 9), 1) {
+		t.Fatal("test premise broken: radius 1 does not take the multi-index scan")
+	}
+	for _, opts := range []Options{
+		{Engine: EngineExact, Workers: 1},
+		{Engine: EngineBlocked, Workers: 1},
+		{Engine: EngineBlocked, Radius: 1, Workers: 1},
+	} {
+		engine := fmt.Sprintf("%s radius %d", opts.Engine, opts.Radius)
+		sess, err := NewSession(opts)
 		if err != nil {
 			t.Fatal(err)
 		}

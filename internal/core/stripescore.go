@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitstr"
-	"repro/internal/cost"
 	"repro/internal/dist"
 )
 
@@ -14,8 +13,8 @@ import (
 // coordinator (internal/shard) flattens a reconstruction once, cuts the
 // ranked triangular scan into a pair-balanced dist.StripePlan, and fans one
 // StripeSpec per replica; each replica answers with a StripePartial computed
-// by Session.ScoreStripe — the exact same bucketedPass/blockedPass kernels
-// the in-process striped engines run, over the exact same deterministic rank
+// by Session.ScoreStripe — the exact same blocked scan (blockedScan) the
+// in-process striped engine runs, over the exact same deterministic rank
 // order (both sides rebuild it from the ascending-outcome flattened support).
 // The coordinator then merges partials with Session.CombineStripes, whose
 // fold is the same addInto tree kernel — so a sharded reconstruction differs
@@ -36,8 +35,7 @@ type StripeSpec struct {
 	Outs    []bitstr.Bits // full scored support, ascending outcome order
 	Probs   []float64     // parallel to Outs, used verbatim (no renormalization)
 	MaxD    int
-	Lo, Hi  int    // owned rank range
-	Engine  string // EngineBucketed or EngineBlocked ("" = blocked)
+	Lo, Hi  int // owned rank range
 }
 
 // Support returns the scored support size of the spec.
@@ -76,11 +74,6 @@ func validateSpec(sp *StripeSpec) error {
 	}
 	if sp.Lo < 0 || sp.Hi < sp.Lo || sp.Hi > n {
 		return fmt.Errorf("core: stripe range [%d, %d) out of [0, %d]", sp.Lo, sp.Hi, n)
-	}
-	switch sp.Engine {
-	case "", EngineBucketed, EngineBlocked:
-	default:
-		return fmt.Errorf("core: engine %q cannot score stripes (bucketed or blocked only)", sp.Engine)
 	}
 	return nil
 }
@@ -124,13 +117,7 @@ func (s *Session) ScoreStripe(ctx context.Context, spec StripeSpec) (StripeParti
 	zeroFloats(rows)
 	local := sc.chsRows(1, stride)[0]
 
-	switch spec.Engine {
-	case EngineBucketed:
-		bucketedPass(done, ix, spec.MaxD, false, local, sc.acc, spec.Lo, spec.Hi)
-	default: // "" or EngineBlocked
-		pk := sc.packed(ix)
-		blockedPass(done, ix, pk, spec.MaxD, false, local, sc.acc, spec.Lo, spec.Hi)
-	}
+	sc.blockedScan(ix, spec.MaxD, false).pass(done, spec.MaxD, false, local, sc.acc, spec.Lo, spec.Hi)
 	if err := ctx.Err(); err != nil {
 		return StripePartial{}, err
 	}
@@ -139,9 +126,9 @@ func (s *Session) ScoreStripe(ctx context.Context, spec StripeSpec) (StripeParti
 
 // ShardProblem flattens the input exactly as Reconstruct would (TopM
 // truncation included) and returns the base StripeSpec a coordinator slices
-// into per-replica assignments: Lo/Hi span the whole scan, and Engine is the
-// session's engine resolved to a stripe-capable one (exact and auto resolve
-// to the cost model's pick among bucketed/blocked). The spec's slices alias
+// into per-replica assignments, with Lo/Hi spanning the whole scan. Every
+// stripe runs blocked, the one engine with a fused pass to stripe, whatever
+// engine the session's options name. The spec's slices alias
 // the session and stay valid through the subsequent CombineStripes call on
 // the same input — the coordinator's intended call sequence.
 //
@@ -164,26 +151,7 @@ func (s *Session) ShardProblem(in *dist.Dist) (StripeSpec, error) {
 		MaxD:    maxD,
 		Lo:      0,
 		Hi:      len(outs),
-		Engine:  stripeEngineFor(s.opts.Engine, len(outs), n, maxD),
 	}, nil
-}
-
-// stripeEngineFor resolves an engine choice onto the stripe-capable pair:
-// explicit bucketed/blocked stick; exact maps to blocked (the fastest
-// stripe-capable engine — exact has no fused pass to stripe); auto asks the
-// cost model and keeps its pick when stripe-capable.
-func stripeEngineFor(engine string, support, bits, maxD int) string {
-	switch engine {
-	case EngineBucketed, EngineBlocked:
-		return engine
-	case EngineExact:
-		return EngineBlocked
-	default:
-		if eng, err := resolve(EngineAuto, cost.Workload{Support: support, Bits: bits, Radius: maxD}); err == nil && eng.Name() == EngineBucketed {
-			return EngineBucketed
-		}
-		return EngineBlocked
-	}
 }
 
 // CombineStripes assembles a full reconstruction from stripe partials: the

@@ -38,7 +38,8 @@ func scoreStripesRemotely(t *testing.T, base StripeSpec, plan *dist.StripePlan) 
 // ScoreStripe/CombineStripes pair across widths, stripe counts, and options
 // (including TopM truncation) and pins the assembled output within 1e-12 TVD
 // of the single-node engine — the in-process acceptance bound the wire e2e
-// repeats over HTTP.
+// repeats over HTTP. The radius-3 cases run the block multi-index scan in
+// every stripe. The bucketed cases pin the retired name, which runs blocked.
 func TestStripeScoreCombineMatchesSingleNode(t *testing.T) {
 	cases := []struct {
 		name string
@@ -55,10 +56,16 @@ func TestStripeScoreCombineMatchesSingleNode(t *testing.T) {
 		{"bucketed-18-topm", 18, Options{Engine: EngineBucketed, TopM: 500, Radius: 4}},
 		{"auto-16", 16, Options{}},
 		{"exact-12", 12, Options{Engine: EngineExact}},
+		{"blocked-20-r3", 20, Options{Engine: EngineBlocked, Radius: 3}},
+		{"auto-16-r3", 16, Options{Radius: 3}},
+		{"blocked-18-topm-r3", 18, Options{Engine: EngineBlocked, TopM: 300, Radius: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			in := goldenDist(tc.n, int64(tc.n)*31+7)
+			if tc.opts.Radius == 3 && tc.opts.TopM == 0 && !usesMultiIndex(in, 3) {
+				t.Fatal("test premise broken: radius 3 does not take the multi-index scan")
+			}
 			single, err := NewSession(tc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -81,7 +88,7 @@ func TestStripeScoreCombineMatchesSingleNode(t *testing.T) {
 				}
 				plan := dist.NewStripePlan(base.Support(), S)
 				parts := scoreStripesRemotely(t, base, plan)
-				res, err := coord.CombineStripes(context.Background(), in, parts, "sharded:"+base.Engine)
+				res, err := coord.CombineStripes(context.Background(), in, parts, "sharded:"+EngineBlocked)
 				if err != nil {
 					t.Fatalf("CombineStripes S=%d: %v", S, err)
 				}
@@ -97,7 +104,7 @@ func TestStripeScoreCombineMatchesSingleNode(t *testing.T) {
 						t.Fatalf("S=%d: CHS[%d] = %v, want %v", S, d, res.GlobalCHS[d], refCHS[d])
 					}
 				}
-				if res.Engine != "sharded:"+base.Engine {
+				if res.Engine != "sharded:"+EngineBlocked {
 					t.Fatalf("S=%d: engine label %q", S, res.Engine)
 				}
 			}
@@ -109,37 +116,41 @@ func TestStripeScoreCombineMatchesSingleNode(t *testing.T) {
 // no-truncation path: stripe partials combined with the sequential tree fold
 // are bit-identical per distance to the in-process asynchronous tree when
 // the stripe count equals the worker count — same plan, same passes, same
-// fold kernel, same tree shape.
+// fold kernel, same tree shape — on the weight-window scan (default radius)
+// and the block multi-index scan (radius 3) alike.
 func TestStripeScoreMatchesStripedEngineExactly(t *testing.T) {
 	const S = 4
 	in := goldenDist(14, 5)
-	inproc, err := NewSession(Options{Engine: EngineBlocked, Workers: S})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := inproc.Reconstruct(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCHS := append([]float64(nil), want.GlobalCHS...)
+	for _, radius := range []int{0, 3} {
+		inproc, err := NewSession(Options{Engine: EngineBlocked, Radius: radius, Workers: S})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := inproc.Reconstruct(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCHS := append([]float64(nil), want.GlobalCHS...)
 
-	coord, err := NewSession(Options{Engine: EngineBlocked}) // workers irrelevant to combine
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := coord.ShardProblem(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := dist.NewStripePlan(base.Support(), S)
-	parts := scoreStripesRemotely(t, base, plan)
-	res, err := coord.CombineStripes(context.Background(), in, parts, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := range wantCHS {
-		if res.GlobalCHS[d] != wantCHS[d] {
-			t.Fatalf("CHS[%d]: wire fold %v != in-process async fold %v (must be bit-identical)", d, res.GlobalCHS[d], wantCHS[d])
+		coord, err := NewSession(Options{Engine: EngineBlocked, Radius: radius}) // workers irrelevant to combine
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := coord.ShardProblem(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := dist.NewStripePlan(base.Support(), S)
+		parts := scoreStripesRemotely(t, base, plan)
+		res, err := coord.CombineStripes(context.Background(), in, parts, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := range wantCHS {
+			if res.GlobalCHS[d] != wantCHS[d] {
+				t.Fatalf("radius %d: CHS[%d]: wire fold %v != in-process async fold %v (must be bit-identical)",
+					radius, d, res.GlobalCHS[d], wantCHS[d])
+			}
 		}
 	}
 }
@@ -161,7 +172,6 @@ func TestScoreStripeValidation(t *testing.T) {
 		{NumBits: 4, Outs: []uint64{1, 2}, Probs: []float64{0.5, 0.5}, MaxD: 9, Hi: 2},
 		{NumBits: 4, Outs: []uint64{1, 2}, Probs: []float64{0.5, 0.5}, MaxD: 1, Lo: 2, Hi: 1},
 		{NumBits: 4, Outs: []uint64{1, 2}, Probs: []float64{0.5, 0.5}, MaxD: 1, Lo: 0, Hi: 3},
-		{NumBits: 4, Outs: []uint64{1, 2}, Probs: []float64{0.5, 0.5}, MaxD: 1, Hi: 2, Engine: EngineExact},
 	}
 	for i, spec := range bad {
 		if _, err := sess.ScoreStripe(context.Background(), spec); err == nil {

@@ -96,6 +96,62 @@ func TestCommittedBenchDefaultModel(t *testing.T) {
 	}
 }
 
+// TestCommittedBlockedPredictions pins the model to the scan the blocked
+// engine actually runs: refitted from the committed benchmark, it predicts
+// every committed blocked row — weight-window rows at the default radius and
+// block multi-index rows at radii 2-4 alike — within 2x of the measured time.
+func TestCommittedBlockedPredictions(t *testing.T) {
+	fitted, rep := loadCommitted(t)
+	rows := 0
+	for _, cfg := range rep.Configs {
+		run, ok := cfg.Engines[EngineBlocked]
+		if !ok || runWorkers(rep, run) != 1 {
+			continue
+		}
+		rows++
+		pred, _ := fitted.Predict(EngineBlocked, Workload{Support: cfg.Support, Bits: rep.Bits, Radius: cfg.Radius})
+		if r := pred / float64(run.NsPerOp); r > 2 || r < 0.5 {
+			t.Errorf("support=%d radius=%d: predicted %.0f ns, measured %d ns (%.2fx)",
+				cfg.Support, cfg.Radius, pred, run.NsPerOp, r)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no single-threaded blocked rows in the committed benchmark")
+	}
+}
+
+// TestExactBlockedCrossover pins the one decision auto makes — exact or
+// blocked — to where it was measured. Every committed core row has blocked
+// far ahead, so the crossover is checked against a sweep instead:
+// core.CalibrationMeasurer, median of five, supports 8-512 at the shapes
+// below, on a 2-vCPU Xeon. Exact measured 1.4-3x faster through 48
+// outcomes and blocked 1.7-3.8x faster from 192, with the crossover at
+// 55-115 outcomes. Both the default and the refitted model must pick the
+// measured winner on either side of that band.
+func TestExactBlockedCrossover(t *testing.T) {
+	fitted, _ := loadCommitted(t)
+	shapes := []struct{ bits, radius int }{
+		{20, 9}, {20, 2}, {20, 3}, {16, 7}, {16, 2}, {12, 5}, {8, 3},
+	}
+	for _, m := range []*Model{DefaultModel(), fitted} {
+		for _, sh := range shapes {
+			for _, tc := range []struct {
+				support int
+				want    string
+			}{
+				{16, EngineExact}, {32, EngineExact}, {48, EngineExact},
+				{192, EngineBlocked}, {256, EngineBlocked},
+			} {
+				w := Workload{Support: tc.support, Bits: sh.bits, Radius: sh.radius}
+				if got, _, _ := m.Choose(w, []string{EngineExact, EngineBlocked}); got != tc.want {
+					t.Errorf("%d bits, radius %d, %d outcomes: chose %s, measured winner %s",
+						sh.bits, sh.radius, tc.support, got, tc.want)
+				}
+			}
+		}
+	}
+}
+
 // TestCommittedStreamCrossover pins the streaming claim end to end in the
 // model: at the committed BENCH_stream.json workload, the fitted model must
 // predict the incremental delta-patch cheaper than any batch engine —
@@ -119,7 +175,7 @@ func TestCommittedStreamCrossover(t *testing.T) {
 	if !ok {
 		t.Fatal("incremental not modeled after stream fit")
 	}
-	for _, name := range []string{EngineExact, EngineBucketed, EngineBlocked} {
+	for _, name := range []string{EngineExact, EngineBlocked} {
 		batch, ok := fitted.Predict(name, w)
 		if !ok {
 			t.Fatalf("%s not modeled", name)

@@ -14,7 +14,6 @@ import (
 // the dependency points the other way.
 const (
 	EngineExact       = "exact"
-	EngineBucketed    = "bucketed"
 	EngineBlocked     = "blocked"
 	EngineIncremental = "incremental"
 )
@@ -63,17 +62,20 @@ func (w Workload) effSupport() float64 {
 //
 // where pairs = N·(N−1)/2 and the per-pair cost decomposes by engine shape:
 //
-//	exact:            perPair = PerPairFull + PerAdmit·A(r,n)
-//	bucketed/blocked: perPair = PerCand·Cand(r,n) + PerAdmit·A(r,n)
-//	incremental:      pairs is replaced by Delta·N (changed rows × outcomes)
+//	exact:       perPair = PerPairFull + PerAdmit·A(r,n)
+//	blocked:     perPair = PerCand·Cand(r,n) + PerAdmit·A(r,n)
+//	incremental: perPair = PerCand·Cand(r,n) + PerAdmit·A(r,n), with pairs
+//	             replaced by Delta·N (changed rows × outcomes)
 //
 // A(r,n) is the probability a uniform random pair lies within Hamming
 // distance r (the admitted fraction — the accumulate work), and Cand(r,n)
-// the probability its popcount difference is at most r (the fraction of
-// pairs the bucketed index cannot prune — the visit work). Exact pays
-// PerPairFull on every pair because it popcounts unconditionally; the
-// blocked engine's branch-free sink-slot design shows up as a fitted
-// PerAdmit of ~0 — admitted pairs cost the same as excluded ones.
+// the fraction of pairs the engine's candidate generator visits (the visit
+// work): for incremental the popcount weight window's (candidateFrac), for
+// blocked whichever of the weight window and the block multi-index its scan
+// selection picks (blockedCandFrac). Exact pays PerPairFull on every pair
+// because it popcounts unconditionally. Blocked's window scan is
+// branch-free (admitted pairs cost the same as excluded ones) and only its
+// multi-index scan branches on admission, so its fitted PerAdmit is small.
 //
 // All coefficients must be non-negative (Fit clamps), which together with
 // the monotone shape fractions makes predictions monotone non-decreasing in
@@ -120,8 +122,7 @@ func (m *Model) Predict(engine string, w Workload) (float64, bool) {
 		}
 		scale = d * n // changed rows × all outcomes
 	}
-	perPair := c.PerCand*candidateFrac(r, bits) + c.PerAdmit*admittedFrac(r, bits)
-	ns += scale * (c.PerPairFull + perPair)
+	ns += scale * perPairNs(engine, c, r, bits)
 	if ns < 1 || math.IsNaN(ns) {
 		// Degenerate workloads (empty support) still cost something; a
 		// floor keeps every prediction positive and finite.
@@ -233,10 +234,11 @@ func admittedFrac(r, n int) float64 {
 	return min(sum, 1)
 }
 
-// candidateFrac returns Cand(r, n): the probability two independent
-// Binomial(n, 1/2) popcounts differ by at most r — the fraction of pairs the
-// popcount-bucketed index must visit. W1 − W2 + n ~ Binomial(2n, 1/2), so
-// this is a central slice of that row. Monotone non-decreasing in r.
+// candidateFrac returns the weight window's Cand(r, n): the probability two
+// independent Binomial(n, 1/2) popcounts differ by at most r — the fraction
+// of pairs a popcount-bucketed scan must visit. W1 − W2 + n ~
+// Binomial(2n, 1/2), so this is a central slice of that row. Monotone
+// non-decreasing in r.
 func candidateFrac(r, n int) float64 {
 	row := binomRow(2 * n)
 	var sum float64
@@ -247,6 +249,52 @@ func candidateFrac(r, n int) float64 {
 		sum += row[j]
 	}
 	return min(sum, 1)
+}
+
+// multiIndexFrac returns the block multi-index's Cand(r, n) for r < n: the
+// probability a uniform random pair shares the value of one of r+1
+// contiguous blocks, Σ_b 2^−k_b over the block widths k_b. The blocks split
+// as dist.MultiIndex splits them (the first n mod (r+1) one bit wider); the
+// rule is restated here because cost stays import-free.
+func multiIndexFrac(r, n int) float64 {
+	blocks := r + 1
+	var sum float64
+	for b := 0; b < blocks; b++ {
+		k := n / blocks
+		if b < n%blocks {
+			k++
+		}
+		sum += math.Ldexp(1, -k)
+	}
+	return min(sum, 1)
+}
+
+// blockedCandFrac returns the blocked engine's Cand(r, n): the fraction of
+// pairs its scan visits on uniform outcomes under the engine's own selection
+// rule — the block multi-index when that visits at most half the weight
+// window's pairs, the window otherwise.
+func blockedCandFrac(r, n int) float64 {
+	win := candidateFrac(r, n)
+	if r < n {
+		if mi := multiIndexFrac(r, n); 2*mi <= win {
+			return mi
+		}
+	}
+	return win
+}
+
+// candFrac returns the engine's Cand(r, n).
+func candFrac(engine string, r, n int) float64 {
+	if engine == EngineBlocked {
+		return blockedCandFrac(r, n)
+	}
+	return candidateFrac(r, n)
+}
+
+// perPairNs is the engine's cost per unordered pair (per delta row pair for
+// incremental) at the workload's shape.
+func perPairNs(engine string, c Coeffs, r, bits int) float64 {
+	return c.PerPairFull + c.PerCand*candFrac(engine, r, bits) + c.PerAdmit*admittedFrac(r, bits)
 }
 
 // active is the process-wide model auto-selection and the scheduler consult,

@@ -8,7 +8,7 @@ import (
 
 func TestPredictShape(t *testing.T) {
 	m := DefaultModel()
-	for _, name := range []string{EngineExact, EngineBucketed, EngineBlocked, EngineIncremental} {
+	for _, name := range []string{EngineExact, EngineBlocked, EngineIncremental} {
 		ns, ok := m.Predict(name, Workload{Support: 1000, Bits: 20, Radius: 9, Delta: 64})
 		if !ok || ns <= 0 || math.IsInf(ns, 0) || math.IsNaN(ns) {
 			t.Errorf("Predict(%s) = %v, %v", name, ns, ok)
@@ -51,7 +51,7 @@ func TestPredictTopM(t *testing.T) {
 	base := Workload{Support: 500, Bits: 16, Radius: 7}
 	trunc := base
 	trunc.Support, trunc.TopM = 100000, 500
-	for _, name := range []string{EngineExact, EngineBucketed, EngineBlocked} {
+	for _, name := range []string{EngineExact, EngineBlocked} {
 		a, _ := m.Predict(name, base)
 		b, _ := m.Predict(name, trunc)
 		if a != b {
@@ -98,7 +98,7 @@ func TestPredictIncrementalDelta(t *testing.T) {
 func TestChoose(t *testing.T) {
 	m := DefaultModel()
 	w := Workload{Support: 4000, Bits: 20, Radius: 9}
-	name, ns, ok := m.Choose(w, []string{EngineExact, EngineBucketed, EngineBlocked})
+	name, ns, ok := m.Choose(w, []string{EngineExact, EngineBlocked})
 	if !ok || ns <= 0 {
 		t.Fatalf("Choose = %q, %v, %v", name, ns, ok)
 	}
@@ -106,8 +106,12 @@ func TestChoose(t *testing.T) {
 		t.Errorf("default-radius large support chose %q, want blocked", name)
 	}
 	w.Radius = 2
-	if name, _, _ := m.Choose(w, []string{EngineExact, EngineBucketed, EngineBlocked}); name != EngineBucketed {
-		t.Errorf("radius-2 large support chose %q, want bucketed", name)
+	if name, _, _ := m.Choose(w, []string{EngineExact, EngineBlocked}); name != EngineBlocked {
+		t.Errorf("radius-2 large support chose %q, want blocked", name)
+	}
+	w.Support = 8
+	if name, _, _ := m.Choose(w, []string{EngineExact, EngineBlocked}); name != EngineExact {
+		t.Errorf("8-outcome support chose %q, want exact", name)
 	}
 	if _, _, ok := m.Choose(w, []string{"x", "y"}); ok {
 		t.Error("Choose claimed success with no modeled candidate")
@@ -170,6 +174,46 @@ func TestFractions(t *testing.T) {
 	// Hand-checkable point: A(1, 2) = (C(2,0)+C(2,1))/4 = 3/4.
 	if a := admittedFrac(1, 2); math.Abs(a-0.75) > 1e-12 {
 		t.Errorf("A(1,2) = %v, want 0.75", a)
+	}
+}
+
+// TestBlockedCandFrac pins the blocked engine's candidate fraction to its
+// scan selection: the block multi-index's Σ_b 2^−k_b wherever that is at
+// most half the weight window's fraction, the window's everywhere else.
+func TestBlockedCandFrac(t *testing.T) {
+	// 20 bits at radius 3: four 5-bit blocks, 4·2^−5 = 1/8 of all pairs.
+	if got := multiIndexFrac(3, 20); math.Abs(got-0.125) > 1e-15 {
+		t.Errorf("multiIndexFrac(3, 20) = %v, want 0.125", got)
+	}
+	// 33 bits at radius 3: blocks of 9, 8, 8 and 8 bits.
+	if got, want := multiIndexFrac(3, 33), math.Ldexp(1, -9)+3*math.Ldexp(1, -8); math.Abs(got-want) > 1e-15 {
+		t.Errorf("multiIndexFrac(3, 33) = %v, want %v", got, want)
+	}
+	for _, tc := range []struct {
+		r, n  int
+		multi bool
+	}{
+		{2, 20, true}, {3, 20, true}, {4, 20, true}, {9, 20, false}, {5, 12, false}, {19, 20, false}, {20, 20, false},
+	} {
+		got, win := blockedCandFrac(tc.r, tc.n), candidateFrac(tc.r, tc.n)
+		if multi := got != win; multi != tc.multi {
+			t.Errorf("r=%d n=%d: blocked fraction %v, window %v; multi-index selected = %v, want %v",
+				tc.r, tc.n, got, win, multi, tc.multi)
+		}
+		if got > win {
+			t.Errorf("r=%d n=%d: blocked fraction %v above the window's %v", tc.r, tc.n, got, win)
+		}
+	}
+	// Switching scans must not break Predict's monotonicity in radius.
+	for n := 1; n <= 64; n++ {
+		prev := 0.0
+		for r := 0; r <= n; r++ {
+			if c := blockedCandFrac(r, n); c < prev {
+				t.Fatalf("n=%d r=%d: blocked fraction %v below radius %d's %v", n, r, c, r-1, prev)
+			} else {
+				prev = c
+			}
+		}
 	}
 }
 

@@ -34,10 +34,11 @@
 // delta·N for the incremental engine, and perPair combines two geometric
 // fractions: the admitted fraction A(r,n) (a Binomial(n,½) CDF — how many
 // pairs fall inside the radius and cost accumulate work) and the candidate
-// fraction Cand(r,n) (a central slice of Binomial(2n,½) — how many pairs the
-// popcount-bucketed index cannot prune and must visit). The fitted constants
+// fraction Cand(r,n) (how many pairs the engine's candidate generator must
+// visit: for the weight window a central slice of Binomial(2n,½), for the
+// block multi-index Σ_b 2^−k_b over its radius+1 block widths — blocked is
+// priced by whichever its own selection rule picks). The fitted constants
 // recover each engine's architecture: exact pays PerPairFull on every pair
-// (unconditional popcount), the bucketed engine pays per candidate and per
-// admission, and the blocked engine's branch-free sink-slot inner loop shows
-// up as PerAdmit ≈ 0.
+// (unconditional popcount), and the blocked engine's branch-free sink-slot
+// inner loop shows up as PerAdmit ≈ 0.
 package cost

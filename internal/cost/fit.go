@@ -62,9 +62,9 @@ func fitEngine(engine string, c Coeffs, ss []Sample) Coeffs {
 			// exact: y = PerPairFull·1 + PerAdmit·A
 			x1, x2 = 1, admittedFrac(r, bits)
 		} else {
-			// index engines (and incremental's delta rows):
+			// blocked (and incremental's delta rows):
 			// y = PerCand·Cand + PerAdmit·A
-			x1, x2 = candidateFrac(r, bits), admittedFrac(r, bits)
+			x1, x2 = candFrac(engine, r, bits), admittedFrac(r, bits)
 		}
 		x1s, x2s, ys = append(x1s, x1), append(x2s, x2), append(ys, y)
 	}
@@ -129,24 +129,24 @@ func ratio(num, den float64) float64 {
 // DefaultModel returns the model fitted offline from the committed
 // BENCH_core.json and BENCH_stream.json (see cmd/costfit, which regenerates
 // these constants and gates their selection accuracy in CI). Setup and
-// PerOutcome are build-cost estimates: flattening for exact, index
-// construction for bucketed, index + bit-packing for blocked, row rescaling
-// for incremental. They place the exact↔blocked crossover near the old
-// support-64 auto threshold; Calibrate refines all of it on the serving
-// host.
+// PerOutcome are set by hand, since Fit keeps them: flattening for exact,
+// row rescaling for incremental, and for blocked the index build (a stable
+// sort, O(N log² N)) plus its scan structure. Blocked's 800 ns per outcome
+// is that build at 2000-4000 outcomes, where the multi-index leaves a
+// radius-2 scan only a few candidates per outcome; charged linearly it
+// overprices blocked on small supports. The model puts the exact↔blocked
+// crossover at 80-120 outcomes, against 55-115 measured at widths 8-20
+// (TestExactBlockedCrossover). Calibrate refines the pair constants on the
+// serving host.
 func DefaultModel() *Model {
 	return &Model{Engines: map[string]Coeffs{
 		EngineExact: {
 			Setup: 500, PerOutcome: 30,
-			PerPairFull: 10.0, PerAdmit: 21.2,
-		},
-		EngineBucketed: {
-			Setup: 2000, PerOutcome: 80,
-			PerCand: 2.3, PerAdmit: 16.2,
+			PerPairFull: 14.2, PerAdmit: 28.0,
 		},
 		EngineBlocked: {
-			Setup: 4000, PerOutcome: 110,
-			PerCand: 3.2, PerAdmit: 0,
+			Setup: 4000, PerOutcome: 800,
+			PerCand: 4.2, PerAdmit: 2.1,
 		},
 		EngineIncremental: {
 			Setup: 1000, PerOutcome: 60,

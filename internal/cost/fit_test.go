@@ -29,8 +29,8 @@ func TestFitRecovers(t *testing.T) {
 		truth  Coeffs
 	}{
 		{EngineExact, Coeffs{Setup: 500, PerOutcome: 30, PerPairFull: 9.5, PerAdmit: 21}},
-		{EngineBucketed, Coeffs{Setup: 2000, PerOutcome: 80, PerCand: 2.3, PerAdmit: 16}},
 		{EngineBlocked, Coeffs{Setup: 4000, PerOutcome: 110, PerCand: 3.2, PerAdmit: 0}},
+		{EngineBlocked, Coeffs{Setup: 4000, PerOutcome: 110, PerCand: 2.3, PerAdmit: 16}},
 	} {
 		base := &Model{Engines: map[string]Coeffs{tc.engine: {
 			Setup: tc.truth.Setup, PerOutcome: tc.truth.PerOutcome,
@@ -67,12 +67,12 @@ func TestFitKeepsUnsampledEngines(t *testing.T) {
 // TestFitClampsNonNegative pins the monotonicity guard: adversarial samples
 // (decreasing time with radius) must clamp, not go negative.
 func TestFitClampsNonNegative(t *testing.T) {
-	base := &Model{Engines: map[string]Coeffs{EngineBucketed: {}}}
+	base := &Model{Engines: map[string]Coeffs{EngineBlocked: {}}}
 	ss := []Sample{
-		{EngineBucketed, Workload{Support: 1000, Bits: 20, Radius: 2}, 1e9},
-		{EngineBucketed, Workload{Support: 1000, Bits: 20, Radius: 9}, 1e3},
+		{EngineBlocked, Workload{Support: 1000, Bits: 20, Radius: 2}, 1e9},
+		{EngineBlocked, Workload{Support: 1000, Bits: 20, Radius: 9}, 1e3},
 	}
-	c := Fit(base, ss).Engines[EngineBucketed]
+	c := Fit(base, ss).Engines[EngineBlocked]
 	if c.PerCand < 0 || c.PerAdmit < 0 || c.PerPairFull < 0 {
 		t.Fatalf("negative coefficient survived: %+v", c)
 	}
@@ -95,7 +95,7 @@ func TestFitDegenerate(t *testing.T) {
 		t.Error("zero-pair sample changed coefficients")
 	}
 	// One radius only: collinear regressors take the fallback, still valid.
-	one := []Sample{{EngineBucketed, Workload{Support: 1000, Bits: 20, Radius: 9}, 5e6}}
+	one := []Sample{{EngineBlocked, Workload{Support: 1000, Bits: 20, Radius: 9}, 5e6}}
 	if err := Fit(base, one).Validate(); err != nil {
 		t.Fatalf("single-sample fit invalid: %v", err)
 	}

@@ -59,16 +59,11 @@ func (m *Model) shardCoeffs() ShardCoeffs {
 	return DefaultShardCoeffs()
 }
 
-// perPairNs is the engine's cost per unordered pair at the workload's shape.
-func perPairNs(c Coeffs, r, bits int) float64 {
-	return c.PerPairFull + c.PerCand*candidateFrac(r, bits) + c.PerAdmit*admittedFrac(r, bits)
-}
-
 // StripeCapable reports whether the engine's pairwise pass can be
-// partitioned into rank stripes — the bucketed and blocked engines. Exact
-// has no fused pass to stripe and incremental is streaming-only.
+// partitioned into rank stripes — the blocked engine. Exact has no fused
+// pass to stripe and incremental is streaming-only.
 func StripeCapable(engine string) bool {
-	return engine == EngineBucketed || engine == EngineBlocked
+	return engine == EngineBlocked
 }
 
 // PredictSharded returns the predicted wall time in nanoseconds of the
@@ -99,7 +94,7 @@ func (m *Model) PredictSharded(engine string, w Workload, stripes int) (float64,
 	ns := c.Setup + c.PerOutcome*n + // coordinator flatten + combine epilogue
 		sc.StripeSetup*S +
 		sc.PerOutcomeWire*n*S +
-		pairs*perPairNs(c, r, bits)/S +
+		pairs*perPairNs(engine, c, r, bits)/S +
 		sc.MergePerLevel*levels
 	if ns < 1 || math.IsNaN(ns) {
 		ns = 1
@@ -142,7 +137,7 @@ func (m *Model) PredictStripe(engine string, w Workload, pairs int64) (float64, 
 	if p < 0 {
 		p = 0
 	}
-	ns := sc.StripeSetup + c.Setup + (c.PerOutcome+sc.PerOutcomeWire)*n + p*perPairNs(c, r, bits)
+	ns := sc.StripeSetup + c.Setup + (c.PerOutcome+sc.PerOutcomeWire)*n + p*perPairNs(engine, c, r, bits)
 	if ns < 1 || math.IsNaN(ns) {
 		ns = 1
 	}

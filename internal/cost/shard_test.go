@@ -5,7 +5,7 @@ import "testing"
 func TestPredictShardedModeled(t *testing.T) {
 	m := DefaultModel()
 	w := Workload{Support: 4000, Bits: 20, Radius: 9}
-	for _, engine := range []string{EngineBucketed, EngineBlocked} {
+	for _, engine := range []string{EngineBlocked} {
 		if _, ok := m.PredictSharded(engine, w, 4); !ok {
 			t.Fatalf("PredictSharded(%s) not modeled", engine)
 		}
@@ -13,7 +13,7 @@ func TestPredictShardedModeled(t *testing.T) {
 			t.Fatalf("PredictStripe(%s) not modeled", engine)
 		}
 	}
-	for _, engine := range []string{EngineExact, EngineIncremental, "bogus"} {
+	for _, engine := range []string{EngineExact, EngineIncremental, "bucketed", "bogus"} {
 		if _, ok := m.PredictSharded(engine, w, 4); ok {
 			t.Fatalf("PredictSharded(%s) claims modeled for a non-stripe-capable engine", engine)
 		}

@@ -15,7 +15,7 @@
 //   - Counts — sparse integer shot counts, the raw form finite-shot
 //     sampling produces.
 //
-// On top of those sit the two index structures the engines query:
+// On top of those sit the index structures the engines query:
 //
 //   - Index — the immutable popcount-bucketed view of a Dist: outcomes
 //     grouped by Hamming weight, each bucket ordered by descending
@@ -31,6 +31,14 @@
 //     bucket offsets. Because within-bucket order is ascending rank, the
 //     triangular "ranks after r" suffix of any bucket is one contiguous
 //     span found by a single binary search (SuffixAfter).
+//   - MultiIndex — the blocked engine's small-radius alternative to the
+//     weight window: at radius r the bits split into r+1 contiguous blocks
+//     (a pair within distance r agrees on at least one), and each block
+//     holds the ranked outcomes counting-sorted by (block key, rank), so a
+//     row's candidates in a block are the entries after it in its bucket —
+//     one contiguous span. Index.WindowPairs and MultiIndex.Reset count the
+//     candidate pairs of either scan exactly, from bucket sizes, before any
+//     scan structure is built.
 //
 // The wire form of a histogram — a JSON object of bitstring → mass — is
 // decided here too, in one module (histogram.go, json.go):
@@ -65,8 +73,8 @@
 //     repository reproduces bit-for-bit from its seed. FromHistogram and
 //     FromEntries accumulate mass in ascending outcome order for the same
 //     reason.
-//   - Reuse: Dist.Reset, Index.Reset, and Packed.Reset rebuild in place
-//     without shedding capacity; the request-oriented core's 0 allocs/op
-//     after warm-up depends on these paths not allocating for same-shape
-//     problems.
+//   - Reuse: Dist.Reset, Index.Reset, Packed.Reset, and MultiIndex.Reset
+//     rebuild in place without shedding capacity; the request-oriented
+//     core's 0 allocs/op after warm-up depends on these paths not
+//     allocating for same-shape problems.
 package dist

@@ -82,7 +82,7 @@ func correctWeights(correct []bitstr.Bits) []int {
 // minDistanceWeighted returns the minimum Hamming distance from x (of known
 // Hamming weight wx) to the correct set, skipping candidates whose weight
 // already differs by at least the best distance found so far (the same
-// triangle inequality the bucketed reconstruction engine prunes with).
+// triangle inequality the blocked reconstruction engine's weight window prunes with).
 func minDistanceWeighted(x bitstr.Bits, wx int, correct []bitstr.Bits, cw []int, n int) int {
 	best := n + 1
 	for i, c := range correct {

@@ -108,7 +108,9 @@ func TestManagerDurableLifecycle(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if res.Engine != core.EngineBucketed {
+		// The retired bucketed pin runs blocked; auto would pick exact on a
+		// two-outcome support.
+		if res.Engine != core.EngineBlocked {
 			t.Errorf("fancy snapshot engine %q: pinned engine lost in recovery", res.Engine)
 		}
 		return nil

@@ -127,7 +127,7 @@ func (c *Coordinator) NumReplicas() int { return len(c.replicas) }
 // a plain threshold. Unshardable requests (DisableFilter, exact pin) are
 // always local.
 func (c *Coordinator) ShouldShard(opts core.Options, support, bits int) bool {
-	_, sharded, okS := core.PredictShardCost(opts, support, bits, len(c.replicas))
+	sharded, okS := core.PredictShardCost(opts, support, bits, len(c.replicas))
 	if !okS {
 		return false
 	}
@@ -180,7 +180,7 @@ func (c *Coordinator) Reconstruct(ctx context.Context, sess *core.Session, in *d
 	}
 
 	start := time.Now()
-	res, err := sess.CombineStripes(ctx, in, parts, "sharded:"+spec.Engine)
+	res, err := sess.CombineStripes(ctx, in, parts, "sharded:"+core.EngineBlocked)
 	if err != nil {
 		return nil, err
 	}
@@ -214,12 +214,8 @@ func (c *Coordinator) stripe(ctx context.Context, sp core.StripeSpec, outs []str
 // prediction into a failover deadline. An unmodeled engine gets no budget —
 // the caller's own deadline still bounds the call.
 func (c *Coordinator) stripeBudget(sp core.StripeSpec, pairs int64) time.Duration {
-	engine := sp.Engine
-	if engine == "" {
-		engine = core.EngineBlocked
-	}
 	w := cost.Workload{Support: sp.Support(), Bits: sp.NumBits, Radius: sp.MaxD}
-	predicted, ok := cost.Active().PredictStripeDuration(engine, w, pairs)
+	predicted, ok := cost.Active().PredictStripeDuration(core.EngineBlocked, w, pairs)
 	if !ok {
 		return 0
 	}

