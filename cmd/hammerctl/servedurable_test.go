@@ -14,6 +14,7 @@ import (
 
 	hammer "repro"
 	"repro/internal/cache"
+	"repro/internal/dist"
 	"repro/internal/serve"
 	"repro/internal/wal"
 )
@@ -313,5 +314,54 @@ func TestServeDurableFlagValidation(t *testing.T) {
 		cache.DefaultEntries, durableConfig{dataDir: t.TempDir(), walSync: "sometimes"})
 	if err == nil {
 		t.Fatal("invalid -wal-sync accepted")
+	}
+}
+
+// TestDurableIngestShotBound: an ingest that would take a session past
+// dist.MaxShots is a 400 that leaves the session unchanged, while one
+// that lands exactly on the bound — with a count far above 2^50 — is
+// acknowledged and survives a restart with the exact shot count: the
+// bound live ingest enforces is the one replay does.
+func TestDurableIngestShotBound(t *testing.T) {
+	dc := durableConfig{dataDir: t.TempDir(), walSync: "never"}
+	srv1, ts1 := newDurableServer(t, serve.Config{}, dc)
+	createStream(t, ts1.URL, `{"id": "big", "width": 4}`)
+	shotsOf := func(url string) (int, int) {
+		t.Helper()
+		code, body := doJSON(t, http.MethodGet, url+"/v1/stream/big", "")
+		if code != http.StatusOK {
+			t.Fatalf("snapshot: status %d: %s", code, body)
+		}
+		var snap streamSnapshotResponse
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Shots, snap.Support
+	}
+
+	atBound := `{"counts": {"0101": ` + strconv.Itoa(dist.MaxShots-3) + `, "0011": 3}}`
+	if code, body := postJSON(t, ts1.URL+"/v1/stream/big/shots", atBound); code != http.StatusOK {
+		t.Fatalf("ingest up to the bound: status %d: %s", code, body)
+	}
+	if code, body := postJSON(t, ts1.URL+"/v1/stream/big/shots", `{"counts": {"1111": 1, "0000": 2}}`); code != http.StatusBadRequest {
+		t.Fatalf("ingest past the bound: status %d, want 400: %s", code, body)
+	}
+	if shots, support := shotsOf(ts1.URL); shots != dist.MaxShots || support != 2 {
+		t.Fatalf("refused ingest changed the session: shots %d support %d", shots, support)
+	}
+	ts1.Close()
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, ts2 := newDurableServer(t, serve.Config{}, dc)
+	if srv2.recovered != 1 {
+		t.Fatalf("recovered %d sessions, want 1", srv2.recovered)
+	}
+	if shots, support := shotsOf(ts2.URL); shots != dist.MaxShots || support != 2 {
+		t.Fatalf("after restart: shots %d support %d, want %d and 2", shots, support, dist.MaxShots)
+	}
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -286,11 +286,10 @@ func (s *server) streamIngest(w http.ResponseWriter, r *http.Request, id string)
 				if err != nil {
 					return err
 				}
-				if e.k <= 0 {
-					return fmt.Errorf("non-positive shot count %d for %q", e.k, e.shot)
+				if total, err = st.CheckShots(total, e.k); err != nil {
+					return fmt.Errorf("shot %q: %w", e.shot, err)
 				}
 				parsed[i] = x
-				total += e.k
 			}
 			for i, e := range entries {
 				if err := st.IngestN(parsed[i], e.k); err != nil {

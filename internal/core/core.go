@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/dist"
@@ -192,7 +193,8 @@ func weightsInto(w, chs []float64, maxD int, scheme WeightScheme) []float64 {
 		case UniformWeight:
 			w[d] = 1
 		case ExpDecay:
-			w[d] = 1 / float64(uint64(1)<<uint(d))
+			// Exactly 2^-d; 1/float64(1<<d) divided by zero at d = 64.
+			w[d] = math.Ldexp(1, -d)
 		default:
 			panic(fmt.Sprintf("core: unknown weight scheme %d", scheme))
 		}

@@ -245,6 +245,27 @@ func TestExpDecayWeights(t *testing.T) {
 	}
 }
 
+// TestExpDecayFullRadius64: at radius 64 on 64-bit outcomes the last weight
+// is 2^-64, not a division by a shifted-out zero — an infinite weight times
+// an empty distance-64 neighborhood turned every score into NaN.
+func TestExpDecayFullRadius64(t *testing.T) {
+	d := dist.New(64)
+	d.Set(0, 0.6)
+	d.Set(^bitstr.Bits(0), 0.3)
+	d.Set(1, 0.1)
+	for _, engine := range []string{EngineExact, EngineBlocked} {
+		res := Reconstruct(d, Options{Radius: 64, Weights: ExpDecay, Engine: engine})
+		if w := res.Weights[64]; w != math.Ldexp(1, -64) {
+			t.Errorf("%s: W[64] = %v", engine, w)
+		}
+		res.Out.Range(func(x bitstr.Bits, p float64) {
+			if math.IsNaN(p) {
+				t.Errorf("%s: outcome %b reconstructs to NaN", engine, x)
+			}
+		})
+	}
+}
+
 func TestRadiusClamping(t *testing.T) {
 	d := fig4Example()
 	res := Reconstruct(d, Options{Radius: 100})

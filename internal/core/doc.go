@@ -33,6 +33,17 @@
 // Options.Engine pins one. Unknown and streaming-only names flow back as
 // errors from one choke point (the registry) on every path.
 //
+// The incremental engine keeps its state on flat slot-indexed arrays: each
+// outcome gets a slot on first sight (the outcome→slot map is consulted
+// only by Add), masses, last-synced masses and dirty flags are
+// slot-indexed slices, and the count-space neighborhood rows — unfiltered
+// and admitted strength per distance — sit in one []float64 matrix of
+// stride radius+1 per row, like blocked's A matrix. Ball walks loop over
+// per-weight arrays of packed outcomes and their slots. A snapshot makes
+// one walk per changed outcome: the walk rebuilds that outcome's own row
+// and delta-patches only its clean (unchanged) neighbors' rows, never
+// another changed outcome's, which its own walk rebuilds.
+//
 // # Contract
 //
 // The package is request-oriented around Session (session.go):

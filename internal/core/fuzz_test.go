@@ -76,3 +76,81 @@ func FuzzBlockedRadius(f *testing.F) {
 		})
 	})
 }
+
+// FuzzIncrementalSnapshots pins the streaming engine to the batch path: a
+// fuzzed sequence of (outcome, count) ingests over a fuzzed width, radius
+// (0 = the paper's default), filter setting and weight scheme, with
+// snapshots at fuzzed points, must reconstruct every snapshot within 1e-12
+// TVD of Reconstruct over the histogram accumulated so far. The anti-drift
+// rebuild is brought down to every few revalidations, so sequences cross it
+// as well as the delta-patched partial pass.
+//
+// The first eight bytes pick a key; each following five-byte chunk is one
+// ingest: an outcome built from the key as in fuzzDist (the first four
+// bytes), then a count of 1 + c[4]>>1 shots, with a snapshot after the
+// ingest when c[4]'s low bit is set. The sequence always ends in one.
+func FuzzIncrementalSnapshots(f *testing.F) {
+	seed := func(key uint64, chunks ...[5]byte) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, key)
+		for _, c := range chunks {
+			b = append(b, c[:]...)
+		}
+		return b
+	}
+	ingests := [][5]byte{
+		{0, 1, 2, 0x07, 0x10}, {3, 4, 5, 0x03, 0x03}, {6, 0, 0, 0x00, 0x40},
+		{7, 8, 0, 0x09, 0x21}, {9, 1, 5, 0x05, 0x02}, {2, 2, 2, 0x0f, 0x05},
+		{0, 1, 2, 0x07, 0x01}, {1, 3, 7, 0x06, 0x08}, {4, 4, 4, 0x01, 0x11},
+	}
+	f.Add(seed(0xdeadbeef, ingests...), uint8(19), uint8(0), uint8(0))
+	f.Add(seed(0x0123456789abcdef, ingests...), uint8(63), uint8(2), uint8(0x0b))
+	f.Add(seed(0x5a5a, ingests...), uint8(9), uint8(1), uint8(0x13))
+	f.Add(seed(0xffff, ingests...), uint8(13), uint8(14), uint8(0x05))
+	f.Add(seed(1, ingests[:3]...), uint8(3), uint8(0), uint8(0x01))
+	f.Add(seed(0, ingests[:2]...), uint8(0), uint8(1), uint8(0x02))
+	f.Fuzz(func(t *testing.T, data []byte, width, radius, flags uint8) {
+		if len(data) < 13 {
+			return
+		}
+		n := 1 + int(width)%bitstr.MaxBits
+		opts := Options{
+			Radius:        int(radius) % (n + 1),
+			DisableFilter: flags&1 != 0,
+			Weights:       WeightScheme(flags >> 1 & 3 % 3),
+			Workers:       1 + int(flags>>3&1),
+		}
+		resyncEvery := 2 + int(flags>>4&3)
+		all := bitstr.AllOnes(n)
+		key := bitstr.Bits(binary.LittleEndian.Uint64(data)) & all
+		inc := NewIncremental(n, opts)
+		acc := dist.New(n)
+		chunks := data[8:min(len(data), 8+5*256)]
+		for ; len(chunks) >= 5; chunks = chunks[5:] {
+			c := chunks
+			x := key
+			for k := 0; k < 3; k++ {
+				if c[3]&(1<<k) != 0 {
+					x = bitstr.Flip(x, int(c[k])%n)
+				}
+			}
+			if c[3]&8 != 0 {
+				x ^= bitstr.Bits(binary.LittleEndian.Uint32(c)) * 0x9E3779B97F4A7C15 & all
+			}
+			k := float64(1 + c[4]>>1)
+			inc.Add(x, k)
+			acc.Add(x, k)
+			if c[4]&1 == 0 && len(chunks) >= 10 {
+				continue
+			}
+			got := inc.Snapshot()
+			want := Reconstruct(acc.Clone().Normalize(), opts)
+			if got.Radius != want.Radius {
+				t.Fatalf("n=%d %+v: radius %d vs %d", n, opts, got.Radius, want.Radius)
+			}
+			if d := dist.TVD(got.Out, want.Out); !(d <= 1e-12) {
+				t.Fatalf("n=%d %+v, %d outcomes: incremental TVD %v from batch", n, opts, acc.Len(), d)
+			}
+			inc.resyncIn = min(inc.resyncIn, resyncEvery)
+		}
+	})
+}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bitstr"
 	"repro/internal/dist"
@@ -25,28 +28,6 @@ func init() {
 // amortized cost is one extra full pass per 256 snapshots.
 const fullResyncEvery = 256
 
-// accRow is the cached per-outcome engine state: the outcome's neighborhood
-// strengths per Hamming distance, in count space (raw shot mass, not
-// normalized probability). Index d of each slice is the strength at distance
-// exactly d; index 0 is unused because distinct outcomes are at distance >= 1.
-//
-//   - all[d] is the unfiltered neighborhood strength, the outcome's
-//     contribution to the global CHS: summed over every outcome, all[d]
-//     recovers CHS[d] because each unordered pair (x, y) at distance d
-//     contributes mass(y) to x's row and mass(x) to y's row.
-//   - adm[d] is the admitted strength under the lower-probability filter of
-//     §4.4 (only neighbors with strictly lower mass give credit). With the
-//     filter disabled the two coincide and adm aliases all.
-//
-// mass is the outcome's mass at the last row synchronization, so a
-// revalidation knows each changed outcome's old mass when patching its
-// neighbors' rows.
-type accRow struct {
-	all  []float64
-	adm  []float64
-	mass float64
-}
-
 // Incremental is reusable HAMMER engine state for streaming reconstruction:
 // CHS accumulators and per-outcome neighborhood rows that survive across
 // snapshots, invalidated per dirty outcome instead of recomputed from
@@ -61,10 +42,35 @@ type accRow struct {
 // own mass did not move, so its filter decisions against x depend only on
 // x's old and new mass, and the row is patched in O(1) per distance instead
 // of recomputed. Only the changed outcomes themselves — whose filter
-// decisions against every neighbor may flip — pay a full O(ball) row
-// rebuild. A snapshot after a batch touching m unique outcomes therefore
-// costs O(m · ball) + O(N · radius), instead of the O(N · ball) full
-// pairwise pass of the batch engines.
+// decisions against every neighbor may flip — rebuild their rows. A snapshot
+// after a batch touching m unique outcomes therefore costs O(m · ball) +
+// O(N · radius), instead of the O(N · ball) full pairwise pass of the batch
+// engines.
+//
+// Every outcome gets a slot, in order of first sight, and all per-outcome
+// state is a slot-indexed slice: the mass, the mass at the last row sync,
+// and a dirty flag. The outcome→slot map is consulted only by Add. Ball
+// walks run over per-weight arrays of packed outcomes and their slots —
+// bucket w holds the outcomes of Hamming weight w in insertion order — so a
+// walk from x scans the 2·radius+1 buckets around popcount(x) with one
+// popcount per candidate and no lookup.
+//
+// The rows live in one []float64 matrix, span floats per slot: the
+// unfiltered row all (index d is the neighborhood mass at distance exactly
+// d, summing to CHS[d] over all outcomes) and, with the filter on, the
+// admitted row adm (only neighbors of strictly lower mass, §4.4), each of
+// stride radius+1 with index 0 unused. With the filter off adm aliases all.
+// The matrix, the synced masses and the slots in ascending outcome order
+// (the order Snapshot scores and emits in) cover only the slots seen at the
+// last revalidation: new slots get theirs at the next Snapshot, so a
+// session that is ingested into but never snapshotted holds no rows.
+//
+// Revalidation makes one walk per changed outcome. The walk rebuilds the
+// outcome's own row from its current ball and delta-patches the rows of its
+// clean (unchanged) neighbors; it never writes the row of another changed
+// outcome, whose own walk rebuilds it from the same current masses. That
+// cross-writing makes the partial pass serial; the periodic full resync
+// writes only own rows and runs in parallel.
 //
 // Incremental is not safe for concurrent use; callers serialize Add and
 // Snapshot.
@@ -75,11 +81,23 @@ type Incremental struct {
 	filter  bool
 	workers int
 
-	ix       *dist.LiveIndex
-	rows     map[bitstr.Bits]*accRow
-	changed  map[bitstr.Bits]struct{} // outcomes whose mass moved since the last row sync
-	resyncIn int                      // revalidations until the next full anti-drift rebuild
-	cached   *Result                  // last snapshot; nil when state changed since
+	slot    map[bitstr.Bits]int32 // outcome -> slot; Add only
+	outs    []bitstr.Bits         // slot -> outcome
+	mass    []float64             // slot -> accumulated mass
+	dirty   []bool                // slot -> mass moved since the last row sync
+	changed []int32               // the dirty slots, in first-touch order
+	total   float64
+
+	words [][]uint64 // by popcount 0..n: packed outcomes, insertion order
+	slots [][]int32  // by popcount: the slot of words[w][i]
+
+	span, admOff int       // floats per slot in rows; offset of the adm row
+	rows         []float64 // slot s's rows at [s*span, (s+1)*span)
+	synced       []float64 // slot -> mass at its last row sync
+	sorted       []int32   // the synced slots in ascending outcome order
+
+	resyncIn int     // revalidations until the next full anti-drift rebuild
+	cached   *Result // last snapshot; nil when state changed since
 }
 
 // NewIncremental returns empty streaming engine state over n-bit outcomes.
@@ -97,44 +115,82 @@ func NewIncremental(n int, opts Options) *Incremental {
 	if opts.Engine != "" && opts.Engine != EngineAuto && opts.Engine != EngineIncremental {
 		panic(fmt.Sprintf("core: incremental state cannot run engine %q", opts.Engine))
 	}
-	return &Incremental{
+	maxD := opts.radius(n)
+	inc := &Incremental{
 		n:        n,
-		maxD:     opts.radius(n),
+		maxD:     maxD,
 		scheme:   opts.Weights,
 		filter:   !opts.DisableFilter,
 		workers:  opts.workers(),
-		ix:       dist.NewLiveIndex(n),
-		rows:     make(map[bitstr.Bits]*accRow),
-		changed:  make(map[bitstr.Bits]struct{}),
+		slot:     make(map[bitstr.Bits]int32),
+		words:    make([][]uint64, n+1),
+		slots:    make([][]int32, n+1),
+		span:     maxD + 1,
 		resyncIn: fullResyncEvery,
 	}
+	if inc.filter {
+		inc.admOff = maxD + 1
+		inc.span = 2 * (maxD + 1)
+	}
+	return inc
 }
 
 // NumBits returns the outcome width in bits.
 func (inc *Incremental) NumBits() int { return inc.n }
 
 // Support returns the number of distinct outcomes ingested so far.
-func (inc *Incremental) Support() int { return inc.ix.Len() }
+func (inc *Incremental) Support() int { return len(inc.outs) }
 
 // Total returns the accumulated shot mass.
-func (inc *Incremental) Total() float64 { return inc.ix.Total() }
+func (inc *Incremental) Total() float64 { return inc.total }
 
 // Radius returns the maximum admitted Hamming distance.
 func (inc *Incremental) Radius() int { return inc.maxD }
 
-// Range calls fn for every ingested outcome with its accumulated mass, in
-// the live index's deterministic order (ascending Hamming weight, insertion
-// order within a weight).
+// Range calls fn for every ingested outcome with its accumulated mass, in a
+// deterministic order: ascending Hamming weight, insertion order within a
+// weight.
 func (inc *Incremental) Range(fn func(x bitstr.Bits, mass float64)) {
-	inc.ix.Range(fn)
+	for w, ws := range inc.words {
+		for i, x := range ws {
+			fn(x, inc.mass[inc.slots[w][i]])
+		}
+	}
 }
 
-// Add accumulates mass onto outcome x (one shot is mass 1). The update is
-// O(1): row invalidation is deferred to the next Snapshot so that a batch
-// touching m unique outcomes costs m neighborhood repairs, not one per shot.
+// Add accumulates mass onto outcome x (one shot is mass 1). Mass must be
+// non-negative; a zero-mass Add keeps the outcome in the support (HAMMER
+// distinguishes "observed with vanishing likelihood" from "never
+// observed"). The update is O(1): row invalidation is deferred to the next
+// Snapshot so that a batch touching m unique outcomes costs m neighborhood
+// repairs, not one per shot.
 func (inc *Incremental) Add(x bitstr.Bits, mass float64) {
-	inc.ix.Add(x, mass)
-	inc.changed[x] = struct{}{}
+	if x&^bitstr.AllOnes(inc.n) != 0 {
+		panic(fmt.Sprintf("core: outcome %b exceeds %d bits", x, inc.n))
+	}
+	if mass < 0 {
+		panic(fmt.Sprintf("core: negative mass %v", mass))
+	}
+	s, ok := inc.slot[x]
+	if !ok {
+		if len(inc.outs) == math.MaxInt32 {
+			panic("core: incremental support exceeds 2^31-1 outcomes")
+		}
+		s = int32(len(inc.outs))
+		inc.slot[x] = s
+		inc.outs = append(inc.outs, x)
+		inc.mass = append(inc.mass, 0)
+		inc.dirty = append(inc.dirty, false)
+		w := bits.OnesCount64(x)
+		inc.words[w] = append(inc.words[w], x)
+		inc.slots[w] = append(inc.slots[w], s)
+	}
+	inc.mass[s] += mass
+	inc.total += mass
+	if !inc.dirty[s] {
+		inc.dirty[s] = true
+		inc.changed = append(inc.changed, s)
+	}
 	inc.cached = nil
 }
 
@@ -143,7 +199,7 @@ func (inc *Incremental) Add(x bitstr.Bits, mass float64) {
 // when nothing has been ingested. Repeated snapshots with no intervening Add
 // return the same Result.
 func (inc *Incremental) Snapshot() *Result {
-	if inc.ix.Len() == 0 {
+	if len(inc.outs) == 0 {
 		panic("core: snapshot of empty incremental state")
 	}
 	if inc.cached != nil {
@@ -151,159 +207,165 @@ func (inc *Incremental) Snapshot() *Result {
 	}
 	inc.revalidate()
 
-	total := inc.ix.Total()
+	total := inc.total
 	if total <= 0 {
 		panic(fmt.Sprintf("core: snapshot of mass %v", total))
 	}
 	inv := 1 / total
+	maxD, span := inc.maxD, inc.span
 
 	// Global CHS: freshly summed from the cached rows every snapshot (cheap,
 	// O(N·radius)) so the accumulator itself never drifts. chs[0] is the
 	// self-pair term, Σ Pr(x) = 1 for a normalized histogram.
-	chs := make([]float64, inc.maxD+1)
+	chs := make([]float64, maxD+1)
 	chs[0] = 1
-	inc.ix.Range(func(x bitstr.Bits, _ float64) {
-		row := inc.rows[x]
-		for d := 1; d <= inc.maxD; d++ {
-			chs[d] += row.all[d] * inv
+	for _, s := range inc.sorted {
+		all := inc.rows[int(s)*span:][:maxD+1]
+		for d := 1; d <= maxD; d++ {
+			chs[d] += all[d] * inv
 		}
-	})
-	w := weights(chs, inc.maxD, inc.scheme)
+	}
+	w := weights(chs, maxD, inc.scheme)
 
-	out := dist.New(inc.n)
-	inc.ix.Range(func(x bitstr.Bits, m float64) {
-		p := m * inv
-		row := inc.rows[x]
-		s := p
-		for d := 1; d <= inc.maxD; d++ {
-			s += w[d] * (row.adm[d] * inv)
+	// Scores in ascending outcome order, so the output is built in one pass
+	// with its sorted key cache filled.
+	es := make([]dist.Entry, 0, len(inc.sorted))
+	for _, s := range inc.sorted {
+		p := inc.mass[s] * inv
+		adm := inc.rows[int(s)*span+inc.admOff:][:maxD+1]
+		sc := p
+		for d := 1; d <= maxD; d++ {
+			sc += w[d] * (adm[d] * inv)
 		}
-		out.Set(x, s*p)
-	})
-	out.Normalize()
-	inc.cached = &Result{Out: out, GlobalCHS: chs, Weights: w, Radius: inc.maxD, Engine: EngineIncremental}
+		es = append(es, dist.Entry{X: inc.outs[s], P: sc * p})
+	}
+	out, err := dist.FromEntries(inc.n, es)
+	if err != nil {
+		// Outcomes ascend within the width and the scores sum to at least
+		// Σ p² ≥ 1/N, so only masses that are not finite get here.
+		panic(fmt.Sprintf("core: incremental snapshot: %v", err))
+	}
+	inc.cached = &Result{Out: out, GlobalCHS: chs, Weights: w, Radius: maxD, Engine: EngineIncremental}
 	return inc.cached
 }
 
-// revalidate repairs the neighborhood rows after a batch of mass updates:
-// unchanged neighbors are delta-patched, changed outcomes are rebuilt, and
-// every fullResyncEvery-th call rebuilds everything to stop rounding drift.
+// revalidate repairs the rows after a batch of mass updates: one merged walk
+// per changed outcome, or — on the first snapshot, when everything changed,
+// and every fullResyncEvery-th call to stop rounding drift — a rebuild of
+// every row.
 func (inc *Incremental) revalidate() {
 	if len(inc.changed) == 0 {
 		return
 	}
+	// Room for the slots added since the last revalidation: rows and synced
+	// masses start at zero, as for an outcome no row has seen yet, and the
+	// slots join the ascending outcome order.
+	if grow := len(inc.outs) - len(inc.synced); grow > 0 {
+		inc.synced = append(inc.synced, make([]float64, grow)...)
+		inc.rows = append(inc.rows, make([]float64, grow*inc.span)...)
+		inc.mergeSorted(len(inc.outs) - grow)
+	}
 	inc.resyncIn--
-	if inc.resyncIn <= 0 || len(inc.changed) == inc.ix.Len() {
-		inc.fullResync()
-		return
-	}
-
-	changedList := make([]bitstr.Bits, 0, len(inc.changed))
-	for x := range inc.changed {
-		changedList = append(changedList, x)
-	}
-	sort.Slice(changedList, func(i, j int) bool { return changedList[i] < changedList[j] })
-
-	// Ensure every changed outcome has a row before the parallel rebuild so
-	// that phase only mutates per-outcome structs, never the map. New
-	// outcomes carry mass 0 at the last sync by construction.
-	changedRows := make([]*accRow, len(changedList))
-	for i, x := range changedList {
-		r, ok := inc.rows[x]
-		if !ok {
-			r = &accRow{}
-			inc.rows[x] = r
-		}
-		changedRows[i] = r
-	}
-
-	// Phase 1 — patch the rows of unchanged neighbors. y's own mass did not
-	// move, so its filter decision against a changed x depends only on x's
-	// old mass (row sync state) and new mass: remove the old contribution,
-	// add the new one.
-	for i, x := range changedList {
-		oldM := changedRows[i].mass
-		newM := inc.ix.Mass(x)
-		delta := newM - oldM
-		inc.ix.RangeBall(x, inc.maxD, func(y bitstr.Bits, my float64, d int) {
-			if d == 0 {
-				return
-			}
-			if _, ok := inc.changed[y]; ok {
-				return // rebuilt wholesale in phase 2
-			}
-			row := inc.rows[y]
-			row.all[d] += delta
-			if inc.filter {
-				var admDelta float64
-				if oldM < my {
-					admDelta -= oldM
-				}
-				if newM < my {
-					admDelta += newM
-				}
-				row.adm[d] += admDelta
+	if inc.resyncIn <= 0 || len(inc.changed) == len(inc.outs) {
+		parallelRange(len(inc.outs), inc.workers, func(_, lo, hi int) {
+			for s := lo; s < hi; s++ {
+				inc.walk(int32(s), false)
 			}
 		})
-	}
-
-	// Phase 2 — rebuild the changed outcomes' own rows: their mass moved, so
-	// every filter decision in the row may have flipped.
-	parallelRange(len(changedList), inc.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			inc.recomputeRow(changedList[i], changedRows[i])
-		}
-	})
-	for i, x := range changedList {
-		changedRows[i].mass = inc.ix.Mass(x)
-	}
-	inc.changed = make(map[bitstr.Bits]struct{})
-}
-
-// fullResync rebuilds every row from the live index, resynchronizing all
-// cached masses. It runs on the first snapshot (everything is changed) and
-// periodically thereafter as the anti-drift backstop.
-func (inc *Incremental) fullResync() {
-	entries := make([]bitstr.Bits, 0, inc.ix.Len())
-	rows := make([]*accRow, 0, inc.ix.Len())
-	inc.ix.Range(func(x bitstr.Bits, _ float64) {
-		r, ok := inc.rows[x]
-		if !ok {
-			r = &accRow{}
-			inc.rows[x] = r
-		}
-		entries = append(entries, x)
-		rows = append(rows, r)
-	})
-	parallelRange(len(entries), inc.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			inc.recomputeRow(entries[i], rows[i])
-			rows[i].mass = inc.ix.Mass(entries[i])
-		}
-	})
-	inc.changed = make(map[bitstr.Bits]struct{})
-	inc.resyncIn = fullResyncEvery
-}
-
-// recomputeRow rebuilds one outcome's neighborhood strengths from the live
-// index with a single ball query.
-func (inc *Incremental) recomputeRow(x bitstr.Bits, row *accRow) {
-	all := make([]float64, inc.maxD+1)
-	var adm []float64
-	if inc.filter {
-		adm = make([]float64, inc.maxD+1)
+		inc.resyncIn = fullResyncEvery
 	} else {
-		adm = all
+		for _, c := range inc.changed {
+			inc.walk(c, true)
+		}
 	}
-	mx := inc.ix.Mass(x)
-	inc.ix.RangeBall(x, inc.maxD, func(y bitstr.Bits, my float64, d int) {
-		if d == 0 {
-			return
+	for _, c := range inc.changed {
+		inc.dirty[c] = false
+	}
+	inc.changed = inc.changed[:0]
+}
+
+// mergeSorted merges the slots from first on, sorted by outcome, into the
+// ascending order of the older slots.
+func (inc *Incremental) mergeSorted(first int) {
+	byOutcome := func(a, b int32) int { return cmp.Compare(inc.outs[a], inc.outs[b]) }
+	fresh := make([]int32, 0, len(inc.outs)-first)
+	for s := first; s < len(inc.outs); s++ {
+		fresh = append(fresh, int32(s))
+	}
+	slices.SortFunc(fresh, byOutcome)
+	merged := make([]int32, 0, len(inc.outs))
+	old := inc.sorted
+	for len(old) > 0 && len(fresh) > 0 {
+		if byOutcome(old[0], fresh[0]) < 0 {
+			merged, old = append(merged, old[0]), old[1:]
+		} else {
+			merged, fresh = append(merged, fresh[0]), fresh[1:]
 		}
-		all[d] += my
-		if inc.filter && my < mx {
-			adm[d] += my
+	}
+	inc.sorted = append(append(merged, old...), fresh...)
+}
+
+// walk rebuilds slot c's rows from the outcomes within the radius of its
+// outcome and records its mass as synced. With patch set it also
+// delta-patches the rows of every clean neighbor for c's mass moving from
+// its synced value to its current one. A clean neighbor's own mass did not
+// move, so its filter decision against c depends only on c's old and new
+// mass: remove the old contribution, add the new one. Dirty neighbors are
+// left alone — their own walks rebuild them from the current masses — so
+// without patch a walk writes only c's rows and walks of distinct slots may
+// run concurrently.
+func (inc *Incremental) walk(c int32, patch bool) {
+	maxD, span, admOff, filter := inc.maxD, inc.span, inc.admOff, inc.filter
+	mass, dirty, rows := inc.mass, inc.dirty, inc.rows
+	x := inc.outs[c]
+	newM, oldM := mass[c], inc.synced[c]
+	delta := newM - oldM
+	// The own rows accumulate on the stack, where the walk's stores into
+	// neighbor rows cannot alias them, and are copied out at the end.
+	var all, adm [bitstr.MaxBits + 1]float64
+
+	wx := bits.OnesCount64(x)
+	lo, hi := max(wx-maxD, 0), min(wx+maxD, inc.n)
+	for w := lo; w <= hi; w++ {
+		ws := inc.words[w]
+		ss := inc.slots[w][:len(ws)]
+		for j, y := range ws {
+			d := bits.OnesCount64(x ^ y)
+			if uint(d-1) >= uint(maxD) { // d == 0 (x itself) or beyond the radius
+				continue
+			}
+			s := ss[j]
+			my := mass[s]
+			all[d] += my
+			if filter {
+				adm[d] += below(my, newM)
+			}
+			if !patch || dirty[s] {
+				continue
+			}
+			row := rows[int(s)*span:][:span]
+			row[d] += delta
+			if filter {
+				row[admOff+d] += below(newM, my) - below(oldM, my)
+			}
 		}
-	})
-	row.all, row.adm = all, adm
+	}
+	own := rows[int(c)*span:][:span]
+	copy(own, all[:maxD+1])
+	if filter {
+		copy(own[admOff:], adm[:maxD+1])
+	}
+	inc.synced[c] = newM
+}
+
+// below returns a when a < b and 0 otherwise. The walk's filter decisions
+// are coin flips on unordered masses, so they are made without a branch:
+// the compare selects an all-ones or zero mask (a conditional move), and
+// masking the bits of a non-negative mass yields it or +0.
+func below(a, b float64) float64 {
+	var mask uint64
+	if a < b {
+		mask = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(a) & mask)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -162,6 +163,182 @@ func TestIncrementalPanics(t *testing.T) {
 	}
 }
 
+// TestIncrementalWidthAndMassPanics: widths past 64 bits, outcomes wider
+// than the state and negative masses are programming errors, not data.
+func TestIncrementalWidthAndMassPanics(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"width 65":      func() { NewIncremental(65, Options{}) },
+		"out of width":  func() { NewIncremental(3, Options{}).Add(0b1000, 1) },
+		"negative mass": func() { NewIncremental(3, Options{}).Add(0b001, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestIncrementalAddAndMass: repeated Adds of one outcome accumulate in its
+// slot, a new outcome takes the next slot and joins the bucket of its
+// Hamming weight, and an outcome never added holds no slot.
+func TestIncrementalAddAndMass(t *testing.T) {
+	inc := NewIncremental(4, Options{})
+	inc.Add(0b1010, 3)
+	inc.Add(0b1010, 2)
+	inc.Add(0b0001, 1)
+	for _, want := range []struct {
+		x    bitstr.Bits
+		slot int32
+		mass float64
+	}{{0b1010, 0, 5}, {0b0001, 1, 1}} {
+		s, ok := inc.slot[want.x]
+		if !ok || s != want.slot || inc.mass[s] != want.mass {
+			t.Errorf("%04b: slot %d (present %v) mass %v, want slot %d mass %v",
+				want.x, s, ok, inc.mass[s], want.slot, want.mass)
+		}
+	}
+	if _, ok := inc.slot[0b1111]; ok {
+		t.Error("never-added outcome holds a slot")
+	}
+	if inc.Support() != 2 || inc.Total() != 6 {
+		t.Errorf("support=%d total=%v", inc.Support(), inc.Total())
+	}
+	for w, want := range [][]int32{nil, {1}, {0}, nil, nil} {
+		if !slices.Equal(inc.slots[w], want) {
+			t.Errorf("weight %d bucket slots %v, want %v", w, inc.slots[w], want)
+		}
+	}
+}
+
+// TestIncrementalZeroMassStaysInSupport: a zero-mass Add keeps the outcome
+// in the support and in the snapshot — HAMMER distinguishes "observed with
+// vanishing likelihood" from "never observed".
+func TestIncrementalZeroMassStaysInSupport(t *testing.T) {
+	inc := NewIncremental(3, Options{})
+	inc.Add(0b101, 0)
+	inc.Add(0b111, 2)
+	if inc.Support() != 2 || inc.Total() != 2 {
+		t.Fatalf("support=%d total=%v", inc.Support(), inc.Total())
+	}
+	if got := inc.Snapshot().Out.Len(); got != 2 {
+		t.Errorf("snapshot support %d, want 2", got)
+	}
+}
+
+// TestIncrementalRangeOrder: Range walks ascending Hamming weight, insertion
+// order within a weight, with each outcome's accumulated mass.
+func TestIncrementalRangeOrder(t *testing.T) {
+	inc := NewIncremental(4, Options{})
+	inc.Add(0b1110, 1) // w=3
+	inc.Add(0b0001, 2) // w=1, first in bucket
+	inc.Add(0b1000, 3) // w=1, second in bucket
+	inc.Add(0b0000, 4) // w=0
+	inc.Add(0b0001, 5)
+	var got []bitstr.Bits
+	var masses []float64
+	inc.Range(func(x bitstr.Bits, m float64) {
+		got = append(got, x)
+		masses = append(masses, m)
+	})
+	want := []bitstr.Bits{0b0000, 0b0001, 0b1000, 0b1110}
+	wantM := []float64{4, 7, 3, 1}
+	if len(got) != len(want) {
+		t.Fatalf("got %v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] || masses[i] != wantM[i] {
+			t.Fatalf("order %v masses %v, want %v %v", got, masses, want, wantM)
+		}
+	}
+}
+
+// TestIncrementalRowsMatchBruteForce: the ball walks find exactly the
+// in-radius neighbors. After every interleaved snapshot each outcome's rows
+// must equal a brute-force sum over bitstr.Distance against every other
+// outcome. Masses are small integers, so every row entry is an exact
+// integer sum and rebuilt and delta-patched rows must match it exactly.
+func TestIncrementalRowsMatchBruteForce(t *testing.T) {
+	const n = 8
+	for _, opts := range []Options{
+		{Radius: 1}, {Radius: 3}, {}, {Radius: n},
+		{Radius: 3, DisableFilter: true},
+	} {
+		rng := rand.New(rand.NewSource(11))
+		inc := NewIncremental(n, opts)
+		for round := 0; round < 12; round++ {
+			for i := 1 + rng.Intn(60); i > 0; i-- {
+				inc.Add(bitstr.Bits(rng.Intn(1<<n)), float64(rng.Intn(5)))
+			}
+			inc.Snapshot()
+			checkRows(t, inc, round)
+		}
+	}
+}
+
+// checkRows compares every slot's rows with a brute-force recount.
+func checkRows(t *testing.T, inc *Incremental, round int) {
+	t.Helper()
+	maxD := inc.Radius()
+	for s, x := range inc.outs {
+		all := make([]float64, maxD+1)
+		adm := make([]float64, maxD+1)
+		mx := inc.mass[s]
+		for y, my := range inc.mass {
+			d := bitstr.Distance(x, inc.outs[y])
+			if d == 0 || d > maxD {
+				continue
+			}
+			all[d] += my
+			if my < mx || !inc.filter {
+				adm[d] += my
+			}
+		}
+		row := inc.rows[s*inc.span:]
+		for d := 1; d <= maxD; d++ {
+			if row[d] != all[d] || row[inc.admOff+d] != adm[d] {
+				t.Fatalf("radius %d filter %v round %d: outcome %b at d=%d: rows (%v, %v), brute force (%v, %v)",
+					maxD, inc.filter, round, x, d, row[d], row[inc.admOff+d], all[d], adm[d])
+			}
+		}
+	}
+}
+
+// TestIncrementalSnapshotAllocsFlat: a warmed Add+Snapshot cycle allocates
+// only its output — the Result, its CHS and weight vectors, the Dist — and
+// nothing per changed outcome, so touching 64 outcomes allocates exactly as
+// often as touching 8.
+func TestIncrementalSnapshotAllocsFlat(t *testing.T) {
+	allocs := func(changed int) float64 {
+		rng := rand.New(rand.NewSource(4))
+		const n, support = 12, 256
+		inc := NewIncremental(n, Options{Workers: 1})
+		var outs []bitstr.Bits
+		for len(outs) < support {
+			x := bitstr.Bits(rng.Intn(1 << n))
+			if _, seen := inc.slot[x]; !seen {
+				outs = append(outs, x)
+			}
+			inc.Add(x, float64(1+rng.Intn(50)))
+		}
+		inc.Snapshot()
+		next := 0
+		return testing.AllocsPerRun(50, func() {
+			for j := 0; j < changed; j++ {
+				inc.Add(outs[next%len(outs)], 1)
+				next++
+			}
+			inc.Snapshot()
+		})
+	}
+	if few, many := allocs(8), allocs(64); few != many {
+		t.Errorf("allocs per Add+Snapshot: %v with 8 changed outcomes, %v with 64", few, many)
+	}
+}
+
 // TestIncrementalSingleOutcome: the degenerate one-outcome stream must
 // reconstruct to certainty, not panic on an empty neighborhood.
 func TestIncrementalSingleOutcome(t *testing.T) {
@@ -171,6 +348,14 @@ func TestIncrementalSingleOutcome(t *testing.T) {
 	if p := res.Out.Prob(0b10101); !almostEq(p, 1, 1e-15) {
 		t.Errorf("prob %v", p)
 	}
+}
+
+// accumulated returns the normalized histogram an Incremental has
+// accumulated: the batch path's input for the same shots.
+func accumulated(inc *Incremental) *dist.Dist {
+	d := dist.New(inc.NumBits())
+	inc.Range(func(x bitstr.Bits, m float64) { d.Set(x, m) })
+	return d.Normalize()
 }
 
 // BenchmarkIncrementalSnapshot pins the tentpole's perf claim at the core
@@ -190,7 +375,7 @@ func BenchmarkIncrementalSnapshot(b *testing.B) {
 			for f := rng.Intn(6); f > 0; f-- {
 				x = bitstr.Flip(x, rng.Intn(n))
 			}
-			if inc.ix.Mass(x) == 0 {
+			if _, seen := inc.slot[x]; !seen {
 				outs = append(outs, x)
 			}
 			inc.Add(x, float64(1+rng.Intn(100)))
@@ -215,7 +400,7 @@ func BenchmarkIncrementalSnapshot(b *testing.B) {
 			for j := 0; j < batch; j++ {
 				inc.Add(outs[(i*batch+j)%len(outs)], 1)
 			}
-			Reconstruct(inc.ix.Dist(), Options{})
+			Reconstruct(accumulated(inc), Options{})
 		}
 	})
 }

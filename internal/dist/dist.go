@@ -412,6 +412,15 @@ func TVDVector(a, b *Vector) float64 {
 	return s / 2
 }
 
+// MaxShots bounds the total shot count of an accumulated histogram, and
+// with it every count in it: 2^53, the largest total at which float64
+// masses (a Counts' conversion to a Dist, the incremental engine's count
+// space) stay exact integers. The write-ahead shot log (internal/wal)
+// replays a session up to it, and the streaming ingest paths refuse a batch
+// that would exceed it before any shot lands, so an acknowledged ingest
+// always replays.
+const MaxShots = 1 << 53
+
 // Counts is a sparse integer shot-count histogram, the raw form finite-shot
 // measurement produces.
 type Counts struct {

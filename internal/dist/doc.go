@@ -21,9 +21,6 @@
 //     grouped by Hamming weight, each bucket ordered by descending
 //     probability. |popcount(x)−popcount(y)| ≤ d(x,y), so a radius-d ball
 //     query inspects only the 2d+1 buckets around the query's weight.
-//   - LiveIndex — the mutable counterpart for streaming ingestion: no
-//     global rank order, so adding or incrementing an outcome is O(1) while
-//     the same triangle-inequality ball queries stay available.
 //   - Packed — the bit-packed structure-of-arrays view of an Index for the
 //     blocked engine's flat scans: one contiguous []uint64 of outcome words
 //     in bucket-major order (ascending weight, within-bucket ascending

@@ -276,3 +276,47 @@ func TestManagerJournalErrors(t *testing.T) {
 		t.Fatalf("record on closed journal: %v, want ErrJournal", err)
 	}
 }
+
+// TestRecoverLargeCounts: acknowledged counts far above any real workload
+// but within dist.MaxShots come back from Recover exactly. That includes a
+// single ingest above 2^50, and an outcome whose ingests compaction folds
+// into one snapshot pair of several times that: replay
+// bounds pairs by the session total, the same bound ingest enforces.
+func TestRecoverLargeCounts(t *testing.T) {
+	dir := t.TempDir()
+	j1, wm1 := openJournal(t, dir)
+	m1 := NewManager(Config{Journal: j1})
+	if _, err := m1.Create("big", 8, core.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	const big = 1<<50 + 1
+	for _, p := range []wal.Pair{
+		{X: 1, K: 3}, {X: 2, K: big}, {X: 3, K: 5},
+		{X: 2, K: big}, {X: 2, K: big}, {X: 2, K: big}, {X: 1, K: 1}, {X: 1, K: 1},
+		{X: 3, K: 1},
+	} {
+		ingest(t, m1, "big", []wal.Pair{p})
+	}
+	if wm1.Compactions.Value() == 0 {
+		t.Fatal("no compaction: the folded pair is not exercised")
+	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, _ := openJournal(t, dir)
+	m2 := NewManager(Config{Journal: j2})
+	if n, err := m2.Recover(); err != nil || n != 1 {
+		t.Fatalf("recovered %d sessions: %v", n, err)
+	}
+	if err := m2.DoSession("big", func(s *Session) error {
+		c := s.Stream().Counts()
+		if s.Stream().Shots() != 4*big+11 || c.Get(1) != 5 || c.Get(2) != 4*big || c.Get(3) != 6 {
+			t.Errorf("recovered shots %d, counts %d/%d/%d; want %d, 5/%d/6",
+				s.Stream().Shots(), c.Get(1), c.Get(2), c.Get(3), 4*big+11, 4*big)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,9 +3,9 @@
 // accumulating shots between requests. Where internal/sched serves stateless
 // requests from a pooled budget, this package serves stateful ones — a client
 // creates a session, ingests shot batches over many requests, and snapshots
-// at will — so the resources a session pins (the incremental engine's rows
-// and live index) must be bounded explicitly: the Manager caps the number of
-// live sessions and evicts sessions idle past a TTL.
+// at will — so the resources a session pins (the incremental engine's
+// slot-indexed masses and rows) must be bounded explicitly: the Manager
+// caps the number of live sessions and evicts sessions idle past a TTL.
 //
 // Concurrency contract: the Manager is safe for concurrent use. A
 // stream.Stream is not, so every access runs through Manager.Do, which

@@ -3,9 +3,9 @@
 // receives shots as a stream — a long-running experiment wants reconstructed
 // snapshots long before the run finishes — so instead of re-running the batch
 // pipeline per request, the stream maintains the shot counts and the engine's
-// CHS/neighborhood state incrementally (internal/core.Incremental over the
-// popcount-bucketed live index of internal/dist) and invalidates only the
-// Hamming neighborhoods the new shots touched.
+// CHS/neighborhood state incrementally (internal/core.Incremental, on flat
+// slot-indexed arrays) and invalidates only the Hamming neighborhoods the
+// new shots touched.
 //
 // # Contract
 //
@@ -13,11 +13,15 @@
 //     serialize ingestion and snapshots (the HTTP serving layer does this
 //     through internal/serve's per-session mutexes).
 //   - Reuse: exactly one histogram copy is kept per stream — the incremental
-//     engine's live index on the incremental path, a plain count histogram
-//     on the batch fallback — plus, incrementally, the per-outcome
-//     neighborhood rows that survive across snapshots. Ingestion is O(1)
-//     per shot; an incremental snapshot pays only for the neighborhoods the
-//     new shots touched (plus a periodic anti-drift full resync).
+//     engine's slot-indexed masses on the incremental path, a plain count
+//     histogram on the batch fallback — plus, incrementally, the
+//     per-outcome neighborhood rows that survive across snapshots (allocated
+//     at the first snapshot that sees an outcome). Ingestion is O(1) per
+//     shot; an incremental snapshot pays only for the neighborhoods the new
+//     shots touched (plus a periodic anti-drift full resync).
+//   - Bounds: a stream holds at most dist.MaxShots shots, the total the
+//     write-ahead log replays and float64 masses represent exactly. Every
+//     ingest is checked against it (CheckShots) before any shot lands.
 //   - Fallback: all batch options remain available. Configurations the
 //     incremental state cannot serve (TopM truncation, an explicitly pinned
 //     batch engine — the Incremental predicate) transparently run the full

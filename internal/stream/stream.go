@@ -10,8 +10,8 @@ import (
 
 // Stream accumulates shots over an n-bit outcome space and reconstructs
 // snapshots on demand. Exactly one histogram copy is kept: the incremental
-// engine state's live index when the options allow it, or a plain count
-// histogram for the batch fallback. It is not safe for concurrent use;
+// engine state's slot-indexed masses when the options allow it, or a plain
+// count histogram for the batch fallback. It is not safe for concurrent use;
 // callers serialize ingestion and snapshots.
 type Stream struct {
 	n      int
@@ -85,8 +85,8 @@ func (s *Stream) Support() int {
 func (s *Stream) Counts() *dist.Counts {
 	if s.inc != nil {
 		c := dist.NewCounts(s.n)
-		// Masses are sums of int shot counts, exactly representable in
-		// float64 at any realistic total.
+		// Masses are sums of int shot counts, exact in float64 because the
+		// total never exceeds dist.MaxShots (2^53).
 		s.inc.Range(func(x bitstr.Bits, mass float64) {
 			c.AddN(x, int(mass))
 		})
@@ -98,15 +98,31 @@ func (s *Stream) Counts() *dist.Counts {
 // Ingest records one shot of outcome x.
 func (s *Stream) Ingest(x bitstr.Bits) error { return s.IngestN(x, 1) }
 
-// IngestN records k shots of outcome x. k must be positive: a streaming
-// source has no meaningful zero or negative shot message, so both are
-// rejected rather than silently dropped.
+// CheckShots validates one count of an ingest batch, given the batch's
+// shots validated before it, and returns the batch total including k. k
+// must be positive — a streaming source has no meaningful zero or negative
+// shot message, so both are rejected rather than silently dropped — and
+// the batch must not take the session past dist.MaxShots, the bound
+// the journal replays. Callers that ingest a batch validate all of it
+// first, so a rejected batch leaves the stream untouched.
+func (s *Stream) CheckShots(batch, k int) (int, error) {
+	if k <= 0 {
+		return batch, fmt.Errorf("stream: non-positive shot count %d", k)
+	}
+	if k > dist.MaxShots-s.shots-batch {
+		return batch, fmt.Errorf("stream: %d more shots would take the session's %d past %d",
+			k, s.shots+batch, dist.MaxShots)
+	}
+	return batch + k, nil
+}
+
+// IngestN records k shots of outcome x, under CheckShots' rules.
 func (s *Stream) IngestN(x bitstr.Bits, k int) error {
 	if x&^bitstr.AllOnes(s.n) != 0 {
 		return fmt.Errorf("stream: outcome %b exceeds %d bits", x, s.n)
 	}
-	if k <= 0 {
-		return fmt.Errorf("stream: non-positive shot count %d", k)
+	if _, err := s.CheckShots(0, k); err != nil {
+		return err
 	}
 	if s.inc != nil {
 		s.inc.Add(x, float64(k))
@@ -118,12 +134,21 @@ func (s *Stream) IngestN(x bitstr.Bits, k int) error {
 }
 
 // IngestCounts merges a whole count histogram (one batch of shots) into the
-// stream. Widths must match.
+// stream, all or nothing. Widths must match.
 func (s *Stream) IngestCounts(c *dist.Counts) error {
 	if c.NumBits() != s.n {
 		return fmt.Errorf("stream: batch width %d, stream width %d", c.NumBits(), s.n)
 	}
 	var err error
+	batch := 0
+	c.Range(func(_ bitstr.Bits, k int) {
+		if err == nil && k > 0 {
+			batch, err = s.CheckShots(batch, k)
+		}
+	})
+	if err != nil {
+		return err
+	}
 	c.Range(func(x bitstr.Bits, k int) {
 		if err == nil && k > 0 {
 			err = s.IngestN(x, k)

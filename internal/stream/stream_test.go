@@ -196,3 +196,41 @@ func TestSnapshotEngineSelection(t *testing.T) {
 		t.Fatalf("TopM snapshot mass %v", mass)
 	}
 }
+
+// TestIngestShotBound: a stream holds up to dist.MaxShots shots, the
+// total the journal replays and float64 masses represent exactly; an ingest
+// past it is refused whole, on the incremental and the batch path alike.
+func TestIngestShotBound(t *testing.T) {
+	for _, opts := range []core.Options{{}, {TopM: 2}} {
+		s, err := New(4, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.IngestN(0b0101, dist.MaxShots-3); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.IngestN(0b0011, 3); err != nil {
+			t.Fatalf("ingest up to the bound refused: %v", err)
+		}
+		if err := s.IngestN(0b1111, 1); err == nil {
+			t.Error("ingest past the bound accepted")
+		}
+		batch := dist.NewCounts(4)
+		batch.AddN(0b0001, 1)
+		if err := s.IngestCounts(batch); err == nil {
+			t.Error("batch past the bound accepted")
+		}
+		if _, err := s.CheckShots(0, 0); err == nil {
+			t.Error("zero count accepted")
+		}
+		c := s.Counts()
+		if s.Shots() != dist.MaxShots || s.Support() != 2 ||
+			c.Get(0b0101) != dist.MaxShots-3 || c.Get(0b0011) != 3 {
+			t.Errorf("TopM=%d: shots %d support %d counts %d/%d after refused ingests",
+				opts.TopM, s.Shots(), s.Support(), c.Get(0b0101), c.Get(0b0011))
+		}
+		if _, err := s.Snapshot(); err != nil {
+			t.Errorf("TopM=%d: snapshot at the bound: %v", opts.TopM, err)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+
+	"repro/internal/dist"
 )
 
 // Replay is the state a log's valid prefix folds to. ReplayBytes never
@@ -131,11 +133,14 @@ func (r *Replay) foldPairs(body []byte, reset bool) bool {
 			return false
 		}
 		body = body[m:]
-		if x&^mask != 0 || k64 == 0 || k64 > maxPairCount {
+		// dist.MaxShots bounds a pair and the running total alike (and so
+		// keeps int accumulation from overflowing): compaction folds all of
+		// an outcome's ingests into one pair, which can reach the total.
+		if x&^mask != 0 || k64 == 0 || k64 > dist.MaxShots {
 			return false
 		}
 		k := int(k64)
-		if shots+k > maxTotalShots {
+		if shots+k > dist.MaxShots {
 			return false
 		}
 		shots += k

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/dist"
 	"repro/internal/obs"
 )
 
@@ -34,14 +35,6 @@ const (
 	recCreate   byte = 0x01
 	recBatch    byte = 0x02
 	recSnapshot byte = 0x03
-)
-
-// Replay-level sanity bounds: a single pair's count and a session's total
-// shots are capped far above any real workload so adversarial logs cannot
-// overflow int accumulation into negative counts.
-const (
-	maxPairCount  = 1 << 50
-	maxTotalShots = 1 << 55
 )
 
 // castagnoli is the CRC-32C table every record checksum uses.
@@ -496,8 +489,8 @@ func (l *Log) Append(pairs []Pair) error {
 	}
 	mask := widthMask(l.meta.Width)
 	for _, p := range pairs {
-		if p.K <= 0 {
-			return fmt.Errorf("wal: non-positive shot count %d for outcome %b", p.K, p.X)
+		if p.K <= 0 || p.K > dist.MaxShots {
+			return fmt.Errorf("wal: shot count %d for outcome %b outside [1,%d]", p.K, p.X, dist.MaxShots)
 		}
 		if p.X&^mask != 0 {
 			return fmt.Errorf("wal: outcome %b exceeds %d bits", p.X, l.meta.Width)
@@ -547,17 +540,9 @@ func (l *Log) Compact(hist []Pair) error {
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	mask := widthMask(l.meta.Width)
-	sorted := make([]Pair, len(hist))
-	copy(sorted, hist)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].X < sorted[j].X })
-	for _, p := range sorted {
-		if p.K <= 0 {
-			return fmt.Errorf("wal: non-positive snapshot count %d for outcome %b", p.K, p.X)
-		}
-		if p.X&^mask != 0 {
-			return fmt.Errorf("wal: snapshot outcome %b exceeds %d bits", p.X, l.meta.Width)
-		}
+	sorted, err := sortedSnapshot(l.meta.Width, hist)
+	if err != nil {
+		return err
 	}
 	frames, err := sessionFrames(l.meta, sorted)
 	if err != nil {
@@ -637,19 +622,33 @@ func EncodeSession(meta SessionMeta, hist []Pair) ([]byte, error) {
 	if err := meta.validate(); err != nil {
 		return nil, err
 	}
-	mask := widthMask(meta.Width)
+	sorted, err := sortedSnapshot(meta.Width, hist)
+	if err != nil {
+		return nil, err
+	}
+	return sessionFrames(meta, sorted)
+}
+
+// sortedSnapshot returns a copy of hist in ascending outcome order after
+// checking that replay accepts it as a snapshot: positive counts, outcomes
+// within the width, and a total of at most dist.MaxShots.
+func sortedSnapshot(width int, hist []Pair) ([]Pair, error) {
+	mask := widthMask(width)
 	sorted := make([]Pair, len(hist))
 	copy(sorted, hist)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].X < sorted[j].X })
+	total := 0
 	for _, p := range sorted {
-		if p.K <= 0 {
-			return nil, fmt.Errorf("wal: non-positive snapshot count %d for outcome %b", p.K, p.X)
+		if p.K <= 0 || p.K > dist.MaxShots-total {
+			return nil, fmt.Errorf("wal: snapshot count %d for outcome %b is non-positive or takes the total past %d",
+				p.K, p.X, dist.MaxShots)
 		}
+		total += p.K
 		if p.X&^mask != 0 {
-			return nil, fmt.Errorf("wal: snapshot outcome %b exceeds %d bits", p.X, meta.Width)
+			return nil, fmt.Errorf("wal: snapshot outcome %b exceeds %d bits", p.X, width)
 		}
 	}
-	return sessionFrames(meta, sorted)
+	return sorted, nil
 }
 
 // Import adopts a shipped log whole: raw must replay cleanly end to end —  a

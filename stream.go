@@ -104,13 +104,14 @@ func (s *Stream) IngestCounts(counts map[string]int) error {
 		k int
 	}
 	batch := make([]shot, 0, len(counts))
+	total := 0
 	for key, k := range counts {
 		x, err := s.parse(key)
 		if err != nil {
 			return err
 		}
-		if k <= 0 {
-			return fmt.Errorf("hammer: non-positive count %d for %q", k, key)
+		if total, err = s.inner.CheckShots(total, k); err != nil {
+			return fmt.Errorf("hammer: count for %q: %w", key, err)
 		}
 		batch = append(batch, shot{x, k})
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/dist"
 )
 
 // randomShotSource draws shots clustered around a secret key, the Hamming
@@ -185,6 +187,9 @@ func TestStreamValidation(t *testing.T) {
 	}
 	if err := s.IngestCounts(map[string]int{"1111": 3, "11111": 1}); err == nil {
 		t.Error("mixed-width batch accepted")
+	}
+	if err := s.IngestCounts(map[string]int{"1111": 3, "0000": dist.MaxShots}); err == nil {
+		t.Error("batch past the session shot bound accepted")
 	}
 	if s.Shots() != 0 {
 		t.Errorf("failed ingests recorded shots: %d", s.Shots())
