@@ -12,7 +12,6 @@ package hammer
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -133,29 +132,12 @@ func BenchmarkTable3Model(b *testing.B) {
 	}
 }
 
-// syntheticDist builds a noisy-histogram-shaped distribution with exactly
-// uniqueOutcomes entries over an n-bit space: a Hamming-clustered core plus
-// a uniform tail, the workload profile of §6.6.
-func syntheticDist(n, uniqueOutcomes int, seed int64) *dist.Dist {
-	rng := rand.New(rand.NewSource(seed))
-	d := dist.New(n)
-	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(n)
-	d.Set(key, 0.05)
-	for i := 0; i < n && d.Len() < uniqueOutcomes; i++ {
-		d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
-	}
-	for d.Len() < uniqueOutcomes {
-		d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
-	}
-	return d.Normalize()
-}
-
 // BenchmarkReconstruct compares the scoring engines head to head on a wide
 // (20-bit), low-support (2000 unique outcomes) histogram, at the paper's
 // default radius, where blocked runs its weight-window scan, and at the
 // tight radius 3, where it runs its block multi-index scan.
 func BenchmarkReconstruct(b *testing.B) {
-	d := syntheticDist(20, 2000, 42)
+	d := dist.Synthetic(20, 2000, 42)
 	for _, engine := range []string{core.EngineExact, core.EngineBlocked} {
 		for _, radius := range []int{0, 3} {
 			label := fmt.Sprintf("%d", radius)
@@ -173,11 +155,11 @@ func BenchmarkReconstruct(b *testing.B) {
 	}
 }
 
-// syntheticCounts is syntheticDist in the raw integer-count form the
+// syntheticCounts is dist.Synthetic in the raw integer-count form the
 // streaming facade ingests.
 func syntheticCounts(n, uniqueOutcomes int, seed int64) map[string]int {
 	counts := make(map[string]int, uniqueOutcomes)
-	syntheticDist(n, uniqueOutcomes, seed).Range(func(x bitstr.Bits, p float64) {
+	dist.Synthetic(n, uniqueOutcomes, seed).Range(func(x bitstr.Bits, p float64) {
 		k := int(p * 1e6)
 		if k < 1 {
 			k = 1
@@ -254,7 +236,7 @@ const streamBenchBatch = 64
 // report ~0 allocs/op (the one-shot path rebuilds its index, accumulator
 // matrix, and output distribution every call). Run with -benchmem.
 func BenchmarkSessionReuse(b *testing.B) {
-	d := syntheticDist(20, 2000, 42)
+	d := dist.Synthetic(20, 2000, 42)
 	for _, engine := range []string{core.EngineExact, core.EngineBlocked} {
 		opts := core.Options{Engine: engine, Workers: 1}
 		b.Run("session/engine="+engine, func(b *testing.B) {
@@ -289,7 +271,7 @@ func batchHistograms(n, uniqueOutcomes, count int) []map[string]float64 {
 	hs := make([]map[string]float64, count)
 	for i := range hs {
 		h := make(map[string]float64, uniqueOutcomes)
-		syntheticDist(n, uniqueOutcomes, int64(42+i)).Range(func(x bitstr.Bits, p float64) {
+		dist.Synthetic(n, uniqueOutcomes, int64(42+i)).Range(func(x bitstr.Bits, p float64) {
 			h[bitstr.Format(x, n)] = p
 		})
 		hs[i] = h
@@ -331,7 +313,7 @@ func BenchmarkBatch(b *testing.B) {
 // N in well under a second per op on a multicore host.
 func BenchmarkHammerScaling(b *testing.B) {
 	for _, N := range []int{512, 2048, 8192, 20000} {
-		d := syntheticDist(24, N, 42)
+		d := dist.Synthetic(24, N, 42)
 		b.Run(fmt.Sprintf("N=%d", N), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -343,7 +325,7 @@ func BenchmarkHammerScaling(b *testing.B) {
 
 // BenchmarkHammerWorkers isolates the parallel-scaling of the scoring loop.
 func BenchmarkHammerWorkers(b *testing.B) {
-	d := syntheticDist(20, 4096, 7)
+	d := dist.Synthetic(20, 4096, 7)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -355,7 +337,7 @@ func BenchmarkHammerWorkers(b *testing.B) {
 
 // BenchmarkHammerWeightSchemes measures the ablation variants' cost.
 func BenchmarkHammerWeightSchemes(b *testing.B) {
-	d := syntheticDist(16, 2048, 9)
+	d := dist.Synthetic(16, 2048, 9)
 	for _, scheme := range []core.WeightScheme{core.InverseCHS, core.UniformWeight, core.ExpDecay} {
 		b.Run(scheme.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -147,23 +146,12 @@ func batchAllocs(r testing.BenchmarkResult) int64 {
 	return r.AllocsPerOp()
 }
 
-// histograms builds `count` distinct wire-form histograms of the §6.6
-// workload shape — a Hamming-clustered core plus a uniform tail — each
-// around its own cluster key.
+// histograms builds `count` distinct wire-form histograms of dist.Synthetic's
+// §6.6 workload, each around its own cluster key.
 func histograms(n, uniqueOutcomes, count int) []map[string]float64 {
 	hs := make([]map[string]float64, count)
 	for c := range hs {
-		rng := rand.New(rand.NewSource(int64(42 + c)))
-		d := dist.New(n)
-		key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(n)
-		d.Set(key, 0.05)
-		for i := 0; i < n && d.Len() < uniqueOutcomes; i++ {
-			d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
-		}
-		for d.Len() < uniqueOutcomes {
-			d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
-		}
-		d.Normalize()
+		d := dist.Synthetic(n, uniqueOutcomes, int64(42+c))
 		h := make(map[string]float64, d.Len())
 		d.Range(func(x bitstr.Bits, p float64) {
 			h[bitstr.Format(x, n)] = p

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -135,20 +134,9 @@ func main() {
 		rep.HitNs, rep.KeyNs, rep.FullNs, rep.SpeedupHit)
 }
 
-// histogram builds the §6.6 workload shape — a Hamming-clustered core plus a
-// uniform tail — as a wire-form histogram.
+// histogram is dist.Synthetic's §6.6 workload as a wire-form histogram.
 func histogram(n, uniqueOutcomes int) map[string]float64 {
-	rng := rand.New(rand.NewSource(42))
-	d := dist.New(n)
-	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(n)
-	d.Set(key, 0.05)
-	for i := 0; i < n && d.Len() < uniqueOutcomes; i++ {
-		d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
-	}
-	for d.Len() < uniqueOutcomes {
-		d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
-	}
-	d.Normalize()
+	d := dist.Synthetic(n, uniqueOutcomes, 42)
 	h := make(map[string]float64, d.Len())
 	d.Range(func(x bitstr.Bits, p float64) { h[bitstr.Format(x, n)] = p })
 	return h

@@ -19,12 +19,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 
-	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/dist"
 )
@@ -123,7 +121,7 @@ func main() {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	for _, support := range supports {
-		d := synthetic(*bits, support, 42)
+		d := dist.Synthetic(*bits, support, 42)
 		pairs := int64(support) * int64(support-1) / 2
 		for _, radius := range radii {
 			cfg := config{
@@ -191,23 +189,6 @@ func main() {
 			fatal(fmt.Errorf("radius %d speedup %.2fx below committed floor %.2fx", g.Radius, g.Speedup, g.MinSpeedup))
 		}
 	}
-}
-
-// synthetic builds the §6.6 workload shape — a Hamming-clustered core plus a
-// uniform tail — with exactly uniqueOutcomes entries over an n-bit space,
-// matching the root benchmark harness's syntheticDist.
-func synthetic(n, uniqueOutcomes int, seed int64) *dist.Dist {
-	rng := rand.New(rand.NewSource(seed))
-	d := dist.New(n)
-	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(n)
-	d.Set(key, 0.05)
-	for i := 0; i < n && d.Len() < uniqueOutcomes; i++ {
-		d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
-	}
-	for d.Len() < uniqueOutcomes {
-		d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
-	}
-	return d.Normalize()
 }
 
 func fatal(err error) {

@@ -44,11 +44,12 @@ type serverMetrics struct {
 }
 
 // newServerMetrics registers the full metric set. The session-manager gauge
-// and the cache instruments read through the provided callback/cache only at
-// scrape time; a nil cache or nil l2 store reads as zeros — the "disabled"
+// and the cache instruments read through the provided callback and tiers
+// only at scrape time; a nil L1 or L2 reads as zeros — the "disabled"
 // rendering. The hammer_wal_* counters are always registered; without a
-// journal nothing increments them.
-func newServerMetrics(mgrLen func() int, c *cache.LRU[cachedResult], l2 *cache.Dir) *serverMetrics {
+// journal nothing increments them. The hammer_cache_peer* series exist only
+// when the peer tier does.
+func newServerMetrics(mgrLen func() int, tiers *cache.Tiered) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		reg: reg,
@@ -120,6 +121,7 @@ func newServerMetrics(mgrLen func() int, c *cache.LRU[cachedResult], l2 *cache.D
 	reg.GaugeFunc("hammer_sessions_live",
 		"Live streaming sessions (expired sessions swept before counting).",
 		func() float64 { return float64(mgrLen()) })
+	c, l2, peers := tiers.L1, tiers.L2, tiers.Peers
 	reg.CounterFunc("hammer_cache_hits_total",
 		"Reconstruction requests served from the result cache.", c.Hits)
 	reg.CounterFunc("hammer_cache_misses_total",
@@ -143,6 +145,19 @@ func newServerMetrics(mgrLen func() int, c *cache.LRU[cachedResult], l2 *cache.D
 	reg.GaugeFunc("hammer_cache_l2_entries",
 		"Entries currently held in the second-level cache (counted by directory walk at scrape time).",
 		func() float64 { return float64(l2.Len()) })
+	if peers != nil {
+		reg.CounterFunc("hammer_cache_peer_hits_total",
+			"Reconstruction requests served from a peer replica's cache.", peers.Hits)
+		reg.CounterFunc("hammer_cache_peer_misses_total",
+			"Peer-cache lookups no peer could serve.", peers.Misses)
+		reg.CounterFunc("hammer_cache_peer_errors_total",
+			"Failed peer probes (transport errors, timeouts, bad responses).", peers.Errors)
+		reg.CounterFunc("hammer_cache_peer_skipped_total",
+			"Peer probes suppressed because the peer was in its failure cooldown.", peers.Skipped)
+		reg.GaugeFunc("hammer_cache_peers",
+			"Configured peer replicas for the L3 cache tier.",
+			func() float64 { return float64(peers.NumPeers()) })
+	}
 	return m
 }
 

@@ -12,7 +12,6 @@ import (
 
 	hammer "repro"
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // scrape fetches /metrics, validates it as Prometheus text exposition
@@ -213,7 +212,7 @@ func (zeros) Read(p []byte) (int, error) {
 // server serves the same bytes with no header.
 func TestServeReconstructCacheHit(t *testing.T) {
 	ts := newTestServer(t, hammer.Config{}, 2)
-	srvOff, err := newServerWith(hammer.Config{}, 2, serve.Config{}, 0)
+	srvOff, err := newServer(serverConfig{Config: hammer.Config{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,13 +182,6 @@ func renderIngestSnapshot(ack streamIngestAck, res *core.Result) rendered {
 	return out
 }
 
-// exactCopy returns body in a buffer of exactly its length.
-func exactCopy(body []byte) []byte {
-	out := make([]byte, len(body))
-	copy(out, body)
-	return out
-}
-
 // writeEncodeFailure is the 500 for a response that could not be rendered.
 func writeEncodeFailure(w http.ResponseWriter) {
 	http.Error(w, `{"error": "response encoding failed", "index": -1}`, http.StatusInternalServerError)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fleettest"
-	"repro/internal/serve"
 )
 
 // The map-typed wire structs the renderers replaced. encodeJSON of these is
@@ -159,8 +158,7 @@ func TestRenderByteIdentity(t *testing.T) {
 func TestInvalidHistogramSkipsCacheTiers(t *testing.T) {
 	peer := fleettest.New(fleettest.Config{})
 	t.Cleanup(peer.Close)
-	srv, ts := newFleetServer(t, serve.Config{}, durableConfig{cacheDir: t.TempDir()},
-		fleetConfig{peers: []string{peer.URL()}})
+	srv, ts := newFleetServer(t, serverConfig{CacheDir: t.TempDir(), Peers: peer.URL()})
 	for _, body := range []string{
 		`{"0x": 1}`,
 		`{"01": 1, "011": 1}`,
@@ -177,7 +175,7 @@ func TestInvalidHistogramSkipsCacheTiers(t *testing.T) {
 	if n := peer.CacheGets(); n != 0 {
 		t.Errorf("peer probed %d times for invalid histograms", n)
 	}
-	if n := srv.cache.Misses(); n != 0 {
+	if n := srv.cache.L1.Misses(); n != 0 {
 		t.Errorf("L1 counted %d misses for invalid histograms", n)
 	}
 	if !strings.Contains(metricsBody(t, ts.URL), "hammer_cache_misses_total 0\n") {
@@ -186,13 +184,14 @@ func TestInvalidHistogramSkipsCacheTiers(t *testing.T) {
 	if code, _, hdr := postHeaders(t, ts.URL+"/v1/reconstruct", `{"01": 1, "10": 2}`); code != http.StatusOK || hdr.Get(cacheHeader) != cacheMiss {
 		t.Fatalf("valid request: %d %q", code, hdr.Get(cacheHeader))
 	}
-	if peer.CacheGets() != 1 || srv.cache.Misses() != 1 {
-		t.Errorf("valid request: peer gets %d, misses %d", peer.CacheGets(), srv.cache.Misses())
+	if peer.CacheGets() != 1 || srv.cache.L1.Misses() != 1 {
+		t.Errorf("valid request: peer gets %d, misses %d", peer.CacheGets(), srv.cache.L1.Misses())
 	}
 }
 
-// TestCacheStoresExactLength: L1 entries hold exactly their body — no
-// rendering slack — whether they came from a miss, from L2, or from a peer.
+// TestCacheStoresExactLength: L1 entries hold exactly their entry frame — no
+// rendering or read slack — whether they came from a miss, from L2, or from
+// a peer.
 func TestCacheStoresExactLength(t *testing.T) {
 	body := string(benchHistogramJSON(t, 12, 300))
 	key := func(srv *server) string {
@@ -204,28 +203,28 @@ func TestCacheStoresExactLength(t *testing.T) {
 	}
 	check := func(srv *server, tier string) {
 		t.Helper()
-		got, ok := srv.cache.Get(key(srv))
+		got, ok := srv.cache.L1.Get(key(srv))
 		if !ok {
 			t.Fatalf("%s: not in L1", tier)
 		}
-		if cap(got.Body) != len(got.Body) {
-			t.Errorf("%s: stored cap %d, len %d", tier, cap(got.Body), len(got.Body))
+		if cap(got) != len(got) {
+			t.Errorf("%s: stored cap %d, len %d", tier, cap(got), len(got))
 		}
 	}
 	dir := t.TempDir()
-	srvB, tsB := newFleetServer(t, serve.Config{}, durableConfig{cacheDir: dir}, fleetConfig{})
+	srvB, tsB := newFleetServer(t, serverConfig{CacheDir: dir})
 	if code, _, hdr := postHeaders(t, tsB.URL+"/v1/reconstruct", body); code != http.StatusOK || hdr.Get(cacheHeader) != cacheMiss {
 		t.Fatalf("miss: %d %q", code, hdr.Get(cacheHeader))
 	}
 	check(srvB, "miss")
 
-	srvL2, tsL2 := newFleetServer(t, serve.Config{}, durableConfig{cacheDir: dir}, fleetConfig{})
+	srvL2, tsL2 := newFleetServer(t, serverConfig{CacheDir: dir})
 	if _, _, hdr := postHeaders(t, tsL2.URL+"/v1/reconstruct", body); hdr.Get(cacheHeader) != cacheHitL2 {
 		t.Fatalf("L2: %q", hdr.Get(cacheHeader))
 	}
 	check(srvL2, "L2 promotion")
 
-	srvPeer, tsPeer := newFleetServer(t, serve.Config{}, durableConfig{}, fleetConfig{peers: []string{tsB.URL}})
+	srvPeer, tsPeer := newFleetServer(t, serverConfig{Peers: tsB.URL})
 	if _, _, hdr := postHeaders(t, tsPeer.URL+"/v1/reconstruct", body); hdr.Get(cacheHeader) != cacheHitPeer {
 		t.Fatalf("peer: %q", hdr.Get(cacheHeader))
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -51,59 +50,41 @@ const maxRequestBytes = 32 << 20
 func runServe(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("hammerctl serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var c serverConfig
 	addr := fs.String("addr", ":8787", "listen address")
-	maxSessions := fs.Int("max-sessions", serve.DefaultMaxSessions, "cap on live streaming sessions")
-	sessionTTL := fs.Duration("session-ttl", serve.DefaultTTL, "idle streaming sessions are evicted after this long (0 = never evict)")
-	cacheEntries := fs.Int("cache-entries", cache.DefaultEntries, "LRU result-cache capacity for /v1/reconstruct (0 = disable caching)")
-	schedPolicy := fs.String("sched", sched.PolicyFIFO, "worker-slot queue policy: fifo (arrival order) or spjf (shortest predicted job first)")
+	fs.IntVar(&c.Sessions.MaxSessions, "max-sessions", serve.DefaultMaxSessions, "cap on live streaming sessions")
+	fs.DurationVar(&c.Sessions.TTL, "session-ttl", serve.DefaultTTL, "idle streaming sessions are evicted after this long (0 = never evict)")
+	fs.IntVar(&c.CacheEntries, "cache-entries", cache.DefaultEntries, "LRU result-cache capacity for /v1/reconstruct (0 = disable caching)")
+	fs.StringVar(&c.Sched, "sched", sched.PolicyFIFO, "worker-slot queue policy: fifo (arrival order) or spjf (shortest predicted job first)")
 	calibrate := fs.Bool("calibrate", false, "re-fit the engine cost model on this host before serving (a few seconds of micro-benchmarks)")
-	replicas := fs.String("replicas", "", "comma-separated stripe replica base URLs (host:port or full URL); enables the shard coordinator on /v1/reconstruct")
-	shardMinSupport := fs.Int("shard-min-support", 0, "shard every reconstruction with at least this many outcomes instead of letting the cost model decide (0 = cost model)")
-	dataDir := fs.String("data", "", "data directory for durable streaming sessions (write-ahead shot logs, replayed on startup); empty = in-memory sessions only")
-	walSync := fs.String("wal-sync", wal.SyncAlways.String(), "journal durability: always (fsync per ingest) or never (page cache; survives SIGKILL, not power loss)")
-	cacheDir := fs.String("cache-dir", "", "directory for the file-backed second-level result cache (shared across restarts); empty = L1 only")
-	peers := fs.String("peers", "", "comma-separated peer replica base URLs whose result caches are probed as an L3 tier on local misses")
-	peerTimeout := fs.Duration("peer-timeout", 0, "per-probe budget for peer cache lookups (0 = built-in default)")
+	fs.StringVar(&c.Replicas, "replicas", "", "comma-separated stripe replica base URLs (host:port or full URL); enables the shard coordinator on /v1/reconstruct")
+	fs.IntVar(&c.ShardMinSupport, "shard-min-support", 0, "shard every reconstruction with at least this many outcomes instead of letting the cost model decide (0 = cost model)")
+	fs.StringVar(&c.DataDir, "data", "", "data directory for durable streaming sessions (write-ahead shot logs, replayed on startup); empty = in-memory sessions only")
+	fs.StringVar(&c.WALSync, "wal-sync", wal.SyncAlways.String(), "journal durability: always (fsync per ingest) or never (page cache; survives SIGKILL, not power loss)")
+	fs.StringVar(&c.CacheDir, "cache-dir", "", "directory for the file-backed second-level result cache (shared across restarts); empty = L1 only")
+	fs.StringVar(&c.Peers, "peers", "", "comma-separated peer replica base URLs whose result caches are probed as an L3 tier on local misses")
+	fs.DurationVar(&c.PeerTimeout, "peer-timeout", 0, "per-probe budget for peer cache lookups (0 = built-in default)")
 	drainTo := fs.String("drain-to", "", "peer base URL to hand live streaming sessions off to on SIGINT/SIGTERM (graceful drain); empty = exit without draining")
-	quotaRPS := fs.Float64("quota-rps", 0, "per-client request rate limit on the client-facing endpoints (0 = no rate limit); rejections are 429 with Retry-After")
-	quotaBurst := fs.Int("quota-burst", 0, "per-client burst allowance on top of -quota-rps (0 = max(1, ceil(rps)))")
-	quotaSessions := fs.Int("quota-sessions", 0, "cap on live streaming sessions per client (0 = no per-client cap; anonymous sessions exempt)")
+	fs.Float64Var(&c.QuotaRPS, "quota-rps", 0, "per-client request rate limit on the client-facing endpoints (0 = no rate limit); rejections are 429 with Retry-After")
+	fs.IntVar(&c.QuotaBurst, "quota-burst", 0, "per-client burst allowance on top of -quota-rps (0 = max(1, ceil(rps)))")
+	fs.IntVar(&c.Sessions.MaxClientSessions, "quota-sessions", 0, "cap on live streaming sessions per client (0 = no per-client cap; anonymous sessions exempt)")
 	cfg := configFlags(fs)
 	if help, err := parseFlags(fs, args); help || err != nil {
 		return err
 	}
+	c.Config = *cfg
 
 	// The flag's 0 means "never evict" (matching the wire docs' reading of
 	// a non-positive TTL); the manager's internal encoding for that is a
 	// negative TTL, its own zero value selecting the default.
-	ttl := *sessionTTL
-	if ttl == 0 {
-		ttl = -1
+	if c.Sessions.TTL == 0 {
+		c.Sessions.TTL = -1
 	}
-	// In serve mode -workers is the request-level concurrency of the shared
-	// scheduler, exactly RunBatch's reading of Config.Workers.
-	srv, err := newServerFull(*cfg, cfg.Workers, *schedPolicy, serve.Config{
-		MaxSessions:       *maxSessions,
-		MaxClientSessions: *quotaSessions,
-		TTL:               ttl,
-	}, *cacheEntries, durableConfig{dataDir: *dataDir, walSync: *walSync, cacheDir: *cacheDir})
+	srv, err := newServer(c)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	if *replicas != "" {
-		if err := srv.enableSharding(splitReplicas(*replicas), *shardMinSupport); err != nil {
-			return err
-		}
-	}
-	if err := srv.enableFleet(fleetConfig{
-		peers:       splitReplicas(*peers),
-		peerTimeout: *peerTimeout,
-		quotaRPS:    *quotaRPS,
-		quotaBurst:  *quotaBurst,
-	}); err != nil {
-		return err
-	}
 	if *calibrate {
 		// Replace the committed-benchmark constants with ones timed on this
 		// host, so engine selection, SPJF ordering, and deadline admission
@@ -145,19 +126,19 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 	fmt.Fprintf(stdout, "hammerctl: serving on %s (%d workers, engine %s, %s scheduling, %d session slots, %d cache entries)\n",
-		ln.Addr(), srv.sch.Workers(), engineLabel(srv.sch.Options().Engine), srv.sch.Policy(), srv.mgr.MaxSessions(), srv.cache.Capacity())
+		ln.Addr(), srv.sch.Workers(), engineLabel(srv.sch.Options().Engine), srv.sch.Policy(), srv.mgr.MaxSessions(), srv.cache.L1.Capacity())
 	if srv.coord != nil {
 		fmt.Fprintf(stdout, "hammerctl: shard coordinator enabled (%d replicas)\n", srv.coord.NumReplicas())
 	}
 	if srv.journal != nil {
 		fmt.Fprintf(stdout, "hammerctl: durable sessions in %s (wal-sync %s, %d recovered)\n",
-			*dataDir, srv.journal.Sync(), srv.recovered)
+			c.DataDir, srv.journal.Sync(), srv.recovered)
 	}
-	if srv.l2 != nil {
-		fmt.Fprintf(stdout, "hammerctl: second-level result cache in %s (%d entries)\n", *cacheDir, srv.l2.Len())
+	if srv.cache.L2 != nil {
+		fmt.Fprintf(stdout, "hammerctl: second-level result cache in %s (%d entries)\n", c.CacheDir, srv.cache.L2.Len())
 	}
-	if srv.peers != nil {
-		fmt.Fprintf(stdout, "hammerctl: peer cache tier enabled (%d peers)\n", srv.peers.NumPeers())
+	if srv.cache.Peers != nil {
+		fmt.Fprintf(stdout, "hammerctl: peer cache tier enabled (%d peers)\n", srv.cache.Peers.NumPeers())
 	}
 	hs := &http.Server{Handler: srv.mux(), ReadHeaderTimeout: 10 * time.Second}
 	if *drainTo == "" {
@@ -201,18 +182,14 @@ type server struct {
 	sch  *sched.Scheduler
 	mgr  *serve.Manager
 	base hammer.Config
-	// cache maps a canonical (histogram, options) key to the rendered
-	// response body plus the engine that produced it, so a hit writes stored
-	// bytes verbatim — byte-identical to the miss that filled it, with no
-	// re-encoding on the hot path — and still reports X-Hammer-Engine.
-	cache   *cache.LRU[cachedResult]
+	// cache is the /v1/reconstruct result-cache chain: L1 (-cache-entries),
+	// L2 (-cache-dir) and the peer tier (-peers). Its entries hold the
+	// rendered response body with the engine that produced it, so a hit
+	// writes stored bytes verbatim — byte-identical to the miss that filled
+	// it, with no re-encoding on the hot path — and still reports
+	// X-Hammer-Engine.
+	cache   *cache.Tiered
 	metrics *serverMetrics
-	// l2 is the optional second-level result cache (-cache-dir): any
-	// cache.Backend, concretely the file-backed cache.Dir, consulted on L1
-	// misses and written alongside L1 so entries survive restarts. Entries
-	// frame the engine name with the rendered body (l2Encode), keeping hits
-	// byte-identical to the miss that stored them.
-	l2 cache.Backend
 	// journal, when non-nil (-data), is the wal store behind the session
 	// manager; the server closes it when Serve returns. recovered is the
 	// session count Recover rebuilt at startup, surfaced in /healthz.
@@ -221,11 +198,8 @@ type server struct {
 	// coord, when non-nil (-replicas), fans large /v1/reconstruct requests
 	// out as pair-balanced stripes to replica servers; see shardserve.go.
 	coord *shard.Coordinator
-	// peers, when non-nil (-peers), probes peer replicas' caches as an L3
-	// tier behind l2; limiter, when non-nil (-quota-rps), rate-limits the
-	// client-facing routes per client. Both are wired by enableFleet
-	// (servefleet.go).
-	peers   *cache.Peers
+	// limiter, when non-nil (-quota-rps), rate-limits the client-facing
+	// routes per client (servefleet.go).
 	limiter *serve.Limiter
 	// stripeSessions pools the Workers:1 sessions /v1/shard/reconstruct and
 	// the coordinator's local stripe fallback score on (ScoreStripe ignores
@@ -233,90 +207,80 @@ type server struct {
 	stripeSessions sync.Pool
 }
 
-// cachedResult is one stored /v1/reconstruct response: the rendered body and
-// the engine name for the X-Hammer-Engine header (also inside the body, but
-// stored separately so a hit never re-parses what it is about to write).
-type cachedResult struct {
-	Body   []byte
-	Engine string
+// serverConfig is the whole configuration of `hammerctl serve`: each field
+// holds one flag's value (Config and Sessions one group of flags each), so
+// its zero value is every flag at zero — no cache entries, journal,
+// replicas, peers, or quotas.
+type serverConfig struct {
+	// Config holds -radius, -weights, -no-filter, -topm and -engine, and
+	// -workers: the request-level concurrency of the shared scheduler that
+	// single requests, batch members, and streaming snapshots draw from,
+	// exactly as in hammer.RunBatch (each runs single-threaded in its slot).
+	Config          hammer.Config
+	Sched           string        // -sched: "" or "fifo" (arrival order), "spjf" (shortest predicted job first)
+	Sessions        serve.Config  // -max-sessions, -quota-sessions, -session-ttl, and the clock; Journal comes from DataDir
+	CacheEntries    int           // -cache-entries: L1 capacity (0 = no L1)
+	DataDir         string        // -data: the session journal's root ("" = in-memory sessions)
+	WALSync         string        // -wal-sync: "always" (also "") or "never"
+	CacheDir        string        // -cache-dir: the L2 store's root ("" = no L2)
+	Replicas        string        // -replicas: comma-separated; any value but "" enables the shard coordinator
+	ShardMinSupport int           // -shard-min-support (0 = the cost model decides)
+	Peers           string        // -peers: comma-separated L3 peers
+	PeerTimeout     time.Duration // -peer-timeout (0 = cache.DefaultProbeTimeout)
+	QuotaRPS        float64       // -quota-rps (0 = no rate limit)
+	QuotaBurst      int           // -quota-burst (0 = max(1, ceil(rps)))
 }
 
-// newServer builds a server with default session-manager limits, queue
-// policy, and cache capacity (tests and embedders); runServe passes the
-// flag-configured values via newServerWith.
-func newServer(cfg hammer.Config, workers int) (*server, error) {
-	return newServerWith(cfg, workers, serve.Config{}, cache.DefaultEntries)
-}
-
-// newServerWith builds the scheduler, session manager, result cache, and
-// metrics the handlers share. The -workers flag is the request-level
-// concurrency (the shared budget single requests, batch members, and
-// streaming snapshots draw from), exactly as in hammer.RunBatch; each request
-// runs single-threaded inside its slot. The option mapping is the facade's
-// own (hammer.NewScheduler / hammer.SessionOptions), so serve honors every
-// Config knob the library does. cacheEntries caps the /v1/reconstruct result
-// cache (0 disables caching; the cache metrics then render as zeros).
-func newServerWith(cfg hammer.Config, workers int, sc serve.Config, cacheEntries int) (*server, error) {
-	return newServerPolicy(cfg, workers, "", sc, cacheEntries)
-}
-
-// newServerPolicy is newServerWith with an explicit scheduler queue policy
-// (the -sched flag): "" or "fifo" grants slots in arrival order, "spjf" by
-// shortest model-predicted runtime.
-func newServerPolicy(cfg hammer.Config, workers int, policy string, sc serve.Config, cacheEntries int) (*server, error) {
-	return newServerFull(cfg, workers, policy, sc, cacheEntries, durableConfig{})
-}
-
-// durableConfig carries the durability flags: a data directory enables the
-// write-ahead session journal, a cache directory the file-backed second-level
-// result cache. Both empty is the in-memory-only server.
-type durableConfig struct {
-	// dataDir is -data: the journal's root (sessions/ is created under it).
-	dataDir string
-	// walSync is -wal-sync: "always" (fsync per append; default) or "never"
-	// (page cache; survives SIGKILL but not power loss).
-	walSync string
-	// cacheDir is -cache-dir: the second-level result cache's root.
-	cacheDir string
-}
-
-// newServerFull is the complete constructor: scheduler, session manager,
-// both cache tiers, journal, and metrics. With a data directory it also
-// replays the journal, so the returned server already holds every session a
-// previous process journaled (minus deleted/evicted ones, whose logs were
-// pruned). The caller owns srv.Close.
-func newServerFull(cfg hammer.Config, workers int, policy string, sc serve.Config, cacheEntries int, dc durableConfig) (*server, error) {
-	sch, err := hammer.NewSchedulerPolicy(cfg, workers, policy)
+// newServer builds the scheduler, session manager, result-cache chain,
+// metrics, and the optional journal, shard coordinator, and rate limiter the
+// handlers share. The option mapping is the facade's own
+// (hammer.NewScheduler / hammer.SessionOptions), so serve honors every
+// Config knob the library does. With a data directory it also replays the
+// journal, so the returned server already holds every session a previous
+// process journaled (minus deleted/evicted ones, whose logs were pruned).
+// The caller owns srv.Close; on error, newServer has closed the journal
+// itself.
+func newServer(c serverConfig) (_ *server, err error) {
+	sch, err := hammer.NewSchedulerPolicy(c.Config, c.Config.Workers, c.Sched)
 	if err != nil {
 		return nil, err
 	}
 	var journal *wal.Store
-	if dc.dataDir != "" {
-		sync, err := wal.ParseSyncPolicy(dc.walSync)
+	sc := c.Sessions
+	if c.DataDir != "" {
+		policy, err := wal.ParseSyncPolicy(c.WALSync)
 		if err != nil {
 			return nil, err
 		}
-		journal, err = wal.Open(dc.dataDir, wal.Options{Sync: sync})
-		if err != nil {
+		if journal, err = wal.Open(c.DataDir, wal.Options{Sync: policy}); err != nil {
 			return nil, err
 		}
 		sc.Journal = journal
 	}
-	l2, err := cache.NewDir(dc.cacheDir)
+	// From here on, a failure also closes the journal's open logs.
+	defer func() {
+		if err != nil && journal != nil {
+			journal.Close()
+		}
+	}()
+	l2, err := cache.NewDir(c.CacheDir)
 	if err != nil {
 		return nil, err
 	}
-	c := cache.New[cachedResult](cacheEntries)
+	peers, err := shard.NormalizePeers(splitReplicas(c.Peers))
+	if err != nil {
+		return nil, err
+	}
+	tiers := &cache.Tiered{
+		L1:    cache.New[[]byte](c.CacheEntries),
+		L2:    l2,
+		Peers: cache.NewPeers(cache.PeersConfig{Peers: peers, Timeout: c.PeerTimeout}),
+	}
 	mgr := serve.NewManager(sc)
-	m := newServerMetrics(mgr.Len, c, l2)
+	m := newServerMetrics(mgr.Len, tiers)
 	sch.Instrument(m.sched)
 	mgr.Instrument(m.serve)
-	srv := &server{sch: sch, mgr: mgr, base: cfg, cache: c, metrics: m, journal: journal}
-	if l2 != nil {
-		// Guarded assignment: a typed-nil *cache.Dir in the interface would
-		// make healthz report an L2 that is not there.
-		srv.l2 = l2
-	}
+	srv := &server{sch: sch, mgr: mgr, base: c.Config, cache: tiers, metrics: m, journal: journal}
 	srv.stripeSessions.New = func() any {
 		sess, err := core.NewSession(core.Options{Workers: 1})
 		if err != nil {
@@ -328,13 +292,26 @@ func newServerFull(cfg hammer.Config, workers int, policy string, sc serve.Confi
 	if journal != nil {
 		// Instrumented above, so recovery shows up in hammer_wal_*.
 		journal.Instrument(m.wal)
-		n, err := mgr.Recover()
-		if err != nil {
-			journal.Close()
+		if srv.recovered, err = mgr.Recover(); err != nil {
 			return nil, err
 		}
-		srv.recovered = n
 	}
+	if c.Replicas != "" {
+		// Requests the cost model prices cheaper sharded (or, with
+		// ShardMinSupport > 0, all requests at least that large) fan out to
+		// the replicas; stripes whose replica fails are recomputed locally
+		// on the pooled stripe sessions.
+		srv.coord, err = shard.New(shard.Config{
+			Replicas:   splitReplicas(c.Replicas),
+			Local:      srv.localStripe,
+			Metrics:    m.shard,
+			MinSupport: c.ShardMinSupport,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	srv.limiter = serve.NewLimiter(serve.LimiterConfig{RPS: c.QuotaRPS, Burst: c.QuotaBurst})
 	return srv, nil
 }
 
@@ -460,10 +437,10 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// result cache is attached.
 		"durable":            s.journal != nil,
 		"recovered_sessions": s.recovered,
-		"cache_l2":           s.l2 != nil,
+		"cache_l2":           s.cache.L2 != nil,
 		// Fleet: how many peer replicas back the L3 cache tier, and whether
 		// per-client quotas are active.
-		"peers":               s.peers.NumPeers(),
+		"peers":               s.cache.Peers.NumPeers(),
 		"quota_rps":           s.limiter != nil,
 		"max_client_sessions": s.mgr.MaxClientSessions(),
 	}
@@ -494,170 +471,99 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, -1, err)
 		return
 	}
+	eff := s.sch.Options()
+	if opts != nil {
+		eff = *opts
+	}
 	// Result cache: repeated identical (histogram, options) requests — the
 	// QAOA-optimizer pattern — skip reconstruction entirely. The key is a
 	// canonical hash over the validated effective options (a deadline never
 	// changes the result, so it is not part of the key), so the bare and
-	// {"counts": ...} spellings of one request share an entry. Cached
-	// responses are immutable by contract: handlers only marshal them.
-	var key string
-	if s.cache != nil || s.l2 != nil {
-		eff := s.sch.Options()
-		if opts != nil {
-			eff = *opts
-		}
-		key = cache.KeyEntries(rr.entries, rr.width, eff)
-		if cached, ok := s.cache.Get(key); ok {
-			w.Header().Set(engineHeader, cached.Engine)
-			w.Header().Set(cacheHeader, cacheHit)
-			writeJSONBytes(w, http.StatusOK, cached.Body)
-			return
-		}
-		if s.l2 != nil {
-			if raw, ok := s.l2.Get(key); ok {
-				if engine, cbody, ok := l2Decode(raw); ok {
-					// Promote into L1 so the next identical request skips
-					// the disk; the stored bytes are written verbatim, so an
-					// L2 hit is byte-identical to the miss that filled it.
-					if len(cbody) <= maxCachedResponseBytes {
-						s.putL1(key, cbody, engine)
-					}
-					w.Header().Set(engineHeader, engine)
-					w.Header().Set(cacheHeader, cacheHitL2)
-					writeJSONBytes(w, http.StatusOK, cbody)
-					return
-				}
-				// An undecodable entry (foreign writer, torn by an external
-				// tool) degrades to a miss, which overwrites it below.
+	// {"counts": ...} spellings of one request share an entry. On a miss the
+	// response is rendered once: the same bytes are stored (immutable from
+	// here on) and written, so a later hit is byte-identical to this miss.
+	var status int
+	var out rendered
+	engine, resp, tier, err := s.cache.Fetch(
+		func() string { return cache.KeyEntries(rr.entries, rr.width, eff) },
+		func() (string, []byte, error) {
+			var err error
+			if out, status, err = s.reconstruct(r, rr, opts, eff); err != nil {
+				return "", nil, err
 			}
-		}
-		// L3: peer replicas' caches. The keys are replica-portable by
-		// construction, so a peer's entry is byte-identical to what this
-		// server would have computed; a hit is promoted into L1 and L2 so
-		// the next identical request never leaves the process. Strictly
-		// best-effort — a dead fleet degrades this to a miss.
-		if s.peers != nil {
-			if raw, ok := s.peers.Get(key); ok {
-				if engine, cbody, ok := l2Decode(raw); ok {
-					if len(cbody) <= maxCachedResponseBytes {
-						s.putL1(key, cbody, engine)
-						if s.l2 != nil {
-							s.l2.Put(key, raw)
-						}
-					}
-					w.Header().Set(engineHeader, engine)
-					w.Header().Set(cacheHeader, cacheHitPeer)
-					writeJSONBytes(w, http.StatusOK, cbody)
-					return
-				}
-			}
-		}
+			return out.engine, out.body, out.err
+		})
+	switch {
+	case err == nil:
+	case status != 0:
+		writeError(w, status, -1, err)
+		return
+	case tier == cache.Uncached:
+		w.Header().Set(engineHeader, out.engine)
+		writeEncodeFailure(w)
+		return
+	default:
+		w.Header().Set(engineHeader, out.engine)
+		writeError(w, http.StatusInternalServerError, -1, err)
+		return
 	}
+	w.Header().Set(engineHeader, engine)
+	if label := cacheLabels[tier]; label != "" {
+		w.Header().Set(cacheHeader, label)
+	}
+	writeJSONBytes(w, http.StatusOK, resp)
+}
+
+// reconstruct runs one request the result cache could not answer: sharded
+// when the coordinator prices that cheaper, else on the local scheduler. A
+// failure comes with its HTTP status; a rendering failure is the returned
+// body's err instead.
+func (s *server) reconstruct(r *http.Request, rr *reconstructRequest, opts *core.Options, eff core.Options) (rendered, int, error) {
 	in, err := dist.FromEntries(rr.width, rr.entries)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, -1, err)
-		return
+		return rendered{}, http.StatusBadRequest, err
+	}
+	if s.coord != nil && s.coord.ShouldShard(eff, in.Len(), in.NumBits()) {
+		out, err := s.reconstructSharded(r.Context(), eff, in, rr.schedDeadline())
+		switch {
+		case err == nil:
+			return out, 0, nil
+		case statusFor(r, err) != http.StatusBadRequest:
+			// Deadline admission rejections (504/429) and client
+			// cancellation (499) end the request; any other coordinator
+			// failure degrades to the single-node path below.
+			return rendered{}, statusFor(r, err), err
+		}
 	}
 	var out rendered
-	served := false
-	if s.coord != nil {
-		eff := s.sch.Options()
-		if opts != nil {
-			eff = *opts
-		}
-		if s.coord.ShouldShard(eff, in.Len(), in.NumBits()) {
-			sresp, serr := s.reconstructSharded(r.Context(), eff, in, rr.schedDeadline())
-			switch {
-			case serr == nil:
-				out, served = sresp, true
-			case statusFor(r, serr) != http.StatusBadRequest:
-				// Deadline admission rejections (504/429) and client
-				// cancellation (499) end the request; any other coordinator
-				// failure degrades to the single-node path below.
-				writeError(w, statusFor(r, serr), -1, serr)
-				return
-			}
-		}
+	err = s.sch.Reconstruct(r.Context(), sched.Request{In: in, Opts: opts, Deadline: rr.schedDeadline()}, func(res *core.Result) error {
+		out = renderReconstruct(res)
+		return nil
+	})
+	if err != nil {
+		return rendered{}, statusFor(r, err), err
 	}
-	if !served {
-		err = s.sch.Reconstruct(r.Context(), sched.Request{In: in, Opts: opts, Deadline: rr.schedDeadline()}, func(res *core.Result) error {
-			out = renderReconstruct(res)
-			return nil
-		})
-		if err != nil {
-			writeError(w, statusFor(r, err), -1, err)
-			return
-		}
-	}
-	w.Header().Set(engineHeader, out.engine)
-	if key == "" {
-		if out.err != nil {
-			writeEncodeFailure(w)
-			return
-		}
-		writeJSONBytes(w, http.StatusOK, out.body)
-		return
-	}
-	if out.err != nil {
-		writeError(w, http.StatusInternalServerError, -1, out.err)
-		return
-	}
-	// Rendered once: the same bytes are stored (immutable from here on) and
-	// written, so a later hit is byte-identical to this miss. Outsized
-	// responses (a histogram near the 32 MiB body cap renders to tens of
-	// MiB) are served but not stored, or -cache-entries such bodies would
-	// bound tens of GiB of memory instead of the documented entries × 1 MiB
-	// worst case. The same cap bounds per-entry L2 disk use.
-	if len(out.body) <= maxCachedResponseBytes {
-		s.putL1(key, out.body, out.engine)
-		if s.l2 != nil {
-			s.l2.Put(key, l2Encode(out.engine, out.body))
-		}
-	}
-	w.Header().Set(cacheHeader, cacheMiss)
-	writeJSONBytes(w, http.StatusOK, out.body)
+	return out, 0, nil
 }
-
-// putL1 stores a response body in the in-memory cache at exactly its
-// length: the entry lives as long as the cache keeps it, so the slack of a
-// render buffer or of a body read from disk or a peer must not live with
-// it.
-func (s *server) putL1(key string, body []byte, engine string) {
-	s.cache.Put(key, cachedResult{Body: exactCopy(body), Engine: engine})
-}
-
-// l2Encode frames one second-level cache entry: uvarint engine-name length,
-// the engine name, then the rendered response body verbatim.
-func l2Encode(engine string, body []byte) []byte {
-	out := binary.AppendUvarint(make([]byte, 0, 2+len(engine)+len(body)), uint64(len(engine)))
-	out = append(out, engine...)
-	return append(out, body...)
-}
-
-// l2Decode is l2Encode's inverse; ok=false means the entry is malformed and
-// the caller should treat the lookup as a miss.
-func l2Decode(raw []byte) (engine string, body []byte, ok bool) {
-	n, m := binary.Uvarint(raw)
-	if m <= 0 || n > uint64(len(raw)-m) {
-		return "", nil, false
-	}
-	return string(raw[m : m+int(n)]), raw[m+int(n):], true
-}
-
-// maxCachedResponseBytes caps one cached response body (~20k outcomes at
-// ~50 bytes each); together with -cache-entries it bounds cache memory at
-// entries × 1 MiB worst case.
-const maxCachedResponseBytes = 1 << 20
 
 // The X-Hammer-Cache response header reports how /v1/reconstruct used the
-// result cache; it is absent when caching is disabled (-cache-entries 0) and
-// on error responses.
+// result cache; it is absent when no cache tier is configured
+// (-cache-entries 0, no -cache-dir, no -peers) and on error responses.
 const (
-	cacheHeader = "X-Hammer-Cache"
-	cacheHit    = "hit"
-	cacheHitL2  = "hit-l2"
-	cacheMiss   = "miss"
+	cacheHeader  = "X-Hammer-Cache"
+	cacheHit     = "hit"
+	cacheHitL2   = "hit-l2"
+	cacheHitPeer = "hit-peer"
+	cacheMiss    = "miss"
 )
+
+// cacheLabels is the X-Hammer-Cache value for each cache.Tier.
+var cacheLabels = [...]string{
+	cache.Miss:    cacheMiss,
+	cache.HitL1:   cacheHit,
+	cache.HitL2:   cacheHitL2,
+	cache.HitPeer: cacheHitPeer,
+}
 
 // The X-Hammer-Engine response header reports which reconstruction engine
 // produced a /v1/reconstruct response — the cost model's pick under the

@@ -13,24 +13,13 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/serve"
 )
 
-// benchHistogramJSON builds one §6.6-shaped workload histogram (Hamming
-// cluster plus uniform tail) as a wire body.
+// benchHistogramJSON builds dist.Synthetic's §6.6 workload histogram as a
+// wire body.
 func benchHistogramJSON(tb testing.TB, bits, support int) []byte {
 	tb.Helper()
-	rng := rand.New(rand.NewSource(42))
-	d := dist.New(bits)
-	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(bits)
-	d.Set(key, 0.05)
-	for i := 0; i < bits && d.Len() < support; i++ {
-		d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
-	}
-	for d.Len() < support {
-		d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(bits), 1e-4*(1+rng.Float64()))
-	}
-	d.Normalize()
+	d := dist.Synthetic(bits, support, 42)
 	h := make(map[string]float64, d.Len())
 	d.Range(func(x bitstr.Bits, p float64) { h[bitstr.Format(x, bits)] = p })
 	body, err := json.Marshal(h)
@@ -45,7 +34,7 @@ func benchHistogramJSON(tb testing.TB, bits, support int) []byte {
 // wire.
 func benchReconstruct(b *testing.B, cacheEntries int, body []byte, wantHeader string) {
 	b.Helper()
-	srv, err := newServerWith(hammer.Config{}, 1, serve.Config{}, cacheEntries)
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 1}, CacheEntries: cacheEntries})
 	if err != nil {
 		b.Fatal(err)
 	}

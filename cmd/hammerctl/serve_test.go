@@ -11,12 +11,14 @@ import (
 	"testing"
 
 	hammer "repro"
+	"repro/internal/cache"
 	"repro/internal/sched"
 )
 
 func newTestServer(t *testing.T, cfg hammer.Config, workers int) *httptest.Server {
 	t.Helper()
-	srv, err := newServer(cfg, workers)
+	cfg.Workers = workers
+	srv, err := newServer(serverConfig{Config: cfg, CacheEntries: cache.DefaultEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +215,10 @@ func TestServeConfigPlumbing(t *testing.T) {
 		t.Errorf("metadata %+v", resp)
 	}
 	// Invalid configurations fail at startup, not per request.
-	if _, err := newServer(hammer.Config{Engine: "fpga"}, 1); err == nil {
+	if _, err := newServer(serverConfig{Config: hammer.Config{Engine: "fpga", Workers: 1}}); err == nil {
 		t.Error("unknown engine accepted at startup")
 	}
-	if _, err := newServer(hammer.Config{Weights: "quadratic"}, 1); err == nil {
+	if _, err := newServer(serverConfig{Config: hammer.Config{Weights: "quadratic", Workers: 1}}); err == nil {
 		t.Error("unknown weight scheme accepted at startup")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/serve"
 )
 
 // infeasibleBody builds a {"counts": ..., "deadline_ms": 1} request whose
@@ -81,7 +80,7 @@ func TestServeDeadlineInfeasible(t *testing.T) {
 // whose worker slot never frees inside the budget is rejected as overload,
 // distinguishable from the 504 (the client may retry this one).
 func TestServeDeadlineOverloaded(t *testing.T) {
-	srv, err := newServer(hammer.Config{}, 1)
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 1}, CacheEntries: cache.DefaultEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestServeCostMetricsExposed(t *testing.T) {
 // TestServePolicy pins the -sched wiring: the policy reaches the scheduler,
 // shows up in /healthz, and an unknown name fails construction.
 func TestServePolicy(t *testing.T) {
-	srv, err := newServerPolicy(hammer.Config{}, 2, sched.PolicySPJF, serve.Config{}, cache.DefaultEntries)
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 2}, Sched: sched.PolicySPJF, CacheEntries: cache.DefaultEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +236,10 @@ func TestServePolicy(t *testing.T) {
 	if h.Policy != sched.PolicySPJF {
 		t.Errorf("healthz policy %q, want %q", h.Policy, sched.PolicySPJF)
 	}
-	if _, err := newServerPolicy(hammer.Config{}, 1, "lifo", serve.Config{}, 0); err == nil {
+	if _, err := newServer(serverConfig{Config: hammer.Config{Workers: 1}, Sched: "lifo"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if srv, err := newServer(hammer.Config{}, 1); err != nil || srv.sch.Policy() != sched.PolicyFIFO {
+	if srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 1}, CacheEntries: cache.DefaultEntries}); err != nil || srv.sch.Policy() != sched.PolicyFIFO {
 		t.Errorf("default policy: %v, %q", err, srv.sch.Policy())
 	}
 }

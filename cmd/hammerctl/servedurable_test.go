@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,20 +39,6 @@ func (c *durableClock) advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-// newDurableServer builds a journaled server over dc's directories and
-// returns both the server (for Close — the "process exit") and its test
-// listener.
-func newDurableServer(t *testing.T, sc serve.Config, dc durableConfig) (*server, *httptest.Server) {
-	t.Helper()
-	srv, err := newServerFull(hammer.Config{}, 2, "", sc, cache.DefaultEntries, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.mux())
-	t.Cleanup(ts.Close)
-	return srv, ts
-}
-
 // postHeaders is postJSON plus the response headers (the cache tier checks).
 func postHeaders(t *testing.T, url, body string) (int, []byte, http.Header) {
 	t.Helper()
@@ -78,10 +65,10 @@ func TestDurableRestartE2E(t *testing.T) {
 	dataDir := t.TempDir()
 	cacheDir := t.TempDir()
 	clk := &durableClock{t: time.Unix(5000, 0)}
-	dc := durableConfig{dataDir: dataDir, walSync: "never", cacheDir: cacheDir}
-	sc := serve.Config{TTL: time.Minute, Now: clk.now}
+	c := serverConfig{Sessions: serve.Config{TTL: time.Minute, Now: clk.now},
+		DataDir: dataDir, WALSync: "never", CacheDir: cacheDir}
 
-	srv1, ts1 := newDurableServer(t, sc, dc)
+	srv1, ts1 := newFleetServer(t, c)
 	if srv1.recovered != 0 {
 		t.Fatalf("fresh data dir recovered %d sessions", srv1.recovered)
 	}
@@ -139,7 +126,7 @@ func TestDurableRestartE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, ts2 := newDurableServer(t, sc, dc)
+	srv2, ts2 := newFleetServer(t, c)
 	if srv2.recovered != 2 {
 		t.Fatalf("recovered %d sessions, want 2 (doomed was tombstoned)", srv2.recovered)
 	}
@@ -229,7 +216,7 @@ func TestDurableRecoversRetiredEngineName(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, ts := newDurableServer(t, serve.Config{}, durableConfig{dataDir: dataDir, walSync: "never"})
+	srv, ts := newFleetServer(t, serverConfig{DataDir: dataDir, WALSync: "never"})
 	defer srv.Close()
 	if srv.recovered != 1 {
 		t.Fatalf("recovered %d sessions, want 1", srv.recovered)
@@ -281,7 +268,7 @@ func TestServeRetiredEngineLabel(t *testing.T) {
 		}
 		return resp
 	}
-	srv, ts := newFleetServer(t, serve.Config{}, durableConfig{}, fleetConfig{})
+	srv, ts := newFleetServer(t, serverConfig{})
 	fresh := check(ts, cacheMiss, "blocked")
 	check(ts, cacheHit, "blocked")
 
@@ -300,8 +287,8 @@ func TestServeRetiredEngineLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := bytes.Replace(fresh, []byte(`"engine": "blocked"`), []byte(`"engine": "bucketed"`), 1)
-	l2.Put(cache.KeyEntries(rr.entries, rr.width, *opts), l2Encode("bucketed", old))
-	_, ts2 := newFleetServer(t, serve.Config{}, durableConfig{cacheDir: dir}, fleetConfig{})
+	l2.Put(cache.KeyEntries(rr.entries, rr.width, *opts), cache.EncodeEntry("bucketed", old))
+	_, ts2 := newFleetServer(t, serverConfig{CacheDir: dir})
 	if got := check(ts2, cacheHitL2, "bucketed"); !bytes.Equal(got, old) {
 		t.Fatalf("L2 hit %s, stored %s", got, old)
 	}
@@ -310,10 +297,42 @@ func TestServeRetiredEngineLabel(t *testing.T) {
 // TestServeDurableFlagValidation: a bad -wal-sync value fails construction
 // rather than silently defaulting.
 func TestServeDurableFlagValidation(t *testing.T) {
-	_, err := newServerFull(hammer.Config{}, 1, "", serve.Config{},
-		cache.DefaultEntries, durableConfig{dataDir: t.TempDir(), walSync: "sometimes"})
+	_, err := newServer(serverConfig{Config: hammer.Config{Workers: 1},
+		CacheEntries: cache.DefaultEntries, DataDir: t.TempDir(), WALSync: "sometimes"})
 	if err == nil {
 		t.Fatal("invalid -wal-sync accepted")
+	}
+}
+
+// TestServeConstructorClosesJournal: a configuration error found after the
+// journal has recovered its sessions (here, a -replicas value naming no
+// replica) fails construction and closes the recovered logs with it.
+func TestServeConstructorClosesJournal(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd on this platform")
+		}
+		return len(ents)
+	}
+	c := serverConfig{DataDir: t.TempDir(), WALSync: "never"}
+	srv, ts := newFleetServer(t, c)
+	createStream(t, ts.URL, `{"id": "kept", "width": 4}`)
+	if code, body := postJSON(t, ts.URL+"/v1/stream/kept/shots", `{"shots": ["1100", "0011"]}`); code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", code, body)
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := fds()
+	c.Replicas = ","
+	if _, err := newServer(c); err == nil {
+		t.Fatal("a -replicas value naming no replica was accepted")
+	}
+	if after := fds(); after > before {
+		t.Fatalf("%d file descriptors left open by the failed construction", after-before)
 	}
 }
 
@@ -323,8 +342,8 @@ func TestServeDurableFlagValidation(t *testing.T) {
 // acknowledged and survives a restart with the exact shot count: the
 // bound live ingest enforces is the one replay does.
 func TestDurableIngestShotBound(t *testing.T) {
-	dc := durableConfig{dataDir: t.TempDir(), walSync: "never"}
-	srv1, ts1 := newDurableServer(t, serve.Config{}, dc)
+	c := serverConfig{DataDir: t.TempDir(), WALSync: "never"}
+	srv1, ts1 := newFleetServer(t, c)
 	createStream(t, ts1.URL, `{"id": "big", "width": 4}`)
 	shotsOf := func(url string) (int, int) {
 		t.Helper()
@@ -354,7 +373,7 @@ func TestDurableIngestShotBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, ts2 := newDurableServer(t, serve.Config{}, dc)
+	srv2, ts2 := newFleetServer(t, c)
 	if srv2.recovered != 1 {
 		t.Fatalf("recovered %d sessions, want 1", srv2.recovered)
 	}

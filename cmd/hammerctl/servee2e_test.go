@@ -44,8 +44,8 @@ func post(url, body string) (*http.Response, []byte, error) {
 // cost-model predicted-vs-actual series.
 func TestServeLifecycleE2E(t *testing.T) {
 	clk := &fakeServeClock{t: time.Unix(9000, 0)}
-	srv, err := newServerPolicy(hammer.Config{}, 2, sched.PolicySPJF,
-		serve.Config{TTL: time.Minute, Now: clk.now}, cache.DefaultEntries)
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 2}, Sched: sched.PolicySPJF,
+		Sessions: serve.Config{TTL: time.Minute, Now: clk.now}, CacheEntries: cache.DefaultEntries})
 	if err != nil {
 		t.Fatal(err)
 	}

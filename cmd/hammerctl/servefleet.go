@@ -39,51 +39,6 @@ const clientHeader = "X-Hammer-Client"
 // accepted here always journals).
 const maxClientBytes = 128
 
-// cacheHitPeer extends the X-Hammer-Cache header values: the response was
-// fetched from a peer replica's cache and promoted into L1/L2.
-const cacheHitPeer = "hit-peer"
-
-// fleetConfig carries the fleet flags; the zero value disables every fleet
-// feature.
-type fleetConfig struct {
-	// peers is -peers: replica base URLs whose caches are probed as L3.
-	peers []string
-	// peerTimeout is -peer-timeout: the per-probe budget (0 = the cache
-	// package default).
-	peerTimeout time.Duration
-	// quotaRPS and quotaBurst are -quota-rps/-quota-burst: the per-client
-	// token-bucket rate limit (0 rps = no rate limit).
-	quotaRPS   float64
-	quotaBurst int
-}
-
-// enableFleet installs the peer cache tier and the per-client rate limiter,
-// registering their metrics. Call it once, after newServerFull and before the
-// server starts serving.
-func (s *server) enableFleet(fc fleetConfig) error {
-	if len(fc.peers) > 0 {
-		normalized, err := shard.NormalizePeers(fc.peers)
-		if err != nil {
-			return err
-		}
-		s.peers = cache.NewPeers(cache.PeersConfig{Peers: normalized, Timeout: fc.peerTimeout})
-		reg := s.metrics.reg
-		reg.CounterFunc("hammer_cache_peer_hits_total",
-			"Reconstruction requests served from a peer replica's cache.", s.peers.Hits)
-		reg.CounterFunc("hammer_cache_peer_misses_total",
-			"Peer-cache lookups no peer could serve.", s.peers.Misses)
-		reg.CounterFunc("hammer_cache_peer_errors_total",
-			"Failed peer probes (transport errors, timeouts, bad responses).", s.peers.Errors)
-		reg.CounterFunc("hammer_cache_peer_skipped_total",
-			"Peer probes suppressed because the peer was in its failure cooldown.", s.peers.Skipped)
-		reg.GaugeFunc("hammer_cache_peers",
-			"Configured peer replicas for the L3 cache tier.",
-			func() float64 { return float64(s.peers.NumPeers()) })
-	}
-	s.limiter = serve.NewLimiter(serve.LimiterConfig{RPS: fc.quotaRPS, Burst: fc.quotaBurst})
-	return nil
-}
-
 // clientID resolves the requesting client for quota accounting: the
 // X-Hammer-Client header when present (truncated to the journal's id limit),
 // else the remote IP — so unlabeled clients are still rate-limited, just at
@@ -134,10 +89,10 @@ func (s *server) quota(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // handleCacheGet serves GET /v1/cache/{key}: the raw local cache entry (L1
-// first, then L2) in the l2Encode framing, for peer replicas' L3 probes. It
-// is deliberately read-only and local-only — it never probes this server's
-// own peers, so a fleet of mutually configured replicas cannot amplify one
-// miss into a probe storm.
+// first, then L2) in the cache.EncodeEntry frame, for peer replicas' L3
+// probes. It is deliberately read-only and local-only — it never probes this
+// server's own peers, so a fleet of mutually configured replicas cannot
+// amplify one miss into a probe storm.
 func (s *server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, -1, fmt.Errorf("method %s not allowed", r.Method))
@@ -148,15 +103,9 @@ func (s *server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, -1, fmt.Errorf("malformed cache key %q (want 64 lowercase hex)", key))
 		return
 	}
-	if cached, ok := s.cache.Get(key); ok {
-		writeOctets(w, l2Encode(cached.Engine, cached.Body))
+	if raw, ok := s.cache.Local(key); ok {
+		writeOctets(w, raw)
 		return
-	}
-	if s.l2 != nil {
-		if raw, ok := s.l2.Get(key); ok {
-			writeOctets(w, raw)
-			return
-		}
 	}
 	writeError(w, http.StatusNotFound, -1, fmt.Errorf("no cache entry for key %s", key))
 }

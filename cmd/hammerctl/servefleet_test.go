@@ -19,15 +19,15 @@ import (
 	"repro/internal/serve"
 )
 
-// newFleetServer builds a server with the fleet features enabled and its
-// test listener. The caller owns srv.Close when dc opens a journal.
-func newFleetServer(t *testing.T, sc serve.Config, dc durableConfig, fc fleetConfig) (*server, *httptest.Server) {
+// newFleetServer builds a server from c, with two workers and the default
+// L1 capacity, and its test listener. The caller owns srv.Close when c opens
+// a journal.
+func newFleetServer(t *testing.T, c serverConfig) (*server, *httptest.Server) {
 	t.Helper()
-	srv, err := newServerFull(hammer.Config{}, 2, "", sc, cache.DefaultEntries, dc)
+	c.Config.Workers = 2
+	c.CacheEntries = cache.DefaultEntries
+	srv, err := newServer(c)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.enableFleet(fc); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.mux())
@@ -79,15 +79,14 @@ func metricsBody(t *testing.T, baseURL string) string {
 // replica A from B's cache — byte-identical, labeled hit-peer — and promoted
 // into A's own tiers so the next identical request is a local hit.
 func TestPeerCacheE2E(t *testing.T) {
-	_, tsB := newFleetServer(t, serve.Config{}, durableConfig{}, fleetConfig{})
+	_, tsB := newFleetServer(t, serverConfig{})
 	reconBody := `{"111100": 40, "101100": 7, "011100": 5}`
 	codeB, bodyB, hdrB := postHeaders(t, tsB.URL+"/v1/reconstruct", reconBody)
 	if codeB != http.StatusOK || hdrB.Get(cacheHeader) != cacheMiss {
 		t.Fatalf("B miss: %d %q", codeB, hdrB.Get(cacheHeader))
 	}
 
-	srvA, tsA := newFleetServer(t, serve.Config{}, durableConfig{},
-		fleetConfig{peers: []string{tsB.URL}})
+	srvA, tsA := newFleetServer(t, serverConfig{Peers: tsB.URL})
 	codeA, bodyA, hdrA := postHeaders(t, tsA.URL+"/v1/reconstruct", reconBody)
 	if codeA != http.StatusOK || hdrA.Get(cacheHeader) != cacheHitPeer {
 		t.Fatalf("A peer hit: %d %q (%s)", codeA, hdrA.Get(cacheHeader), bodyA)
@@ -104,8 +103,8 @@ func TestPeerCacheE2E(t *testing.T) {
 	} else if !bytes.Equal(body2, bodyB) {
 		t.Error("promoted hit not byte-identical")
 	}
-	if srvA.peers.Hits() != 1 {
-		t.Errorf("peer hits = %d", srvA.peers.Hits())
+	if srvA.cache.Peers.Hits() != 1 {
+		t.Errorf("peer hits = %d", srvA.cache.Peers.Hits())
 	}
 	out := metricsBody(t, tsA.URL)
 	if !strings.Contains(out, "hammer_cache_peer_hits_total 1") {
@@ -113,6 +112,40 @@ func TestPeerCacheE2E(t *testing.T) {
 	}
 	if !strings.Contains(out, "hammer_cache_peers 1") {
 		t.Error("hammer_cache_peers != 1")
+	}
+}
+
+// TestPeerCacheWithoutLocalTier: -peers alone, with -cache-entries 0 and no
+// -cache-dir, still probes the peer and serves its entry verbatim. With no
+// local tier to promote into, the next identical request asks the peer again.
+func TestPeerCacheWithoutLocalTier(t *testing.T) {
+	peer := fleettest.New(fleettest.Config{})
+	t.Cleanup(peer.Close)
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 1}, Peers: peer.URL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+
+	reconBody := `{"111100": 40, "101100": 7, "011100": 5}`
+	rr, err := decodeReconstruct([]byte(reconBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerBody := []byte("{\n \"served\": \"by the peer\"\n}\n")
+	peer.SetEntry(cache.KeyEntries(rr.entries, rr.width, srv.sch.Options()), cache.EncodeEntry("exact", peerBody))
+	for i := 1; i <= 2; i++ {
+		code, body, hdr := postHeaders(t, ts.URL+"/v1/reconstruct", reconBody)
+		if code != http.StatusOK || hdr.Get(cacheHeader) != cacheHitPeer || hdr.Get(engineHeader) != "exact" {
+			t.Fatalf("request %d: %d %s %q %s %q", i, code, cacheHeader, hdr.Get(cacheHeader), engineHeader, hdr.Get(engineHeader))
+		}
+		if !bytes.Equal(body, peerBody) {
+			t.Fatalf("request %d: body %q, want the peer's %q", i, body, peerBody)
+		}
+		if peer.CacheGets() != i {
+			t.Fatalf("request %d: peer probed %d times", i, peer.CacheGets())
+		}
 	}
 }
 
@@ -125,14 +158,13 @@ func TestPeerCacheDegrade(t *testing.T) {
 	flaky := fleettest.New(fleettest.Config{ErrorRate: 1, Seed: 1})
 	defer flaky.Close()
 
-	srv, ts := newFleetServer(t, serve.Config{}, durableConfig{},
-		fleetConfig{peers: []string{deadURL, flaky.URL()}, peerTimeout: 200 * time.Millisecond})
+	srv, ts := newFleetServer(t, serverConfig{Peers: deadURL + "," + flaky.URL(), PeerTimeout: 200 * time.Millisecond})
 	reconBody := `{"1100": 3, "0011": 9}`
 	code, body, hdr := postHeaders(t, ts.URL+"/v1/reconstruct", reconBody)
 	if code != http.StatusOK || hdr.Get(cacheHeader) != cacheMiss {
 		t.Fatalf("degrade: %d %q (%s)", code, hdr.Get(cacheHeader), body)
 	}
-	if srv.peers.Errors() == 0 {
+	if srv.cache.Peers.Errors() == 0 {
 		t.Error("no peer errors counted")
 	}
 	// healthz reports the fleet shape.
@@ -155,7 +187,7 @@ func TestPeerCacheDegrade(t *testing.T) {
 // TestCacheGetEndpoint: the probe endpoint serves local entries raw, rejects
 // malformed keys, and 404s clean misses.
 func TestCacheGetEndpoint(t *testing.T) {
-	srv, ts := newFleetServer(t, serve.Config{}, durableConfig{}, fleetConfig{})
+	srv, ts := newFleetServer(t, serverConfig{})
 	reconBody := `{"111100": 40, "101100": 7}`
 	_, body, hdr := postHeaders(t, ts.URL+"/v1/reconstruct", reconBody)
 
@@ -176,7 +208,7 @@ func TestCacheGetEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/octet-stream" {
 		t.Fatalf("cache get: %d %q", resp.StatusCode, resp.Header.Get("Content-Type"))
 	}
-	engine, entryBody, ok := l2Decode(buf.Bytes())
+	engine, entryBody, ok := cache.DecodeEntry(buf.Bytes())
 	if !ok || !bytes.Equal(entryBody, body) || engine != hdr.Get(engineHeader) {
 		t.Fatalf("entry decode: ok=%v engine=%q", ok, engine)
 	}
@@ -215,7 +247,7 @@ func TestHandoffE2E(t *testing.T) {
 	batch2 := `{"counts": {"110011": 2, "101010": 4}}`
 
 	// Control: one uninterrupted session sees both batches.
-	_, tsC := newFleetServer(t, serve.Config{}, durableConfig{}, fleetConfig{})
+	_, tsC := newFleetServer(t, serverConfig{})
 	createStream(t, tsC.URL, `{"id": "mig", "width": 6}`)
 	for _, b := range []string{batch1, batch2} {
 		if code, resp := postJSON(t, tsC.URL+"/v1/stream/mig/shots", b); code != http.StatusOK {
@@ -235,8 +267,8 @@ func TestHandoffE2E(t *testing.T) {
 
 	// A holds the live session; B adopts it (journaled, so adoption also
 	// exercises the Import path).
-	srvA, tsA := newFleetServer(t, serve.Config{}, durableConfig{}, fleetConfig{})
-	srvB, tsB := newFleetServer(t, serve.Config{MaxClientSessions: 1}, durableConfig{dataDir: t.TempDir(), walSync: "never"}, fleetConfig{})
+	srvA, tsA := newFleetServer(t, serverConfig{})
+	srvB, tsB := newFleetServer(t, serverConfig{Sessions: serve.Config{MaxClientSessions: 1}, DataDir: t.TempDir(), WALSync: "never"})
 	defer srvB.Close()
 	code, resp, _ := doReq(t, http.MethodPost, tsA.URL+"/v1/stream", "application/json",
 		`{"id": "mig", "width": 6}`, map[string]string{clientHeader: "alice"})
@@ -319,7 +351,7 @@ func TestHandoffE2E(t *testing.T) {
 // shipped log whole or not at all.
 func TestHandoffEndpointRejectsCorrupt(t *testing.T) {
 	// Produce a valid shipped payload by draining a real session.
-	srvA, tsA := newFleetServer(t, serve.Config{}, durableConfig{}, fleetConfig{})
+	srvA, tsA := newFleetServer(t, serverConfig{})
 	createStream(t, tsA.URL, `{"id": "x", "width": 4}`)
 	if code, resp := postJSON(t, tsA.URL+"/v1/stream/x/shots", `{"shots": ["1100", "0011"]}`); code != http.StatusOK {
 		t.Fatalf("ingest: %d %s", code, resp)
@@ -329,7 +361,7 @@ func TestHandoffEndpointRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, tsB := newFleetServer(t, serve.Config{}, durableConfig{}, fleetConfig{})
+	_, tsB := newFleetServer(t, serverConfig{})
 	post := func(id string, body []byte, ct string) (int, []byte) {
 		t.Helper()
 		code, resp, _ := doReq(t, http.MethodPost, tsB.URL+"/v1/stream/"+id+"/handoff", ct, string(body), nil)
@@ -370,7 +402,7 @@ func TestHandoffEndpointRejectsCorrupt(t *testing.T) {
 // per-client isolation, unthrottled health/metrics, and the exact rejection
 // counter.
 func TestQuotaRateHandler(t *testing.T) {
-	srv, err := newServerFull(hammer.Config{}, 2, "", serve.Config{}, cache.DefaultEntries, durableConfig{})
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 2}, CacheEntries: cache.DefaultEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +457,7 @@ func TestQuotaRateHandler(t *testing.T) {
 // past the cap, freed by delete, isolated per client, overridable by the
 // body's client field.
 func TestQuotaSessionsHandler(t *testing.T) {
-	_, ts := newFleetServer(t, serve.Config{MaxClientSessions: 2}, durableConfig{}, fleetConfig{})
+	_, ts := newFleetServer(t, serverConfig{Sessions: serve.Config{MaxClientSessions: 2}})
 	alice := map[string]string{clientHeader: "alice"}
 	for _, id := range []string{"a1", "a2"} {
 		if code, resp, _ := doReq(t, http.MethodPost, ts.URL+"/v1/stream", "application/json",
@@ -457,7 +489,7 @@ func TestQuotaSessionsHandler(t *testing.T) {
 // TestQuotaConcurrent429 hammers a frozen-clock limiter from many goroutines:
 // exactly the burst is admitted, the rest get well-formed 429s, race-clean.
 func TestQuotaConcurrent429(t *testing.T) {
-	srv, err := newServerFull(hammer.Config{}, 2, "", serve.Config{}, cache.DefaultEntries, durableConfig{})
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 2}, CacheEntries: cache.DefaultEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +544,7 @@ func TestQuotaConcurrent429(t *testing.T) {
 // answers 200/404, anything else 400 (or 404 when routing rejects the path),
 // and nothing ever 500s or panics.
 func FuzzPeerCacheKey(f *testing.F) {
-	srv, err := newServer(hammer.Config{}, 1)
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 1}, CacheEntries: cache.DefaultEntries})
 	if err != nil {
 		f.Fatal(err)
 	}

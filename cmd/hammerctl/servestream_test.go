@@ -21,7 +21,8 @@ import (
 // (fake clocks, tiny caps) for the eviction and capacity tests.
 func newTestServerWith(t *testing.T, cfg hammer.Config, workers int, sc serve.Config) *httptest.Server {
 	t.Helper()
-	srv, err := newServerWith(cfg, workers, sc, cache.DefaultEntries)
+	cfg.Workers = workers
+	srv, err := newServer(serverConfig{Config: cfg, Sessions: sc, CacheEntries: cache.DefaultEntries})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,24 +36,6 @@ func splitReplicas(v string) []string {
 	return out
 }
 
-// enableSharding installs the shard coordinator: /v1/reconstruct requests the
-// cost model prices cheaper sharded (or, with minSupport > 0, all requests at
-// least that large) fan out to the replicas; stripes whose replica fails are
-// recomputed locally on the pooled stripe sessions.
-func (s *server) enableSharding(replicas []string, minSupport int) error {
-	coord, err := shard.New(shard.Config{
-		Replicas:   replicas,
-		Local:      s.localStripe,
-		Metrics:    s.metrics.shard,
-		MinSupport: minSupport,
-	})
-	if err != nil {
-		return err
-	}
-	s.coord = coord
-	return nil
-}
-
 // localStripe is the coordinator's fallback executor: score the stripe on a
 // pooled session and deep-copy the partial off its scratch before releasing
 // it (concurrent fallbacks each pull their own session).

@@ -15,7 +15,6 @@ import (
 	hammer "repro"
 	"repro/internal/bitstr"
 	"repro/internal/dist"
-	"repro/internal/serve"
 )
 
 // shardHistogram builds a Hamming-clustered histogram JSON body with the
@@ -64,11 +63,9 @@ func takesMultiIndex(t *testing.T, hist string, radius int) bool {
 // outcomes.
 func newShardedServer(t *testing.T, replicas []string, minSupport int) (*server, *httptest.Server) {
 	t.Helper()
-	srv, err := newServerWith(hammer.Config{}, 4, serve.Config{}, 0)
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 4},
+		Replicas: strings.Join(replicas, ","), ShardMinSupport: minSupport})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.enableSharding(replicas, minSupport); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.mux())
@@ -80,7 +77,7 @@ func newShardedServer(t *testing.T, replicas []string, minSupport int) (*server,
 // endpoint) and returns its URL.
 func newReplicaServer(t *testing.T) string {
 	t.Helper()
-	srv, err := newServerWith(hammer.Config{}, 2, serve.Config{}, 0)
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

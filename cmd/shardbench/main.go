@@ -25,13 +25,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 
-	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/dist"
 )
@@ -79,7 +76,7 @@ func main() {
 	maxMergeFrac := flag.Float64("max-merge-fraction", 0.10, "committed merge-overhead ceiling")
 	flag.Parse()
 
-	d := synthetic(*bits, *support, 42)
+	d := dist.Synthetic(*bits, *support, 42)
 	ctx := context.Background()
 
 	scorer, err := core.NewSession(core.Options{Workers: 1, Engine: core.EngineBlocked})
@@ -144,7 +141,7 @@ func main() {
 		fatal(err)
 	}
 	single := core.Reconstruct(d, core.Options{Workers: 1, Engine: core.EngineBlocked})
-	rep.CombinedVsSingleTVD = tvd(combined.Out, single.Out)
+	rep.CombinedVsSingleTVD = dist.TVD(combined.Out, single.Out)
 	if rep.CombinedVsSingleTVD > 1e-12 {
 		fatal(fmt.Errorf("combined stripes diverge from single-node: TVD %g > 1e-12", rep.CombinedVsSingleTVD))
 	}
@@ -195,37 +192,6 @@ func main() {
 	if rep.MergeOverheadFrac > rep.MaxMergeOverheadFrac {
 		fatal(fmt.Errorf("merge overhead %.4f above committed ceiling %.2f", rep.MergeOverheadFrac, rep.MaxMergeOverheadFrac))
 	}
-}
-
-// tvd is the total variation distance between two distributions.
-func tvd(a, b *dist.Dist) float64 {
-	sum := 0.0
-	a.Range(func(x bitstr.Bits, p float64) {
-		sum += math.Abs(p - b.Prob(x))
-	})
-	b.Range(func(x bitstr.Bits, p float64) {
-		if a.Prob(x) == 0 {
-			sum += p
-		}
-	})
-	return sum / 2
-}
-
-// synthetic builds the §6.6 workload shape — a Hamming-clustered core plus a
-// uniform tail — matching corebench's generator so the two committed reports
-// describe the same workload.
-func synthetic(n, uniqueOutcomes int, seed int64) *dist.Dist {
-	rng := rand.New(rand.NewSource(seed))
-	d := dist.New(n)
-	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(n)
-	d.Set(key, 0.05)
-	for i := 0; i < n && d.Len() < uniqueOutcomes; i++ {
-		d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
-	}
-	for d.Len() < uniqueOutcomes {
-		d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
-	}
-	return d.Normalize()
 }
 
 func fatal(err error) {

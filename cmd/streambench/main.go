@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -118,21 +117,10 @@ func main() {
 		rep.IncrementalNs, rep.BatchNs, rep.Speedup)
 }
 
-// synthetic builds the §6.6 workload shape of the root benchmarks — a
-// Hamming-clustered core plus a uniform tail — as integer counts, plus the
+// synthetic is dist.Synthetic's §6.6 workload as integer counts, plus the
 // outcome list the per-cycle shots draw from.
 func synthetic(n, uniqueOutcomes int, seed int64) (map[string]int, []string) {
-	rng := rand.New(rand.NewSource(seed))
-	d := dist.New(n)
-	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(n)
-	d.Set(key, 0.05)
-	for i := 0; i < n && d.Len() < uniqueOutcomes; i++ {
-		d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
-	}
-	for d.Len() < uniqueOutcomes {
-		d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
-	}
-	d.Normalize()
+	d := dist.Synthetic(n, uniqueOutcomes, seed)
 	counts := make(map[string]int, d.Len())
 	outcomes := make([]string, 0, d.Len())
 	d.Range(func(x bitstr.Bits, p float64) {

@@ -18,7 +18,7 @@ import (
 
 // DefaultEntries is the serving layer's default cache capacity. The LRU
 // bounds entries, not bytes, so the owner must bound the per-entry size
-// itself (the HTTP layer refuses to store response bodies over 1 MiB):
+// itself (Tiered stores no response body over MaxEntryBody, 1 MiB):
 // typical QAOA-sized responses (a few thousand outcomes) are tens to a
 // couple hundred KiB, so 1024 entries is tens to a few hundred MiB in
 // practice and entries × per-entry-cap worst case — sized for one host.

@@ -33,15 +33,23 @@
 //     the accessors return zero.
 //
 // Tiering: Backend is the store contract the LRU (instantiated at []byte),
-// the file-backed Dir, and the network Peers probe all satisfy. The serving
-// layer runs them as L1, L2, and L3: a request checks the in-memory LRU
-// first, then the directory store (which survives restarts), then — because
-// the canonical keys are replica-portable — its peer replicas' caches over
-// HTTP, promoting any lower-tier hit back into L1/L2. Dir puts are temp-file
-// + rename so a crash never leaves a torn entry; keys are restricted to the
-// exact hex-SHA-256 shape Key emits (ValidKey), which is what makes them safe
-// file names and URL path segments. Peers is strictly best-effort: every
-// failure class degrades to a miss, and a peer that keeps failing is skipped
-// for a cooldown window rather than probed on every request. A nil *Dir or
-// nil *Peers is a disabled tier, mirroring the nil-LRU contract.
+// the file-backed Dir, and the network Peers probe all satisfy. Tiered is
+// the one chain over them, L1 → L2 → L3, and the only code that walks it:
+// Fetch checks the in-memory LRU first, then the directory store (which
+// survives restarts), then — because the canonical keys are
+// replica-portable — the peer replicas' caches over HTTP. It promotes a
+// hit into every configured tier above it, treats an entry that fails to
+// parse as a miss at that tier, and after a miss everywhere stores the
+// computed response in every local tier unless its body exceeds
+// MaxEntryBody. Every tier holds the same bytes, one EncodeEntry frame of
+// {engine, body}; L1 holds it at exactly its length. Local is the
+// local-only lookup (L1 then L2, no peers, no promotion) that answers other
+// replicas' probes. Dir puts are temp-file + rename so a crash never leaves
+// a torn entry; keys are restricted to the exact hex-SHA-256 shape Key
+// emits (ValidKey), which is what makes them safe file names and URL path
+// segments. Peers is strictly best-effort: every failure class degrades to
+// a miss, and a peer that keeps failing is skipped for a cooldown window
+// rather than probed on every request. A nil *Dir or nil *Peers is a
+// disabled tier, mirroring the nil-LRU contract, and any tier of a Tiered
+// may be nil.
 package cache

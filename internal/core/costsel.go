@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"time"
 
-	"repro/internal/bitstr"
 	"repro/internal/cost"
 	"repro/internal/dist"
 )
@@ -109,7 +107,7 @@ func CalibrationMeasurer() cost.Measurer { return calibrationMeasurer{} }
 type calibrationMeasurer struct{}
 
 func (calibrationMeasurer) Measure(ctx context.Context, engine string, support, bits, radius int) (float64, error) {
-	in := calibDist(bits, support, 42)
+	in := dist.Synthetic(bits, support, 42)
 	sess, err := NewSession(Options{Engine: engine, Radius: radius, Workers: 1})
 	if err != nil {
 		return 0, err
@@ -133,25 +131,4 @@ func (calibrationMeasurer) Measure(ctx context.Context, engine string, support, 
 		iters++
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(iters), nil
-}
-
-// calibDist builds the synthetic calibration workload: a Hamming-clustered
-// core around one key plus a uniform tail, with exactly `support` unique
-// outcomes over an n-bit space — the same shape cmd/corebench measures, so
-// calibration refits the constants the benchmarks fitted.
-func calibDist(n, support int, seed int64) *dist.Dist {
-	if support > 1<<uint(min(n, 62)) {
-		support = 1 << uint(min(n, 62))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	d := dist.New(n)
-	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(n)
-	d.Set(key, 0.05)
-	for i := 0; i < n && d.Len() < support; i++ {
-		d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
-	}
-	for d.Len() < support {
-		d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
-	}
-	return d.Normalize()
 }

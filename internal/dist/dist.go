@@ -300,6 +300,28 @@ func Uniform(n int) *Dist {
 	return d
 }
 
+// Synthetic builds the workload histogram of the paper's §6.6 evaluation: a
+// Hamming-clustered core (one random key, then its single-bit flips) plus a
+// uniform tail, normalized, with exactly support distinct n-bit outcomes
+// (all 2^n when support exceeds that). The same seed always gives the same
+// Dist, bit for bit: the committed BENCH_*.json reports, the cost-model
+// calibration, and the benchmarks that feed them all describe this one
+// workload.
+func Synthetic(n, support int, seed int64) *Dist {
+	support = min(support, 1<<uint(min(n, 62)))
+	rng := rand.New(rand.NewSource(seed))
+	d := New(n)
+	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(n)
+	d.Set(key, 0.05)
+	for i := 0; i < n && d.Len() < support; i++ {
+		d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
+	}
+	for d.Len() < support {
+		d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
+	}
+	return d.Normalize()
+}
+
 // TVD returns the total variation distance between two sparse distributions
 // of equal width: half the L1 distance over the union of their supports.
 func TVD(a, b *Dist) float64 {

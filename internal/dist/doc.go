@@ -58,6 +58,10 @@
 //   - FromHistogram and ToHistogram keep the string-keyed map form for the
 //     library facade.
 //
+// Synthetic is the one generator of the paper's §6.6 benchmark workload (a
+// Hamming-clustered core plus a uniform tail); the cost-model calibration
+// and every micro-benchmark build their inputs with it.
+//
 // # Contract
 //
 //   - Goroutine safety: no type in this package is safe for concurrent

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,40 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/obs"
 )
-
-// testDist builds a Hamming-clustered support: the workload shape whose
-// neighborhoods exercise every distance shell.
-func testDist(n, support int, seed int64) *dist.Dist {
-	rng := rand.New(rand.NewSource(seed))
-	d := dist.New(n)
-	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(n)
-	d.Set(key, 0.05)
-	for i := 0; i < n && d.Len() < support; i++ {
-		d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
-	}
-	for d.Len() < support {
-		d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
-	}
-	return d.Normalize()
-}
-
-func tvd(a, b *dist.Dist) float64 {
-	sum := 0.0
-	a.Range(func(x bitstr.Bits, p float64) {
-		sum += math.Abs(p - b.Prob(x))
-	})
-	b.Range(func(x bitstr.Bits, p float64) {
-		if a.Prob(x) == 0 {
-			sum += p
-		}
-	})
-	return sum / 2
-}
 
 // replicaHandler is a minimal in-test stripe server: decode, score on a
 // fresh session, respond. The real handler lives in cmd/hammerctl; this one
@@ -102,7 +70,7 @@ func localFallback(calls *atomic.Int64) func(context.Context, core.StripeSpec) (
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	in := testDist(14, 300, 7)
+	in := dist.Synthetic(14, 300, 7)
 	sess, err := core.NewSession(core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +162,7 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 		{"topm", core.Options{TopM: 150}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			in := testDist(14, 400, 11)
+			in := dist.Synthetic(14, 400, 11)
 			coord, err := New(Config{
 				Replicas: []string{srv1.URL, srv2.URL},
 				Local:    localFallback(nil),
@@ -223,7 +191,7 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := tvd(shardedOut, local.Out); d > 1e-12 {
+			if d := dist.TVD(shardedOut, local.Out); d > 1e-12 {
 				t.Fatalf("sharded vs single-node TVD = %g, want <= 1e-12", d)
 			}
 		})
@@ -249,7 +217,7 @@ func TestCoordinatorFallbackOnReplicaError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := testDist(13, 250, 3)
+	in := dist.Synthetic(13, 250, 3)
 	sess, err := core.NewSession(core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +235,7 @@ func TestCoordinatorFallbackOnReplicaError(t *testing.T) {
 	}
 
 	local := core.Reconstruct(in, core.Options{})
-	if d := tvd(resOut, local.Out); d > 1e-12 {
+	if d := dist.TVD(resOut, local.Out); d > 1e-12 {
 		t.Fatalf("degraded result TVD = %g, want <= 1e-12", d)
 	}
 }
@@ -283,7 +251,7 @@ func TestCoordinatorAllReplicasDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := testDist(12, 120, 5)
+	in := dist.Synthetic(12, 120, 5)
 	sess, err := core.NewSession(core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +264,7 @@ func TestCoordinatorAllReplicasDown(t *testing.T) {
 		t.Fatal("expected every stripe to fall back locally")
 	}
 	local := core.Reconstruct(in, core.Options{})
-	if d := tvd(res.Out, local.Out); d > 1e-12 {
+	if d := dist.TVD(res.Out, local.Out); d > 1e-12 {
 		t.Fatalf("all-local result TVD = %g, want <= 1e-12", d)
 	}
 }
@@ -325,7 +293,7 @@ func TestCoordinatorDeadlineBudgetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := testDist(12, 100, 9)
+	in := dist.Synthetic(12, 100, 9)
 	sess, err := core.NewSession(core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +310,7 @@ func TestCoordinatorDeadlineBudgetFallback(t *testing.T) {
 		t.Fatal("deadline fallback not counted")
 	}
 	local := core.Reconstruct(in, core.Options{})
-	if d := tvd(res.Out, local.Out); d > 1e-12 {
+	if d := dist.TVD(res.Out, local.Out); d > 1e-12 {
 		t.Fatalf("fallback result TVD = %g, want <= 1e-12", d)
 	}
 }
@@ -360,11 +328,11 @@ func TestCoordinatorCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := coord.Reconstruct(ctx, sess, testDist(12, 100, 1)); !errors.Is(err, context.Canceled) {
+	if _, err := coord.Reconstruct(ctx, sess, dist.Synthetic(12, 100, 1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The session stays usable after a canceled sharded run.
-	if _, err := coord.Reconstruct(context.Background(), sess, testDist(12, 100, 1)); err != nil {
+	if _, err := coord.Reconstruct(context.Background(), sess, dist.Synthetic(12, 100, 1)); err != nil {
 		t.Fatalf("session unusable after cancellation: %v", err)
 	}
 }
@@ -378,7 +346,7 @@ func TestCoordinatorNotShardable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Reconstruct(context.Background(), sess, testDist(12, 50, 2)); !errors.Is(err, ErrNotShardable) {
+	if _, err := coord.Reconstruct(context.Background(), sess, dist.Synthetic(12, 50, 2)); !errors.Is(err, ErrNotShardable) {
 		t.Fatalf("err = %v, want ErrNotShardable", err)
 	}
 }

@@ -25,7 +25,12 @@ pa=''
 pb=''
 pc=''
 cleanup() {
-    kill "$pa" "$pb" "$pc" 2>/dev/null || true
+    # One kill per live server: dash's kill stops at its first empty
+    # argument, and the pids of servers already stopped are emptied below.
+    for p in $pa $pb $pc; do
+        kill "$p" 2>/dev/null || true
+        wait "$p" 2>/dev/null || true
+    done
     if [ -n "${FLEETSMOKE_ARTIFACTS:-}" ]; then
         mkdir -p "$FLEETSMOKE_ARTIFACTS"
         cp "$work"/*.log "$work"/*.json "$FLEETSMOKE_ARTIFACTS/" 2>/dev/null || true
