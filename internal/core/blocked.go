@@ -223,10 +223,11 @@ func multiIndexPass(done <-chan struct{}, ix *dist.Index, mi *dist.MultiIndex, m
 
 // nextWithin returns the index of the first word within Hamming distance
 // maxD of x, or len(words) if there is none. It is the multi-index scan's
-// hot loop, kept in a function of its own: with only a handful of live values
-// the compiler holds them all in registers, where inside multiIndexPass the
-// popcount's fallback call (see blockedPass) would spill them on every
-// candidate.
+// hot loop, kept in a function of its own: under the default GOAMD64
+// baseline each popcount carries a has-POPCNT probe with a call fallback,
+// and the compiler spills every value live across that call. With only a
+// handful of live values here, it holds them all in registers; inside
+// multiIndexPass it would spill them on every candidate.
 func nextWithin(x uint64, words []uint64, maxD int) int {
 	for j, y := range words {
 		if bits.OnesCount64(x^y) <= maxD {
@@ -261,8 +262,9 @@ func firstAgreement(v uint64, masks []uint64) int {
 //     at most pe — and the candidates with probability EQUAL to pe (which
 //     the filter excludes from credit) form a contiguous prefix of each
 //     bucket suffix, because buckets are ordered by descending probability.
-//     Peeling that (almost always empty) tie prefix leaves a strict p < pe
-//     suffix, deleting the filter compare from the inner loop.
+//     Peeling that tie prefix (frequent on integer shot counts) into a count
+//     bank of its own leaves a strict p < pe suffix, deleting the filter
+//     compare from the inner loop.
 //
 //   - With ties peeled, an admitted candidate's full effect is two
 //     per-distance reductions: a pair count (the outer side's CHS credit is
@@ -271,50 +273,34 @@ func firstAgreement(v uint64, masks []uint64) int {
 //     integer adds — 1-cycle dependency chains instead of 4-cycle float
 //     chains.
 //
-//   - Excluded distances (d > maxD) land in a sink slot at index stride via
-//     a conditional move instead of a data-dependent branch: at wide radii
-//     admission is a coin flip per pair and the mispredictions would cost
-//     more than the sink's wasted adds.
+//   - Banks are indexed by the distance itself, so an excluded distance
+//     (d > maxD) lands in a slot the fold never reads instead of passing a
+//     data-dependent branch: at wide radii admission is a coin flip per pair
+//     and the mispredictions would cost more than the wasted adds.
 //
 // Each of the 4 tile lanes owns a private (count, sum) bank so the
 // accumulation chains of consecutive candidates run in parallel; banks fold
 // into the CHS row and the A matrix once per outer outcome — the per-row
-// stride-local state never leaves L1.
+// state never leaves L1. Each bucket's candidate suffix starts at a rank
+// cursor seeded once per stripe, so no row searches a bucket.
 func blockedPass(done <-chan struct{}, ix *dist.Index, pk *dist.Packed, maxD int, disableFilter bool, local, rows []float64, lo0, hi0 int) {
 	ranked := ix.Ranked()
 	n := pk.NumBits()
 	stride := maxD + 1
 	words, probs := pk.Words(), pk.Probs()
-	// SWAR popcount masks. The hot loop deliberately avoids the
-	// bits.OnesCount64 intrinsic: under the default GOAMD64 baseline every
-	// call site carries a has-POPCNT probe with a function-call fallback,
-	// and the mere possibility of that call forces the compiler to spill
-	// and reload every live loop variable around each popcount. The
-	// branch-free SWAR reduction keeps the whole tile in registers.
-	const (
-		m1  = 0x5555555555555555
-		m2  = 0x3333333333333333
-		m4  = 0x0f0f0f0f0f0f0f0f
-		h01 = 0x0101010101010101
-	)
-	// clampTab folds the admission test into the distance itself: true
-	// distances stay put, excluded ones (d > maxD) map to the sink slot at
-	// index stride. A 65-entry table (popcounts never exceed 64) would do;
-	// 256 entries let the uint8 load prove every bank index in range, so
-	// the hot loop carries neither branches nor bounds checks.
-	sink := stride
-	var clampTab [256]uint8
-	for d := 0; d <= bitstr.MaxBits; d++ {
-		if d <= maxD {
-			clampTab[d] = uint8(d)
-		} else {
-			clampTab[d] = uint8(sink)
-		}
-	}
-	// Per-lane banks, stack-resident: slot d < stride accumulates admitted
-	// pairs at distance d, the sink slot absorbs excluded pairs.
-	var cnt0, cnt1, cnt2, cnt3 [256]int32
+	// Per-lane banks and the tie bank, stack-resident and indexed by
+	// distance: the fold reads slots 0..maxD and zeroes 0..n. 256 slots let
+	// the uint8 index prove every access in range, so the hot loop carries
+	// no bounds checks.
+	var cnt0, cnt1, cnt2, cnt3, tie [256]int32
 	var sum0, sum1, sum2, sum3 [256]float64
+	// cur[w] starts bucket w's suffix of ranks above the current row. Seeded
+	// once for the stripe, it advances by one in the row's own bucket only:
+	// every other bucket's suffix is unchanged by one rank step.
+	var cur [bitstr.MaxBits + 1]int
+	for w := 0; w <= n; w++ {
+		cur[w] = pk.SuffixAfter(w, lo0-1)
+	}
 	var rowBuf [bitstr.MaxBits + 1]float64
 	rl := rowBuf[:stride]
 	for i := lo0; i < hi0; i++ {
@@ -323,6 +309,7 @@ func blockedPass(done <-chan struct{}, ix *dist.Index, pk *dist.Packed, maxD int
 		}
 		e := &ranked[i]
 		x, pe := e.X, e.P
+		cur[e.W]++
 		// Self pair: d=0 contributes P(x) once per x.
 		local[0] += pe
 		if disableFilter {
@@ -341,16 +328,13 @@ func blockedPass(done <-chan struct{}, ix *dist.Index, pk *dist.Packed, maxD int
 			hi = n
 		}
 		for w := lo; w <= hi; w++ {
-			k0 := pk.SuffixAfter(w, i)
+			k0 := cur[w]
 			_, bhi := pk.Bucket(w)
 			// Tie prefix: candidates with p == pe take CHS credit but give
 			// and receive no neighborhood credit (the filter admits strictly
-			// lower probability only). Rare — distinct outcomes with equal
-			// mass — and contiguous by bucket order.
+			// lower probability only).
 			for k0 < bhi && probs[k0] == pe {
-				if d := bits.OnesCount64(x ^ words[k0]); d <= maxD {
-					local[d] += pe + pe
-				}
+				tie[uint8(bits.OnesCount64(x^words[k0]))]++
 				k0++
 			}
 			if k0 >= bhi {
@@ -358,35 +342,17 @@ func blockedPass(done <-chan struct{}, ix *dist.Index, pk *dist.Packed, maxD int
 			}
 			cw := words[k0:bhi]
 			cp := probs[k0:bhi]
-			// Branchless 4-wide tiles: the four XOR+SWAR-popcounts of a
-			// tile are independent register-resident ALU chains that
-			// pipeline across lanes, each lane's distance routes through
-			// clampTab to either its true slot or the sink, and the
-			// (count, sum) updates land in per-lane banks.
+			// Branchless 4-wide tiles: the four XOR+popcounts of a tile are
+			// independent chains that pipeline across lanes, and each lane
+			// updates its own bank at the slot of its distance.
 			m := len(cw)
 			cp = cp[:m]
 			j := 0
 			for ; j+4 <= m; j += 4 {
-				v0 := x ^ cw[j]
-				v1 := x ^ cw[j+1]
-				v2 := x ^ cw[j+2]
-				v3 := x ^ cw[j+3]
-				v0 -= (v0 >> 1) & m1
-				v1 -= (v1 >> 1) & m1
-				v2 -= (v2 >> 1) & m1
-				v3 -= (v3 >> 1) & m1
-				v0 = (v0 & m2) + ((v0 >> 2) & m2)
-				v1 = (v1 & m2) + ((v1 >> 2) & m2)
-				v2 = (v2 & m2) + ((v2 >> 2) & m2)
-				v3 = (v3 & m2) + ((v3 >> 2) & m2)
-				v0 = (v0 + (v0 >> 4)) & m4
-				v1 = (v1 + (v1 >> 4)) & m4
-				v2 = (v2 + (v2 >> 4)) & m4
-				v3 = (v3 + (v3 >> 4)) & m4
-				d0 := clampTab[(v0*h01)>>56]
-				d1 := clampTab[(v1*h01)>>56]
-				d2 := clampTab[(v2*h01)>>56]
-				d3 := clampTab[(v3*h01)>>56]
+				d0 := uint8(bits.OnesCount64(x ^ cw[j]))
+				d1 := uint8(bits.OnesCount64(x ^ cw[j+1]))
+				d2 := uint8(bits.OnesCount64(x ^ cw[j+2]))
+				d3 := uint8(bits.OnesCount64(x ^ cw[j+3]))
 				cnt0[d0]++
 				sum0[d0] += cp[j]
 				cnt1[d1]++
@@ -397,32 +363,27 @@ func blockedPass(done <-chan struct{}, ix *dist.Index, pk *dist.Packed, maxD int
 				sum3[d3] += cp[j+3]
 			}
 			for ; j < m; j++ {
-				v := x ^ cw[j]
-				v -= (v >> 1) & m1
-				v = (v & m2) + ((v >> 2) & m2)
-				v = (v + (v >> 4)) & m4
-				d := clampTab[(v*h01)>>56]
+				d := uint8(bits.OnesCount64(x ^ cw[j]))
 				cnt0[d]++
 				sum0[d] += cp[j]
 			}
 		}
 		// Fold the banks: admitted pairs at distance d contributed
 		// count×pe + sum(p) to the CHS and sum(p) to this row's admitted
-		// strength (every non-tie candidate holds p < pe). Zero the banks
-		// on the way through; the sink slots are simply dropped.
+		// strength (every non-tie candidate holds p < pe), and ties 2·pe
+		// each to the CHS alone. Then zero every slot a distance can reach,
+		// the excluded ones above maxD included.
 		dst := rows[i*stride : i*stride+stride]
 		for d := 0; d < stride; d++ {
 			c := cnt0[d] + cnt1[d] + cnt2[d] + cnt3[d]
-			if c != 0 {
-				ps := sum0[d] + sum1[d] + sum2[d] + sum3[d]
-				local[d] += float64(c)*pe + ps
-				dst[d] += ps
-			}
-			cnt0[d], cnt1[d], cnt2[d], cnt3[d] = 0, 0, 0, 0
+			ps := sum0[d] + sum1[d] + sum2[d] + sum3[d]
+			local[d] += float64(c)*pe + ps + float64(tie[d])*(pe+pe)
+			dst[d] += ps
+		}
+		for d := 0; d <= n; d++ {
+			cnt0[d], cnt1[d], cnt2[d], cnt3[d], tie[d] = 0, 0, 0, 0, 0
 			sum0[d], sum1[d], sum2[d], sum3[d] = 0, 0, 0, 0
 		}
-		cnt0[sink], cnt1[sink], cnt2[sink], cnt3[sink] = 0, 0, 0, 0
-		sum0[sink], sum1[sink], sum2[sink], sum3[sink] = 0, 0, 0, 0
 	}
 }
 

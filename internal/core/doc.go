@@ -22,16 +22,17 @@
 // in one fused triangular pass over the popcount-bucketed index of the dist
 // package, with a flat inner loop over whichever of two candidate
 // generators visits fewer pairs — the bit-packed weight window
-// (dist.Packed; branchless cache-blocked tiles, the scan at the paper's
-// default radius) or, at small radii, the pigeonhole block multi-index
-// (dist.MultiIndex), chosen per request from exact candidate counts; and
-// "incremental" is the streaming-only state of incremental.go. The retired
-// name "bucketed" resolves to blocked. Both batch engines produce identical
-// reconstructions up to float64 rounding (pinned to 1e-12 by the
-// cross-engine goldens, a metamorphic relabeling oracle, and a fuzzer);
-// auto-selection asks the cost model for the cheaper of the two unless
-// Options.Engine pins one. Unknown and streaming-only names flow back as
-// errors from one choke point (the registry) on every path.
+// (dist.Packed; branchless tiles into distance-indexed banks, each bucket's
+// span starting at a rank cursor seeded once per stripe; the scan at the
+// paper's default radius) or, at small radii, the pigeonhole block
+// multi-index (dist.MultiIndex), chosen per request from exact candidate
+// counts; and "incremental" is the streaming-only state of incremental.go.
+// The retired name "bucketed" resolves to blocked. Both batch engines
+// produce identical reconstructions up to float64 rounding (pinned to 1e-12
+// by the cross-engine goldens, a metamorphic relabeling oracle, and a
+// fuzzer); auto-selection asks the cost model for the cheaper of the two
+// unless Options.Engine pins one. Unknown and streaming-only names flow back
+// as errors from one choke point (the registry) on every path.
 //
 // The incremental engine keeps its state on flat slot-indexed arrays: each
 // outcome gets a slot on first sight (the outcome→slot map is consulted

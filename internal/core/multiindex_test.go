@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -188,4 +189,28 @@ func collidedPairs(in *dist.Dist, maxD int) int {
 		}
 	}
 	return count
+}
+
+// BenchmarkBlockedWindowTies times the weight-window scan on integer shot
+// counts, the input shape the serving path sees: a 20-bit / 4000-outcome
+// clusterDist at the paper's default radius, scored single-threaded by a
+// warm session. Equal counts are common there, so the filter's tie prefix
+// runs on most rows; dist.Synthetic's continuous masses never reach it.
+func BenchmarkBlockedWindowTies(b *testing.B) {
+	const n, support = 20, 4000
+	in := clusterDist(n, support, 1)
+	if usesMultiIndex(in, DefaultRadius(n)) {
+		b.Fatal("the default-radius scan took the multi-index, not the weight window")
+	}
+	sess, err := NewSession(Options{Engine: EngineBlocked, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := sess.Reconstruct(ctx, in); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -124,9 +124,9 @@ func TestCommittedBlockedPredictions(t *testing.T) {
 // blocked — to where it was measured. Every committed core row has blocked
 // far ahead, so the crossover is checked against a sweep instead:
 // core.CalibrationMeasurer, median of five, supports 8-512 at the shapes
-// below, on a 2-vCPU Xeon. Exact measured 1.4-3x faster through 48
-// outcomes and blocked 1.7-3.8x faster from 192, with the crossover at
-// 55-115 outcomes. Both the default and the refitted model must pick the
+// below, on a 2-vCPU Xeon. Exact measured 1.1-2.9x faster through 48
+// outcomes and blocked 2.0-5.1x faster at 192-256, with the crossover at
+// 48-128 outcomes. Both the default and the refitted model must pick the
 // measured winner on either side of that band.
 func TestExactBlockedCrossover(t *testing.T) {
 	fitted, _ := loadCommitted(t)

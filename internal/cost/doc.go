@@ -39,6 +39,7 @@
 // block multi-index Σ_b 2^−k_b over its radius+1 block widths — blocked is
 // priced by whichever its own selection rule picks). The fitted constants
 // recover each engine's architecture: exact pays PerPairFull on every pair
-// (unconditional popcount), and the blocked engine's branch-free sink-slot
-// inner loop shows up as PerAdmit ≈ 0.
+// (unconditional popcount), and the blocked engine's branch-free inner
+// loop, which banks excluded distances like admitted ones, shows up as
+// PerAdmit ≈ 0.
 package cost

@@ -130,12 +130,12 @@ func ratio(num, den float64) float64 {
 // BENCH_core.json and BENCH_stream.json (see cmd/costfit, which regenerates
 // these constants and gates their selection accuracy in CI). Setup and
 // PerOutcome are set by hand, since Fit keeps them: flattening for exact,
-// row rescaling for incremental, and for blocked the index build (a stable
-// sort, O(N log² N)) plus its scan structure. Blocked's 800 ns per outcome
-// is that build at 2000-4000 outcomes, where the multi-index leaves a
-// radius-2 scan only a few candidates per outcome; charged linearly it
-// overprices blocked on small supports. The model puts the exact↔blocked
-// crossover at 80-120 outcomes, against 55-115 measured at widths 8-20
+// row rescaling for incremental, and for blocked the index build (a sort,
+// O(N log N)) plus its scan structure. Blocked's 800 ns per outcome is that
+// build at 2000-4000 outcomes, where the multi-index leaves a radius-2 scan
+// only a few candidates per outcome; charged linearly it overprices blocked
+// on small supports. The model puts the exact↔blocked crossover at 71-116
+// outcomes, against 48-128 measured at widths 8-20
 // (TestExactBlockedCrossover). Calibrate refines the pair constants on the
 // serving host.
 func DefaultModel() *Model {
@@ -146,7 +146,7 @@ func DefaultModel() *Model {
 		},
 		EngineBlocked: {
 			Setup: 4000, PerOutcome: 800,
-			PerCand: 4.2, PerAdmit: 2.1,
+			PerCand: 2.3, PerAdmit: 0,
 		},
 		EngineIncremental: {
 			Setup: 1000, PerOutcome: 60,

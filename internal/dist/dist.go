@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitstr"
 )
@@ -45,11 +47,15 @@ func CompareByProb(a, b Entry) int {
 // String) is always in ascending outcome order, so results never depend on
 // Go's randomized map order.
 type Dist struct {
-	n     int
-	p     map[bitstr.Bits]float64
-	keys  []bitstr.Bits // sorted cache of the support; rebuilt when stale
-	stale bool
-	total float64
+	n    int
+	p    map[bitstr.Bits]float64
+	keys []bitstr.Bits // sorted cache of the support; rebuilt when stale
+	// The first read after a change to the support rebuilds keys. Readers
+	// may run concurrently, so the rebuild happens under keysMu, and stale
+	// is atomic so that a reader finding it clear sees the finished keys.
+	stale  atomic.Bool
+	keysMu sync.Mutex
+	total  float64
 }
 
 // New returns an empty distribution over n-bit outcomes.
@@ -57,7 +63,9 @@ func New(n int) *Dist {
 	if n < 1 || n > bitstr.MaxBits {
 		panic(fmt.Sprintf("dist: width %d out of range [1,%d]", n, bitstr.MaxBits))
 	}
-	return &Dist{n: n, p: make(map[bitstr.Bits]float64), stale: true}
+	d := &Dist{n: n, p: make(map[bitstr.Bits]float64)}
+	d.stale.Store(true)
+	return d
 }
 
 // Reset empties the distribution in place, keeping the allocated map and key
@@ -66,7 +74,7 @@ func New(n int) *Dist {
 func (d *Dist) Reset() *Dist {
 	clear(d.p)
 	d.keys = d.keys[:0]
-	d.stale = true
+	d.stale.Store(true)
 	d.total = 0
 	return d
 }
@@ -98,7 +106,7 @@ func (d *Dist) Set(x bitstr.Bits, p float64) {
 	d.p[x] = p
 	d.total += p - old
 	if !ok {
-		d.stale = true
+		d.stale.Store(true)
 	}
 }
 
@@ -106,7 +114,7 @@ func (d *Dist) Set(x bitstr.Bits, p float64) {
 func (d *Dist) Add(x bitstr.Bits, p float64) {
 	d.check(x)
 	if _, ok := d.p[x]; !ok {
-		d.stale = true
+		d.stale.Store(true)
 	}
 	d.p[x] += p
 	d.total += p
@@ -127,15 +135,19 @@ func (d *Dist) Normalize() *Dist {
 }
 
 func (d *Dist) sortedKeys() []bitstr.Bits {
-	if d.stale {
-		d.keys = d.keys[:0]
-		for x := range d.p {
-			d.keys = append(d.keys, x)
+	if d.stale.Load() {
+		d.keysMu.Lock()
+		if d.stale.Load() {
+			d.keys = d.keys[:0]
+			for x := range d.p {
+				d.keys = append(d.keys, x)
+			}
+			// The generic slices sort keeps this hot rebuild free of the
+			// reflection allocations sort.Slice would add.
+			slices.Sort(d.keys)
+			d.stale.Store(false)
 		}
-		// The generic slices sort keeps this hot rebuild free of the
-		// reflection allocations sort.Slice would add.
-		slices.Sort(d.keys)
-		d.stale = false
+		d.keysMu.Unlock()
 	}
 	return d.keys
 }

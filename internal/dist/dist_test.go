@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -96,6 +97,43 @@ func TestRangeOrderStable(t *testing.T) {
 		if first[i] != second[i] || first[i] != outs[i] {
 			t.Fatalf("order unstable at %d: %v %v %v", i, first[i], second[i], outs[i])
 		}
+	}
+}
+
+// TestConcurrentRangeAfterSet pins the read-only concurrency promise on the
+// lazy key cache: the first Range after a Set that grows the support
+// rebuilds the sorted keys, and several readers may make that first call at
+// once. Each must see the whole support in ascending order. Run with -race.
+func TestConcurrentRangeAfterSet(t *testing.T) {
+	d := randomDist(t, 12, 500, 11)
+	var fresh bitstr.Bits
+	for round := 0; round < 20; round++ {
+		for d.Prob(fresh) != 0 { // randomDist's masses are all positive
+			fresh++
+		}
+		d.Set(fresh, 0.5) // a new outcome: the key cache is stale
+		want := d.Len()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 6; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got, prev := 0, bitstr.Bits(0)
+				d.Range(func(x bitstr.Bits, _ float64) {
+					if got > 0 && x <= prev {
+						t.Errorf("round %d: Range not ascending: %b after %b", round, x, prev)
+					}
+					got, prev = got+1, x
+				})
+				if got != want {
+					t.Errorf("round %d: Range visited %d outcomes, want %d", round, got, want)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
 }
 

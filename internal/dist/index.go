@@ -56,7 +56,7 @@ func NewIndexOf(n int, entries []Entry) *Index {
 
 // rankedOrder applies the canonical CompareByProb rank order to index
 // entries. The generic slices sort keeps Reset free of the reflection
-// allocations sort.SliceStable would add on every rebuild.
+// allocations sort.Slice would add on every rebuild.
 func rankedOrder(a, b IndexEntry) int {
 	return CompareByProb(Entry{X: a.X, P: a.P}, Entry{X: b.X, P: b.P})
 }
@@ -66,8 +66,9 @@ func rankedOrder(a, b IndexEntry) int {
 // session reconstructing repeatedly is allocation-free after warm-up. The
 // entry contract is the same as NewIndexOf's; the receiver is returned for
 // chaining. The rebuilt index is bit-identical to a fresh NewIndexOf build:
-// the rank order is the unique stable order, and buckets are refilled in
-// ascending-rank order exactly as a fresh build fills them.
+// the outcomes are distinct, so CompareByProb orders them totally and any
+// sort yields the same ranks, and buckets are refilled in ascending-rank
+// order exactly as a fresh build fills them.
 func (ix *Index) Reset(n int, entries []Entry) *Index {
 	ix.n = n
 	if cap(ix.ranked) < len(entries) {
@@ -78,7 +79,7 @@ func (ix *Index) Reset(n int, entries []Entry) *Index {
 	for i, e := range entries {
 		ix.ranked[i] = IndexEntry{X: e.X, P: e.P, W: bits.OnesCount64(e.X), Ord: i}
 	}
-	slices.SortStableFunc(ix.ranked, rankedOrder)
+	slices.SortFunc(ix.ranked, rankedOrder)
 	if cap(ix.buckets) < n+1 {
 		buckets := make([][]IndexEntry, n+1)
 		copy(buckets, ix.buckets) // keep the capacity of previously grown buckets

@@ -12,7 +12,17 @@ ADDR=${ADDR:-127.0.0.1:18797}
 BIN=${BIN:-/tmp/hammerctl-killsmoke}
 work=$(mktemp -d)
 pid=''
-trap 'kill "$pid" 2>/dev/null || true; rm -rf "$work"' EXIT
+
+# stop kills the live server and waits for it to exit, so the script never
+# returns while a server it started is still running.
+stop() {
+    if [ -n "$pid" ]; then
+        kill "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+        pid=''
+    fi
+}
+trap 'stop; rm -rf "$work"' EXIT
 
 go build -o "$BIN" ./cmd/hammerctl
 
@@ -66,5 +76,5 @@ jq -n --slurpfile a "$work/snap1.json" --slurpfile b "$work/snap2.json" '
       else error("snapshot diverged across restart: max |diff| = \(.)") end
 '
 
-kill "$pid"
+stop
 echo "killsmoke: OK"
