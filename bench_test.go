@@ -174,8 +174,8 @@ func syntheticCounts(n, uniqueOutcomes int, seed int64) map[string]int {
 // snapshot taken after a small batch of fresh shots must be measurably
 // cheaper when served from the incremental engine state than by recomputing
 // the whole histogram from scratch (the batch pipeline RunCounts runs).
-// cmd/streambench emits the same comparison as BENCH_stream.json for the
-// machine-readable perf trajectory.
+// `microbench -suite stream` emits the same comparison as BENCH_stream.json
+// for the machine-readable perf trajectory.
 func BenchmarkStreamSnapshot(b *testing.B) {
 	base := syntheticCounts(20, 2000, 42)
 	outcomes := make([]string, 0, len(base))
@@ -281,8 +281,8 @@ func batchHistograms(n, uniqueOutcomes, count int) []map[string]float64 {
 
 // BenchmarkBatch compares RunBatch at 8 workers against the serial Run loop
 // it replaces, on a batch of 20-bit/2000-outcome histograms — the scheduler
-// acceptance workload. cmd/batchbench emits the same comparison as
-// BENCH_batch.json for the machine-readable perf trajectory.
+// acceptance workload. `microbench -suite batch` emits the same comparison
+// as BENCH_batch.json for the machine-readable perf trajectory.
 func BenchmarkBatch(b *testing.B) {
 	const batchSize = 16
 	hs := batchHistograms(20, 2000, batchSize)

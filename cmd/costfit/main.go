@@ -2,8 +2,8 @@
 // benchmark reports and gates the model's selection quality: it replays
 // every BENCH_core.json workload row, asks the fitted model which engine it
 // would pick, and fails unless predicted-fastest matches measured-fastest on
-// at least -floor of the rows and no model choice measures more than
-// -maxslow times slower than the row's winner.
+// at least cost.MinSelectionAccuracy of the rows and no model choice measures
+// more than cost.MaxChosenSlowdown times slower than the row's winner.
 //
 // CI runs it against a freshly regenerated benchmark, so the committed
 // trajectory stays a live regression suite for selection accuracy — not a
@@ -16,11 +16,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 )
 
@@ -38,8 +38,6 @@ func main() {
 	corePath := flag.String("core", "BENCH_core.json", "core benchmark report to fit and validate against")
 	streamPath := flag.String("stream", "BENCH_stream.json", "stream benchmark report for the incremental constants ('' to skip)")
 	out := flag.String("out", "COST_model.json", "fitted-constants output file ('-' for stdout, '' to skip)")
-	floor := flag.Float64("floor", 0.9, "minimum fraction of rows where the model picks the measured-fastest engine")
-	maxSlow := flag.Float64("maxslow", 1.3, "maximum measured slowdown of any model choice vs the row's best engine")
 	table := flag.Bool("table", false, "print the docs/operations.md engine decision table and exit")
 	flag.Parse()
 
@@ -89,27 +87,16 @@ func main() {
 
 	if *out != "" {
 		mf := modelFile{FittedFrom: sources, Accuracy: accuracy, MaxSlowdown: worst, Rows: len(rows), Model: fitted}
-		w := os.Stdout
-		if *out != "-" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(mf); err != nil {
+		if err := cost.WriteJSON(*out, mf); err != nil {
 			fatal(err)
 		}
 	}
 
-	if accuracy < *floor {
-		fatal(fmt.Errorf("selection accuracy %.0f%% below floor %.0f%%", 100*accuracy, 100**floor))
+	if accuracy < cost.MinSelectionAccuracy {
+		fatal(fmt.Errorf("selection accuracy %.0f%% below floor %.0f%%", 100*accuracy, 100*cost.MinSelectionAccuracy))
 	}
-	if worst > *maxSlow {
-		fatal(fmt.Errorf("a model choice measured %.2fx slower than the best engine (cap %.2fx)", worst, *maxSlow))
+	if worst > cost.MaxChosenSlowdown {
+		fatal(fmt.Errorf("a model choice measured %.2fx slower than the best engine (cap %.2fx)", worst, cost.MaxChosenSlowdown))
 	}
 }
 
@@ -120,12 +107,12 @@ func main() {
 //	go run ./cmd/costfit -core BENCH_core.json -table
 func printTable(m *cost.Model, bits int) {
 	supports := []int{50, 200, 1000, 4000, 16000}
-	radii := []int{2, 3, 4, defaultRadius(bits)}
+	radii := []int{2, 3, 4, core.DefaultRadius(bits)}
 	candidates := []string{cost.EngineExact, cost.EngineBlocked}
 	fmt.Printf("| support \\ radius |")
 	for _, r := range radii {
 		label := fmt.Sprintf(" %d |", r)
-		if r == defaultRadius(bits) {
+		if r == core.DefaultRadius(bits) {
 			label = fmt.Sprintf(" default (%d @ %d bits) |", r, bits)
 		}
 		fmt.Print(label)
@@ -159,7 +146,7 @@ func printTable(m *cost.Model, bits int) {
 func printShardTable(m *cost.Model, bits int) {
 	supports := []int{1000, 4000, 16000, 64000, 256000}
 	stripeCounts := []int{2, 4, 8}
-	r := defaultRadius(bits)
+	r := core.DefaultRadius(bits)
 	engine := cost.EngineBlocked
 	fmt.Printf("Sharded vs local, %s engine, radius %d @ %d bits (predicted local / sharded):\n\n", engine, r, bits)
 	fmt.Print("| support \\ replicas |")
@@ -190,16 +177,6 @@ func printShardTable(m *cost.Model, bits int) {
 		}
 		fmt.Println()
 	}
-}
-
-func defaultRadius(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	if n%2 == 0 {
-		return n/2 - 1
-	}
-	return n / 2
 }
 
 func fatal(err error) {

@@ -65,8 +65,8 @@ func benchReconstruct(b *testing.B, cacheEntries int, body []byte, wantHeader st
 // BenchmarkCachedReconstruct measures a served cache hit: every timed
 // request is the warmed-up repeat of one identical histogram, the
 // QAOA-optimizer traffic pattern. Compare against
-// BenchmarkUncachedReconstruct for the hit speedup (cmd/cachebench emits the
-// ratio as BENCH_cache.json; the acceptance floor is 10x).
+// BenchmarkUncachedReconstruct for the hit speedup (`microbench -suite
+// cache` emits the ratio as BENCH_cache.json; the acceptance floor is 10x).
 func BenchmarkCachedReconstruct(b *testing.B) {
 	benchReconstruct(b, 64, benchHistogramJSON(b, 20, 4000), cacheHit)
 }

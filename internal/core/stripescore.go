@@ -88,7 +88,7 @@ func validateSpec(sp *StripeSpec) error {
 // The returned partial aliases the session's scratch — valid until the next
 // ScoreStripe/Reconstruct call on this session; callers that accumulate
 // multiple stripes on one session (the coordinator's local-fallback path,
-// shardbench) must copy. Options on the session itself are ignored: the spec
+// microbench's shard suite) must copy. Options on the session itself are ignored: the spec
 // fully describes the work, which is how one replica serves stripes of
 // differently-configured coordinator requests without reconfiguration.
 func (s *Session) ScoreStripe(ctx context.Context, spec StripeSpec) (StripePartial, error) {

@@ -7,14 +7,10 @@ import (
 )
 
 // The committed benchmark reports double as the cost model's regression
-// suite: every row is replayed through the fitted model and the selection
-// quality floors below are the same numbers cmd/costfit gates in CI. If a
-// benchmark regeneration lands numbers the model can no longer rank, this
-// suite — not just CI — goes red.
-const (
-	selectionAccuracyFloor = 0.9
-	chosenSlowdownCap      = 1.3
-)
+// suite: every row is replayed through the fitted model and held to
+// MinSelectionAccuracy and MaxChosenSlowdown, the floors cmd/costfit gates
+// in CI. If a benchmark regeneration lands numbers the model can no longer
+// rank, this suite — not just CI — goes red.
 
 func repoRoot(t *testing.T) string {
 	t.Helper()
@@ -66,12 +62,12 @@ func TestCommittedBenchSelection(t *testing.T) {
 				r.Support, r.Radius, r.Best, r.Chosen, r.Slowdown)
 		}
 	}
-	if accuracy < selectionAccuracyFloor {
+	if accuracy < MinSelectionAccuracy {
 		t.Errorf("selection accuracy %.0f%% below floor %.0f%% over %d rows",
-			100*accuracy, 100*selectionAccuracyFloor, len(rows))
+			100*accuracy, 100*MinSelectionAccuracy, len(rows))
 	}
-	if worst > chosenSlowdownCap {
-		t.Errorf("worst chosen slowdown %.2fx above cap %.2fx", worst, chosenSlowdownCap)
+	if worst > MaxChosenSlowdown {
+		t.Errorf("worst chosen slowdown %.2fx above cap %.2fx", worst, MaxChosenSlowdown)
 	}
 }
 
@@ -88,11 +84,11 @@ func TestCommittedBenchDefaultModel(t *testing.T) {
 	if len(rows) == 0 {
 		t.Fatal("no evaluable rows")
 	}
-	if accuracy < selectionAccuracyFloor {
-		t.Errorf("default-model accuracy %.0f%% below floor %.0f%%", 100*accuracy, 100*selectionAccuracyFloor)
+	if accuracy < MinSelectionAccuracy {
+		t.Errorf("default-model accuracy %.0f%% below floor %.0f%%", 100*accuracy, 100*MinSelectionAccuracy)
 	}
-	if worst > chosenSlowdownCap {
-		t.Errorf("default-model worst slowdown %.2fx above cap %.2fx", worst, chosenSlowdownCap)
+	if worst > MaxChosenSlowdown {
+		t.Errorf("default-model worst slowdown %.2fx above cap %.2fx", worst, MaxChosenSlowdown)
 	}
 }
 

@@ -7,7 +7,7 @@
 // # Contract
 //
 //   - The model is pure arithmetic: no engine imports, no clocks, no I/O
-//     beyond the explicit report loaders. core consults cost for
+//     beyond the explicit report loaders and writer. core consults cost for
 //     auto-selection; the dependency never points the other way.
 //   - Predict is finite and strictly positive for every modeled engine, and
 //     monotone non-decreasing in both support and radius (coefficients are

@@ -6,14 +6,33 @@ import (
 	"os"
 )
 
-// This file reads the committed benchmark reports — BENCH_core.json from
-// cmd/corebench and BENCH_stream.json from cmd/streambench — and turns their
-// rows into fit samples and ranking evaluations. The committed trajectory is
-// both the model's training data and its regression suite: the validation
-// tests replay every row and assert the model would have picked the engine
-// that actually measured fastest.
+// This file declares the schema of the committed benchmark reports that
+// cmd/microbench writes — BENCH_core.json (CoreReport) and BENCH_stream.json
+// (StreamReport) — reads and writes them, and turns their rows into fit
+// samples and ranking evaluations. The committed trajectory is both the
+// model's training data and its regression suite: the validation tests
+// replay every row and assert the model would have picked the engine that
+// actually measured fastest.
 
-// CoreEngineRun mirrors one engine's measurement in a BENCH_core.json row.
+// The selection-quality gate on EvaluateCore's two numbers, enforced by
+// cmd/costfit on freshly measured reports and by the validation suite on the
+// committed ones.
+const (
+	MinSelectionAccuracy = 0.9
+	MaxChosenSlowdown    = 1.3
+)
+
+// Host is the producing machine every BENCH_*.json report ends with.
+type Host struct {
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	CPUs   int    `json:"cpus"`
+	// GOMAXPROCS is the producing host's scheduler width; zero in reports
+	// written before the field existed.
+	GOMAXPROCS int `json:"gomaxprocs"`
+}
+
+// CoreEngineRun is one engine's measurement in a BENCH_core.json row.
 type CoreEngineRun struct {
 	NsPerOp   int64   `json:"ns_per_op"`
 	NsPerPair float64 `json:"ns_per_pair"`
@@ -23,42 +42,61 @@ type CoreEngineRun struct {
 	// single-threaded numbers with single-threaded numbers.
 	Workers int `json:"workers"`
 	// GOMAXPROCS and CPUs record the producing host's scheduler width per
-	// run; zero in reports written before the fields existed.
+	// run: a Workers=1 pin rules out intra-request fan-out, but the runtime
+	// (GC, sibling benchmarks) still differs between a 1-CPU container and a
+	// 32-way CI agent, and cross-report comparisons need to see that. Zero
+	// in reports written before the fields existed.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	CPUs       int `json:"cpus"`
 }
 
-// CoreConfig mirrors one (support, radius) workload row.
+// CoreConfig is one (support, radius) workload row. Pairs is the unordered
+// distinct-pair count N·(N−1)/2 — the work the O(N²) pass is quadratic in —
+// and the per-engine ns_per_pair figures divide wall time by it.
 type CoreConfig struct {
-	Support       int                      `json:"support"`
-	Radius        int                      `json:"radius"`
-	DefaultRadius bool                     `json:"default_radius"`
-	Pairs         int64                    `json:"pairs"`
-	Engines       map[string]CoreEngineRun `json:"engines"`
+	Support        int                      `json:"support"`
+	Radius         int                      `json:"radius"`
+	DefaultRadius  bool                     `json:"default_radius"`
+	Pairs          int64                    `json:"pairs"`
+	Engines        map[string]CoreEngineRun `json:"engines"`
+	BlockedVsExact float64                  `json:"speedup_blocked_vs_exact"`
 }
 
-// CoreReport mirrors the BENCH_core.json schema.
+// CoreGate is a row CI enforces: blocked over exact at the acceptance
+// workload must meet the committed floor. Workers is the pin of the gated
+// runs; the CI gate refuses to compare speedups unless it is 1, because a
+// report produced with per-request fan-out would gate scheduler luck, not the
+// hot loop.
+type CoreGate struct {
+	Support    int     `json:"support"`
+	Radius     int     `json:"radius"`
+	Workers    int     `json:"workers"`
+	MinSpeedup float64 `json:"min_speedup_blocked_vs_exact"`
+	Speedup    float64 `json:"speedup_blocked_vs_exact"`
+}
+
+// CoreReport is the BENCH_core.json schema.
 type CoreReport struct {
 	Benchmark string       `json:"benchmark"`
 	Bits      int          `json:"bits"`
 	Workers   int          `json:"workers"`
+	Note      string       `json:"note"`
 	Configs   []CoreConfig `json:"configs"`
-	CPUs      int          `json:"cpus"`
-	// GOMAXPROCS is the producing host's scheduler width; zero in reports
-	// written before the field existed.
-	GOMAXPROCS int `json:"gomaxprocs"`
+	Gates     []CoreGate   `json:"gates"`
+	Host
 }
 
-// StreamReport mirrors the BENCH_stream.json schema.
+// StreamReport is the BENCH_stream.json schema. The ns figures cover one
+// small-batch ingest plus one snapshot over the accumulated stream.
 type StreamReport struct {
-	Benchmark          string `json:"benchmark"`
-	Bits               int    `json:"bits"`
-	Support            int    `json:"support"`
-	BatchShots         int    `json:"batch_shots"`
-	IncrementalNsPerOp int64  `json:"incremental_ns_per_op"`
-	BatchNsPerOp       int64  `json:"batch_ns_per_op"`
-	CPUs               int    `json:"cpus"`
-	GOMAXPROCS         int    `json:"gomaxprocs"`
+	Benchmark          string  `json:"benchmark"`
+	Bits               int     `json:"bits"`
+	Support            int     `json:"support"`
+	BatchShots         int     `json:"batch_shots"`
+	IncrementalNsPerOp int64   `json:"incremental_ns_per_op"`
+	BatchNsPerOp       int64   `json:"batch_ns_per_op"`
+	Speedup            float64 `json:"speedup"`
+	Host
 }
 
 // LoadCore parses a BENCH_core.json file.
@@ -91,6 +129,21 @@ func loadJSON(path string, v any) error {
 		return fmt.Errorf("cost: parse %s: %w", path, err)
 	}
 	return nil
+}
+
+// WriteJSON writes v as a report file: indented JSON at path, or on stdout
+// when path is "-".
+func WriteJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o666)
 }
 
 // runWorkers resolves one run's worker pin, falling back to the report-level

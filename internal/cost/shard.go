@@ -24,8 +24,9 @@ import (
 // crossover surface.
 
 // ShardCoeffs are the coordination constants of a sharded run, hand-set like
-// DefaultModel's setup terms (shardbench measures the in-process merge
-// fraction; the wire constants are conservative HTTP/JSON estimates).
+// DefaultModel's setup terms (microbench's shard suite measures the
+// in-process merge fraction; the wire constants are conservative HTTP/JSON
+// estimates).
 type ShardCoeffs struct {
 	// StripeSetup is the fixed per-stripe cost in ns: RPC framing, the
 	// replica's scheduler admission, and its index rebuild overhead.

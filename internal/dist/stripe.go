@@ -137,8 +137,8 @@ func (p *StripePlan) TotalPairs() int64 {
 
 // Balance returns the plan's load imbalance: the heaviest stripe's pair
 // count divided by the ideal equal share (total pairs / stripes). 1.0 is
-// perfect balance; the shardbench CI gate holds plans at the gate workload
-// within 5% of ideal. Degenerate plans with no pairs report 1.0.
+// perfect balance; the shard benchmark's CI gate holds plans at the gate
+// workload within 5% of ideal. Degenerate plans with no pairs report 1.0.
 func (p *StripePlan) Balance() float64 {
 	total := p.TotalPairs()
 	if total == 0 || len(p.stripes) == 0 {

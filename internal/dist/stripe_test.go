@@ -77,7 +77,7 @@ func TestStripePlanPartition(t *testing.T) {
 func TestStripePlanBalance(t *testing.T) {
 	// At the CI gate workload shape (support 4000, 8 stripes) the plan must
 	// sit within 5% of the ideal equal pair share — the same bound
-	// cmd/shardbench gates in CI.
+	// cmd/microbench's shard suite gates in CI.
 	p := NewStripePlan(4000, 8)
 	if b := p.Balance(); b > 1.05 {
 		t.Fatalf("Balance() = %v at n=4000 k=8, want <= 1.05", b)
