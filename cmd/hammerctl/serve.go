@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -404,10 +405,6 @@ func (s *server) requestOptions(wc *wireConfig) (*core.Options, error) {
 	return &opts, nil
 }
 
-type batchRequest struct {
-	Requests []json.RawMessage `json:"requests"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 	// Index is the failing request's position in a batch; -1 outside
@@ -580,22 +577,19 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, -1, fmt.Errorf("batch body is not {\"requests\": [...]}: %w", err))
-		return
-	}
-	if len(req.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, -1, fmt.Errorf("empty batch"))
+	reqs, err := decodeBatch(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, -1, err)
 		return
 	}
 	// Each member renders inside its consume callback, while the session
 	// that owns the result is still held; the body is assembled in order
-	// once all are done.
-	members := make([]rendered, len(req.Requests))
-	err := s.sch.Batch(r.Context(), len(req.Requests),
+	// once all are done. A member that failed to decode fails when the
+	// batch reaches it, as any other member error does.
+	members := make([]rendered, len(reqs))
+	err = s.sch.Batch(r.Context(), len(reqs),
 		func(i int) (sched.Request, error) {
-			rr, err := decodeReconstruct(req.Requests[i])
+			rr, err := reqs[i].rr, reqs[i].err
 			if err != nil {
 				return sched.Request{}, err
 			}
@@ -731,14 +725,29 @@ func (rr *reconstructRequest) schedDeadline() time.Time {
 // decodeReconstruct decodes and validates one reconstruction request: a bare
 // {"0101": mass} histogram object, or a {"counts": {...}} wrapper optionally
 // carrying a per-request {"config": {...}} override and a {"deadline_ms": N}
-// budget. Histograms decode in one pass through dist.Histogram, which
-// accepts exactly what encoding/json into a map[string]float64 accepted; the
-// small wrapper stays on encoding/json, with "counts" matched and merged as
-// that map field was. The bare form is tried first: a wrapper body fails it
-// at its first value, and it is the shape cache-hit traffic arrives in.
+// budget. The body is read in one pass of a dist.Scanner (decodeMember), and
+// it accepts exactly what encoding/json accepted when it decoded the body
+// into a map[string]float64, or failing that into the wrapper struct.
 func decodeReconstruct(body []byte) (*reconstructRequest, error) {
+	p := dist.NewScanner(body)
+	return decodeMember(&p, true)
+}
+
+// decodeMember reads one reconstruction request at the cursor; whole says
+// it is the entire document, so only whitespace may follow it. The bare form
+// is tried first: a wrapper fails it at its first value, and it is the shape
+// cache-hit traffic arrives in. The wrapper is then walked member by member
+// as encoding/json walked its struct: names match case-insensitively, a
+// repeated "counts" merges into the histogram decoded in place and null
+// empties it, and only the "config" object's own bytes reach json.Unmarshal,
+// which merges a repeated one into the same override.
+func decodeMember(p *dist.Scanner, whole bool) (*reconstructRequest, error) {
+	start := *p
 	var bare dist.Histogram
-	bareErr := bare.UnmarshalJSON(body)
+	bareErr := p.Histogram(&bare)
+	if bareErr == nil && whole {
+		bareErr = p.End()
+	}
 	if bareErr == nil {
 		es, n, err := bare.Entries()
 		if err != nil {
@@ -746,27 +755,94 @@ func decodeReconstruct(body []byte) (*reconstructRequest, error) {
 		}
 		return &reconstructRequest{entries: es, width: n}, nil
 	}
-	var wrapped struct {
-		Counts     dist.Histogram `json:"counts"`
-		Config     *wireConfig    `json:"config"`
-		DeadlineMS int64          `json:"deadline_ms"`
-	}
-	if err := json.Unmarshal(body, &wrapped); err == nil && !wrapped.Counts.Empty() {
-		if wrapped.DeadlineMS < 0 {
-			return nil, fmt.Errorf("deadline_ms must be non-negative, got %d", wrapped.DeadlineMS)
+	*p = start
+	var (
+		counts     dist.Histogram
+		config     *wireConfig
+		deadlineMS int64
+	)
+	err := p.Object(func(key []byte) error {
+		if dist.KeyIs(key, "counts") {
+			return p.Histogram(&counts)
 		}
-		es, n, err := wrapped.Counts.Entries()
-		if err != nil {
-			return nil, err
+		raw, err := p.Skip()
+		switch {
+		case err != nil:
+		case dist.KeyIs(key, "config"):
+			err = json.Unmarshal(raw, &config)
+		case dist.KeyIs(key, "deadline_ms") && string(raw) != "null":
+			deadlineMS, err = strconv.ParseInt(string(raw), 10, 64)
 		}
-		return &reconstructRequest{
-			entries:  es,
-			width:    n,
-			override: wrapped.Config,
-			deadline: time.Duration(wrapped.DeadlineMS) * time.Millisecond,
-		}, nil
+		return err
+	})
+	if err == nil && whole {
+		err = p.End()
 	}
-	return nil, fmt.Errorf("request is neither a histogram object nor {\"counts\": ...}: %w", bareErr)
+	if err != nil || counts.Empty() {
+		return nil, fmt.Errorf("request is neither a histogram object nor {\"counts\": ...}: %w", bareErr)
+	}
+	if deadlineMS < 0 {
+		return nil, fmt.Errorf("deadline_ms must be non-negative, got %d", deadlineMS)
+	}
+	es, n, err := counts.Entries()
+	if err != nil {
+		return nil, err
+	}
+	return &reconstructRequest{
+		entries:  es,
+		width:    n,
+		override: config,
+		deadline: sched.BudgetMS(deadlineMS),
+	}, nil
+}
+
+// batchMember is one decoded /v1/batch member, or why it is not a valid
+// request.
+type batchMember struct {
+	rr  *reconstructRequest
+	err error
+}
+
+// decodeBatch decodes a /v1/batch body, {"requests": [...]}, in one pass:
+// the envelope as encoding/json read it into a struct (the last "requests"
+// wins, null empties it), and each member in place as decodeReconstruct
+// reads a body. A syntax error anywhere, a malformed envelope and an empty
+// batch are the returned error. A member that is valid JSON but not a valid
+// request keeps its own error, which the batch reports at its index.
+func decodeBatch(body []byte) ([]batchMember, error) {
+	p := dist.NewScanner(body)
+	var members []batchMember
+	err := p.Object(func(key []byte) error {
+		if !dist.KeyIs(key, "requests") {
+			_, err := p.Skip()
+			return err
+		}
+		members = members[:0]
+		return p.Array(func() error {
+			start := p
+			rr, err := decodeMember(&p, false)
+			if err != nil {
+				// Read the member again for syntax alone: a syntax error
+				// fails the whole body, any other error only the member.
+				p = start
+				if _, serr := p.Skip(); serr != nil {
+					return serr
+				}
+			}
+			members = append(members, batchMember{rr, err})
+			return nil
+		})
+	})
+	if err == nil {
+		err = p.End()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("batch body is not {\"requests\": [...]}: %w", err)
+	}
+	if len(members) == 0 {
+		return nil, errors.New("empty batch")
+	}
+	return members, nil
 }
 
 // decodeHistogram is the CLI's reading of the same shapes (per-request config

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -136,6 +138,54 @@ func BenchmarkDecodeKey(b *testing.B) {
 // with its members shuffled.
 func BenchmarkDecodeKeyShuffled(b *testing.B) {
 	benchDecodeKey(b, shuffledHistogramJSON(b))
+}
+
+// benchCountsJSON is the §6.6 workload histogram as integer shot counts, in
+// the serving benchmark's shape: the key outcome about 5000 shots, its
+// neighbours 1000-2000, the tail 10-20, members in ascending order.
+func benchCountsJSON(tb testing.TB, bits, support int) []byte {
+	tb.Helper()
+	d := dist.Synthetic(bits, support, 42)
+	h := make(map[string]int, d.Len())
+	d.Range(func(x bitstr.Bits, p float64) { h[bitstr.Format(x, bits)] = int(math.Round(p * 1e5)) })
+	body, err := json.Marshal(h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkDecodeKeyWrapped: decode plus cache key of tight's body, 20-bit/
+// 4000-outcome integer counts wrapped as {"counts": ..., "config":
+// {"radius": 3}}, beside the same counts bare.
+func BenchmarkDecodeKeyWrapped(b *testing.B) {
+	counts := benchCountsJSON(b, 20, 4000)
+	b.Run("bare", func(b *testing.B) { benchDecodeKey(b, counts) })
+	wrapped := fmt.Appendf(nil, `{"counts": %s, "config": {"radius": 3}}`, counts)
+	b.Run("wrapped", func(b *testing.B) { benchDecodeKey(b, wrapped) })
+}
+
+// BenchmarkDecodeBatch decodes the batch workload's envelope: 16 members,
+// each a 12-bit/256-outcome histogram of integer counts.
+func BenchmarkDecodeBatch(b *testing.B) {
+	var body []byte
+	body = append(body, `{"requests": [`...)
+	for m := range 16 {
+		if m > 0 {
+			body = append(body, ", "...)
+		}
+		body = append(body, benchCountsJSON(b, 12, 256)...)
+	}
+	body = append(body, "]}"...)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for range b.N {
+		members, err := decodeBatch(body)
+		if err != nil || members[15].err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkRenderReconstruct renders the /v1/reconstruct body of a

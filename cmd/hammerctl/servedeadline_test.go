@@ -130,6 +130,27 @@ func TestServeDeadlineNegative(t *testing.T) {
 	}
 }
 
+// TestServeDeadlineSaturates: a deadline_ms whose nanoseconds overflow
+// time.Duration is a budget that never runs out, not one wrapped to 448µs
+// (the ~585-year budget) or to 1µs, which the infeasible body cannot meet.
+// The cache is off, so every request is admitted against its deadline.
+func TestServeDeadlineSaturates(t *testing.T) {
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+	body := infeasibleBody(t)
+	for _, ms := range []string{"18446744073710", "70761710266749840", "9223372036854775807"} {
+		code, resp := postJSON(t, ts.URL+"/v1/reconstruct",
+			strings.Replace(body, `"deadline_ms": 1,`, `"deadline_ms": `+ms+`,`, 1))
+		if code != http.StatusOK {
+			t.Errorf("deadline_ms %s: status %d: %.200s", ms, code, resp)
+		}
+	}
+}
+
 // TestServeEngineHeader pins X-Hammer-Engine: fresh responses report the
 // engine that ran (matching the body), cache hits replay the engine that
 // filled the entry, and a pinned per-request override is echoed verbatim.

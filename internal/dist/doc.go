@@ -20,7 +20,10 @@
 //   - Index — the immutable popcount-bucketed view of a Dist: outcomes
 //     grouped by Hamming weight, each bucket ordered by descending
 //     probability. |popcount(x)−popcount(y)| ≤ d(x,y), so a radius-d ball
-//     query inspects only the 2d+1 buckets around the query's weight.
+//     query inspects only the 2d+1 buckets around the query's weight. It is
+//     built in O(N): its entries arrive in ascending outcome order, so a
+//     stable radix sort on a descending-probability key ranks them, ties by
+//     ascending outcome, with no comparator.
 //   - Packed — the bit-packed structure-of-arrays view of an Index for the
 //     blocked engine's flat scans: one contiguous []uint64 of outcome words
 //     in bucket-major order (ascending weight, within-bucket ascending
@@ -43,11 +46,16 @@
 //   - Histogram decodes the object in one pass into Entry values sorted by
 //     outcome with their raw masses, plus the width, and rejects exactly
 //     what encoding/json into a map[string]float64 followed by
-//     FromHistogram rejects. It is a json.Unmarshaler with that map's
-//     semantics (repeated members merge, null empties), so a struct field
-//     of type Histogram decodes a request wrapper as a map field did.
-//     Outcomes repeated out of order are folded while decoding, so its
-//     memory follows the distinct outcomes, not the members.
+//     FromHistogram rejects. It keeps that map's semantics (repeated
+//     members merge, null empties). Outcomes repeated out of order are
+//     folded while decoding, so its memory follows the distinct outcomes,
+//     not the members, and its first allocation is sized from its own
+//     object, not from the rest of the document.
+//   - Scanner walks a document that embeds histograms — a request wrapper,
+//     a batch envelope — with Object, Array and Skip, and decodes each
+//     histogram in place, so a request body is read in one pass. It accepts
+//     exactly the documents encoding/json accepts, nesting depth included,
+//     and KeyIs matches member names as encoding/json matches struct fields.
 //   - FromEntries builds the normalized Dist from such entries, adding mass
 //     in ascending outcome order: bit-identical to FromHistogram of the
 //     same histogram, which is key parsing in front of it, so histogram

@@ -6,8 +6,8 @@
 package dist
 
 import (
+	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"repro/internal/bitstr"
@@ -35,9 +35,14 @@ type Index struct {
 	n       int
 	ranked  []IndexEntry
 	buckets [][]IndexEntry // by popcount 0..n, each ascending Rank
+	// Reset's radix-sort scratch: each entry's rank key, and entry
+	// positions in the order sorted so far (order) and being written (tmp).
+	keys       []uint64
+	order, tmp []int32
 }
 
-// NewIndex builds the index of a sparse distribution in O(N log N).
+// NewIndex builds the index of a sparse distribution in O(N): a radix sort
+// ranks it.
 func NewIndex(d *Dist) *Index {
 	entries := make([]Entry, 0, d.Len())
 	d.Range(func(x bitstr.Bits, p float64) {
@@ -54,21 +59,16 @@ func NewIndexOf(n int, entries []Entry) *Index {
 	return new(Index).Reset(n, entries)
 }
 
-// rankedOrder applies the canonical CompareByProb rank order to index
-// entries. The generic slices sort keeps Reset free of the reflection
-// allocations sort.Slice would add on every rebuild.
-func rankedOrder(a, b IndexEntry) int {
-	return CompareByProb(Entry{X: a.X, P: a.P}, Entry{X: b.X, P: b.P})
-}
-
 // Reset rebuilds the index in place over a new outcome set, reusing the
-// ranked slice and per-weight bucket backing arrays of previous builds so a
-// session reconstructing repeatedly is allocation-free after warm-up. The
-// entry contract is the same as NewIndexOf's; the receiver is returned for
-// chaining. The rebuilt index is bit-identical to a fresh NewIndexOf build:
-// the outcomes are distinct, so CompareByProb orders them totally and any
-// sort yields the same ranks, and buckets are refilled in ascending-rank
-// order exactly as a fresh build fills them.
+// ranked slice, the per-weight bucket backing arrays and the sort scratch of
+// previous builds so a session reconstructing repeatedly is allocation-free
+// after warm-up. The entry contract is the same as NewIndexOf's; the
+// receiver is returned for chaining. Masses may be any float64 but NaN, which
+// CompareByProb does not order and Reset does not rank. The rebuilt index is
+// bit-identical to a fresh NewIndexOf build, and its ranks follow
+// CompareByProb: a stable radix sort on a descending-mass key keeps the
+// entries' ascending-outcome order within each run of equal masses, and
+// buckets are refilled in ascending-rank order.
 func (ix *Index) Reset(n int, entries []Entry) *Index {
 	ix.n = n
 	if cap(ix.ranked) < len(entries) {
@@ -76,10 +76,10 @@ func (ix *Index) Reset(n int, entries []Entry) *Index {
 	} else {
 		ix.ranked = ix.ranked[:len(entries)]
 	}
-	for i, e := range entries {
-		ix.ranked[i] = IndexEntry{X: e.X, P: e.P, W: bits.OnesCount64(e.X), Ord: i}
+	for r, i := range ix.rank(entries) {
+		e := entries[i]
+		ix.ranked[r] = IndexEntry{X: e.X, P: e.P, W: bits.OnesCount64(e.X), Rank: r, Ord: int(i)}
 	}
-	slices.SortFunc(ix.ranked, rankedOrder)
 	if cap(ix.buckets) < n+1 {
 		buckets := make([][]IndexEntry, n+1)
 		copy(buckets, ix.buckets) // keep the capacity of previously grown buckets
@@ -91,11 +91,69 @@ func (ix *Index) Reset(n int, entries []Entry) *Index {
 		ix.buckets[w] = ix.buckets[w][:0]
 	}
 	for i := range ix.ranked {
-		ix.ranked[i].Rank = i
 		w := ix.ranked[i].W
 		ix.buckets[w] = append(ix.buckets[w], ix.ranked[i])
 	}
 	return ix
+}
+
+// rank returns the positions of entries in CompareByProb order: an LSD
+// radix sort of their rankKeys, one byte per pass. A pass whose byte is the
+// same in every key would leave the order as it is, so it is skipped:
+// probabilities from 2^-15 to 1 share their top byte, and integer masses
+// below 2^16 their four low ones.
+func (ix *Index) rank(entries []Entry) []int32 {
+	n := len(entries)
+	if cap(ix.keys) < n {
+		ix.keys = make([]uint64, n)
+		ix.order = make([]int32, n)
+		ix.tmp = make([]int32, n)
+	}
+	keys, src, dst := ix.keys[:n], ix.order[:n], ix.tmp[:n]
+	var count [8][256]int32
+	for i, e := range entries {
+		k := rankKey(e.P)
+		keys[i] = k
+		src[i] = int32(i)
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
+	}
+	for d := range count {
+		c := &count[d]
+		shift := 8 * d
+		if n == 0 || c[byte(keys[0]>>shift)] == int32(n) {
+			continue
+		}
+		var sum int32
+		for b, m := range c {
+			c[b], sum = sum, sum+m
+		}
+		for _, i := range src {
+			b := byte(keys[i] >> shift)
+			dst[c[b]] = i
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// rankKey maps a mass to a key whose ascending order is descending mass:
+// the IEEE-754 bits, flipped so they order as unsigned integers, then
+// complemented. -0 takes +0's key, since the two compare equal.
+func rankKey(p float64) uint64 {
+	if p == 0 {
+		p = 0
+	}
+	b := math.Float64bits(p)
+	neg := uint64(int64(b) >> 63) // all ones for a negative mass
+	return b ^ (^neg >> 1)
 }
 
 // NumBits returns the outcome width in bits.

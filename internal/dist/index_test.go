@@ -1,8 +1,13 @@
 package dist
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -149,5 +154,95 @@ func TestIndexOfTruncatedEntries(t *testing.T) {
 	}
 	if ranked[0].Ord != 0 || ranked[1].Ord != 2 || ranked[2].Ord != 1 {
 		t.Fatalf("ord mapping %v", ranked)
+	}
+}
+
+// TestIndexRankOrder pins Reset's ranked slice and buckets, field for field,
+// to a stable comparator sort of the same entries by CompareByProb, over the
+// masses where a radix key could go wrong: ties, signs, both zeros,
+// subnormals and infinities.
+func TestIndexRankOrder(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), 5e-324, 1e-310, -1e-310, 1, -1, 0.5, 3, math.Inf(1), math.Inf(-1)}
+	masses := map[string]func(rng *rand.Rand) float64{
+		"equal":     func(*rand.Rand) float64 { return 0.25 },
+		"counts":    func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(5)) },
+		"signed":    func(rng *rand.Rand) float64 { return rng.NormFloat64() },
+		"zeros":     func(rng *rand.Rand) float64 { return special[rng.Intn(2)] },
+		"special":   func(rng *rand.Rand) float64 { return special[rng.Intn(len(special))] },
+		"uniform":   func(rng *rand.Rand) float64 { return rng.Float64() },
+		"synthetic": func(rng *rand.Rand) float64 { return 1e-4 * (1 + rng.Float64()) },
+	}
+	ix := new(Index)
+	for _, width := range []int{1, 12, 20, 64} {
+		for _, size := range []int{0, 1, 256, 4000} {
+			if width < 12 && size > 1<<width {
+				size = 1 << width
+			}
+			for name, mass := range masses {
+				rng := rand.New(rand.NewSource(int64(width*10007 + size)))
+				seen := make(map[bitstr.Bits]bool, size)
+				entries := make([]Entry, 0, size)
+				for len(entries) < size {
+					x := bitstr.Bits(rng.Uint64()) & bitstr.AllOnes(width)
+					if !seen[x] {
+						seen[x] = true
+						entries = append(entries, Entry{X: x, P: mass(rng)})
+					}
+				}
+				slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.X, b.X) })
+
+				ord := make([]int, len(entries))
+				for i := range ord {
+					ord[i] = i
+				}
+				slices.SortStableFunc(ord, func(a, b int) int { return CompareByProb(entries[a], entries[b]) })
+				want := make([]IndexEntry, len(entries))
+				wantBuckets := make([][]IndexEntry, width+1)
+				for r, i := range ord {
+					e := entries[i]
+					want[r] = IndexEntry{X: e.X, P: e.P, W: bits.OnesCount64(e.X), Rank: r, Ord: i}
+					wantBuckets[want[r].W] = append(wantBuckets[want[r].W], want[r])
+				}
+
+				ix.Reset(width, entries)
+				where := fmt.Sprintf("width %d, %d %s entries", width, size, name)
+				if got := ix.Ranked(); !sameIndexEntries(got, want) {
+					t.Fatalf("%s: ranked %v, want %v", where, got, want)
+				}
+				for w := 0; w <= width; w++ {
+					if got := ix.Bucket(w); !sameIndexEntries(got, wantBuckets[w]) {
+						t.Fatalf("%s: bucket %d %v, want %v", where, w, got, wantBuckets[w])
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameIndexEntries compares index entries field for field, masses by their
+// bits so -0 and +0 differ.
+func sameIndexEntries(a, b []IndexEntry) bool {
+	return slices.EqualFunc(a, b, func(x, y IndexEntry) bool {
+		return x.X == y.X && math.Float64bits(x.P) == math.Float64bits(y.P) &&
+			x.W == y.W && x.Rank == y.Rank && x.Ord == y.Ord
+	})
+}
+
+// BenchmarkIndexReset times one warm rebuild of the index over the §6.6
+// workload's normalized masses, as a session's engine rebuilds it per
+// request.
+func BenchmarkIndexReset(b *testing.B) {
+	for _, c := range []struct{ bits, support int }{{12, 256}, {20, 4000}} {
+		b.Run(strconv.Itoa(c.support), func(b *testing.B) {
+			d := Synthetic(c.bits, c.support, 42)
+			entries := make([]Entry, 0, d.Len())
+			d.Range(func(x bitstr.Bits, p float64) { entries = append(entries, Entry{X: x, P: p}) })
+			ix := NewIndexOf(c.bits, entries)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				ix.Reset(c.bits, entries)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"repro/internal/bitstr"
 )
@@ -19,13 +22,13 @@ import (
 // escaped keys ("\u0030" is "0"), duplicate keys (the last one wins), null
 // masses (read as 0), and numbers in the JSON grammar parsed by
 // strconv.ParseFloat. Like that map, it merges the objects of repeated
-// UnmarshalJSON calls, and null empties it — so a Histogram field decodes
-// repeated struct members exactly as encoding/json decodes them into a map
-// field.
+// decodes, and null empties it — so a histogram member that a request
+// repeats (Scanner.Histogram) decodes exactly as encoding/json decodes a
+// repeated map field.
 //
-// The zero value is an empty histogram. UnmarshalJSON reports JSON-level
-// errors (syntax, a value that is not a number or null, a number out of
-// float64 range); Entries reports everything FromHistogram would reject.
+// The zero value is an empty histogram. Decoding reports JSON-level errors
+// (syntax, a value that is not a number or null, a number out of float64
+// range); Entries reports everything FromHistogram would reject.
 type Histogram struct {
 	es []Entry
 	// keys counts the keys decoded since the last reset, valid or not (a
@@ -79,18 +82,11 @@ func (h *Histogram) compact() {
 // UnmarshalJSON merges one JSON histogram object into h, or empties h on
 // null. Whitespace may surround the value; nothing else may follow it.
 func (h *Histogram) UnmarshalJSON(data []byte) error {
-	p := scanner{data: data}
-	p.space()
-	if p.literal("null") {
-		*h = Histogram{}
-	} else if err := p.object(h); err != nil {
+	p := NewScanner(data)
+	if err := p.Histogram(h); err != nil {
 		return err
 	}
-	p.space()
-	if p.i < len(p.data) {
-		return p.syntax("after top-level value")
-	}
-	return nil
+	return p.End()
 }
 
 // add records one decoded member. A key no histogram may hold is kept as
@@ -149,13 +145,208 @@ func keyError(rawKey []byte) error {
 	return fmt.Errorf("invalid key %q", k)
 }
 
-// scanner is a cursor over one JSON document.
-type scanner struct {
+// Scanner is a cursor over one JSON document in which histograms are
+// embedded. A decoder walks the document around them (a request wrapper, a
+// batch envelope) with Object, Array and Skip, and decodes each histogram in
+// place with Histogram, so the body is read once and no histogram is copied
+// out first. Together the methods accept exactly the documents
+// encoding/json accepts, nesting depth included.
+//
+// A method's error is either a syntax error or, for a well-formed value of
+// the wrong type, a type error. A copy of the Scanner is a saved position: a
+// caller that must tell the two errors apart (a batch keeps the type errors
+// of its members) restores the copy and Skips the value, which fails only on
+// syntax.
+type Scanner struct {
 	data []byte
 	i    int
+	// depth counts the objects and arrays open at the cursor.
+	depth int
 }
 
-func (p *scanner) syntax(context string) error {
+// maxDepth is encoding/json's nesting limit: a document may open 10000
+// objects and arrays inside each other, and no more.
+const maxDepth = 10000
+
+// NewScanner returns a Scanner at the start of data.
+func NewScanner(data []byte) Scanner { return Scanner{data: data} }
+
+// End checks that only whitespace follows the cursor.
+func (p *Scanner) End() error {
+	p.space()
+	if p.i < len(p.data) {
+		return p.syntax("after top-level value")
+	}
+	return nil
+}
+
+// Histogram decodes the value at the cursor into h, as h.UnmarshalJSON would
+// decode it alone: an object is merged into h, and null empties it.
+func (p *Scanner) Histogram(h *Histogram) error {
+	p.space()
+	if p.literal("null") {
+		*h = Histogram{}
+		return nil
+	}
+	return p.object(h)
+}
+
+// Object steps into the object at the cursor and calls member once per
+// member, with the cursor on the member's value, which member must consume
+// (with Histogram, Object, Array or Skip). key is the member's name as
+// written, quotes and escapes included; KeyIs matches it. Null is read as an
+// object with no members; any other value is a type error.
+func (p *Scanner) Object(member func(key []byte) error) error {
+	p.space()
+	if p.literal("null") {
+		return nil
+	}
+	if p.i >= len(p.data) || p.data[p.i] != '{' {
+		return p.mismatch("object")
+	}
+	if err := p.open(); err != nil {
+		return err
+	}
+	if p.next('}') {
+		p.depth--
+		return nil
+	}
+	for {
+		if p.i >= len(p.data) || p.data[p.i] != '"' {
+			return p.syntax("looking for beginning of object key string")
+		}
+		start := p.i
+		if _, _, _, err := p.key(); err != nil {
+			return err
+		}
+		key := p.data[start:p.i]
+		p.space()
+		if !p.next(':') {
+			return p.syntax("after object key")
+		}
+		if err := member(key); err != nil {
+			return err
+		}
+		p.space()
+		if p.next('}') {
+			p.depth--
+			return nil
+		}
+		if !p.next(',') {
+			return p.syntax("after object key:value pair")
+		}
+		p.space()
+	}
+}
+
+// Array steps into the array at the cursor and calls elem once per element,
+// with the cursor on the element, which elem must consume. Null is read as
+// an empty array; any other value is a type error.
+func (p *Scanner) Array(elem func() error) error {
+	p.space()
+	if p.literal("null") {
+		return nil
+	}
+	if p.i >= len(p.data) || p.data[p.i] != '[' {
+		return p.mismatch("array")
+	}
+	if err := p.open(); err != nil {
+		return err
+	}
+	if p.next(']') {
+		p.depth--
+		return nil
+	}
+	for {
+		if err := elem(); err != nil {
+			return err
+		}
+		p.space()
+		if p.next(']') {
+			p.depth--
+			return nil
+		}
+		if !p.next(',') {
+			return p.syntax("after array element")
+		}
+	}
+}
+
+// Skip steps over the value at the cursor, checking its syntax, and returns
+// its bytes.
+func (p *Scanner) Skip() ([]byte, error) {
+	p.space()
+	start := p.i
+	err := p.value()
+	return p.data[start:p.i], err
+}
+
+// value steps over one value of any type.
+func (p *Scanner) value() error {
+	p.space()
+	if p.i < len(p.data) {
+		switch c := p.data[p.i]; {
+		case c == '{':
+			return p.Object(func([]byte) error { return p.value() })
+		case c == '[':
+			return p.Array(p.value)
+		case c == '"':
+			_, _, _, err := p.key()
+			return err
+		case c == '-' || c-'0' <= 9:
+			_, err := p.number()
+			return err
+		case p.literal("true"), p.literal("false"), p.literal("null"):
+			return nil
+		}
+	}
+	return p.syntax("looking for beginning of value")
+}
+
+// open steps into the object or array whose bracket is at the cursor.
+func (p *Scanner) open() error {
+	if p.depth == maxDepth {
+		return errors.New("exceeded max depth")
+	}
+	p.i++
+	p.depth++
+	p.space()
+	return nil
+}
+
+// KeyIs reports whether key, an object key as Object passes it, names the
+// field name the way encoding/json matches a key to a struct field: after
+// unescaping, equal under Unicode case folding.
+func KeyIs(key []byte, name string) bool {
+	raw := key[1 : len(key)-1]
+	if bytes.IndexByte(raw, '\\') < 0 {
+		return bytes.EqualFold(raw, []byte(name))
+	}
+	// Escaped keys are rare: unescape, then compare.
+	var buf [32]byte
+	unescaped := buf[:0]
+	p := Scanner{data: key, i: 1}
+	for p.i < len(key)-1 {
+		if c := key[p.i]; c != '\\' {
+			unescaped = append(unescaped, c)
+			p.i++
+			continue
+		}
+		p.i++
+		short := key[p.i] != 'u'
+		r, err := p.escape()
+		if err != nil {
+			return false
+		}
+		if i := strings.IndexRune("bfnrt", r); short && i >= 0 {
+			r = rune("\b\f\n\r\t"[i]) // escape returns a short escape's letter
+		}
+		unescaped = utf8.AppendRune(unescaped, r)
+	}
+	return bytes.EqualFold(unescaped, []byte(name))
+}
+
+func (p *Scanner) syntax(context string) error {
 	if p.i >= len(p.data) {
 		return errors.New("unexpected end of JSON input")
 	}
@@ -165,7 +356,7 @@ func (p *scanner) syntax(context string) error {
 // mismatch rejects a well-formed value of the wrong type, as encoding/json
 // words it, or reports the syntax error if the value is not well-formed
 // either.
-func (p *scanner) mismatch(want string) error {
+func (p *Scanner) mismatch(want string) error {
 	got := ""
 	if p.i < len(p.data) {
 		switch c := p.data[p.i]; {
@@ -187,7 +378,7 @@ func (p *scanner) mismatch(want string) error {
 	return fmt.Errorf("json: cannot unmarshal %s into Go value of type %s", got, want)
 }
 
-func (p *scanner) space() {
+func (p *Scanner) space() {
 	i := p.i
 	for i < len(p.data) && (p.data[i] == ' ' || p.data[i] == '\t' || p.data[i] == '\n' || p.data[i] == '\r') {
 		i++
@@ -196,7 +387,7 @@ func (p *scanner) space() {
 }
 
 // next consumes c if the input continues with it.
-func (p *scanner) next(c byte) bool {
+func (p *Scanner) next(c byte) bool {
 	if p.i < len(p.data) && p.data[p.i] == c {
 		p.i++
 		return true
@@ -205,7 +396,7 @@ func (p *scanner) next(c byte) bool {
 }
 
 // literal consumes word if the input continues with it.
-func (p *scanner) literal(word string) bool {
+func (p *Scanner) literal(word string) bool {
 	if len(p.data)-p.i >= len(word) && string(p.data[p.i:p.i+len(word)]) == word {
 		p.i += len(word)
 		return true
@@ -214,12 +405,15 @@ func (p *scanner) literal(word string) bool {
 }
 
 // object decodes one {"bits": mass, ...} object into h.
-func (p *scanner) object(h *Histogram) error {
-	if !p.next('{') {
+func (p *Scanner) object(h *Histogram) error {
+	if p.i >= len(p.data) || p.data[p.i] != '{' {
 		return p.mismatch("map[string]float64")
 	}
-	p.space()
+	if err := p.open(); err != nil {
+		return err
+	}
 	if p.next('}') {
+		p.depth--
 		return nil
 	}
 	for {
@@ -242,10 +436,16 @@ func (p *scanner) object(h *Histogram) error {
 			return err
 		}
 		if h.es == nil && ok {
-			// Sized as if every member were as short as this key allows,
-			// so a compact body never regrows the slice, but never beyond
-			// the outcomes the width can name.
-			size := (len(p.data)-start)/(len(rawKey)+3) + 1
+			// Sized as if every member up to the first '}' were as short
+			// as this key allows, so a compact object never regrows the
+			// slice, but never beyond the outcomes the width can name. The
+			// first '}' ends this object unless a key holds one, which
+			// only makes the estimate smaller.
+			end := bytes.IndexByte(p.data[start:], '}')
+			if end < 0 {
+				end = len(p.data) - start
+			}
+			size := end/(len(rawKey)+3) + 1
 			if units < 32 {
 				size = min(size, 1<<units)
 			}
@@ -254,6 +454,7 @@ func (p *scanner) object(h *Histogram) error {
 		h.add(x, units, ok, v, rawKey)
 		p.space()
 		if p.next('}') {
+			p.depth--
 			return nil
 		}
 		if !p.next(',') {
@@ -265,7 +466,7 @@ func (p *scanner) object(h *Histogram) error {
 
 // key decodes one object key string, returning its outcome, its length in
 // characters, and whether every character is a '0' or a '1'.
-func (p *scanner) key() (x bitstr.Bits, units int, ok bool, err error) {
+func (p *Scanner) key() (x bitstr.Bits, units int, ok bool, err error) {
 	ok = true
 	p.i++ // the opening quote
 	for p.i < len(p.data) {
@@ -306,9 +507,10 @@ func (p *scanner) key() (x bitstr.Bits, units int, ok bool, err error) {
 	return 0, 0, false, p.syntax("")
 }
 
-// escape decodes the escape sequence after a backslash. Only the code point
-// matters to a key, and only whether it is '0' or '1'.
-func (p *scanner) escape() (rune, error) {
+// escape decodes the escape sequence after a backslash: a \uXXXX escape's
+// code point, or a two-character escape's second character as written ('n'
+// for \n). A histogram key needs only to tell '0' and '1' from the rest.
+func (p *Scanner) escape() (rune, error) {
 	if p.i >= len(p.data) {
 		return 0, p.syntax("")
 	}
@@ -344,49 +546,33 @@ func (p *scanner) escape() (rune, error) {
 }
 
 // mass decodes one member value: null (0) or a number in the JSON grammar.
-func (p *scanner) mass() (float64, error) {
+func (p *Scanner) mass() (float64, error) {
 	if p.literal("null") {
 		return 0, nil
 	}
-	start := p.i
-	minus := p.next('-')
-	intStart := p.i
-	switch {
-	case p.next('0'):
-	case p.i < len(p.data) && p.data[p.i] >= '1' && p.data[p.i] <= '9':
-		p.digits()
-	case minus:
-		return 0, p.syntax("in numeric literal")
-	default:
+	if p.i >= len(p.data) || p.data[p.i] != '-' && p.data[p.i]-'0' > 9 {
 		return 0, p.mismatch("float64")
 	}
-	intEnd := p.i
-	if p.next('.') && p.digits() == 0 {
-		return 0, p.syntax("after decimal point in numeric literal")
+	start := p.i
+	digits, err := p.number()
+	if err != nil {
+		return 0, err
 	}
-	if p.next('e') || p.next('E') {
-		if !p.next('+') {
-			p.next('-')
-		}
-		if p.digits() == 0 {
-			return 0, p.syntax("in exponent of numeric literal")
-		}
-	}
-	if p.i == intEnd && intEnd-intStart <= 15 {
+	num := p.data[start:p.i]
+	if digits > 0 && digits <= 15 {
 		// A plain integer of at most 15 digits is below 2^53, so it is
 		// exactly the float64 ParseFloat would return; counts take this
 		// path.
 		var u uint64
-		for _, c := range p.data[intStart:intEnd] {
+		for _, c := range num[len(num)-digits:] {
 			u = u*10 + uint64(c-'0')
 		}
 		v := float64(u)
-		if minus {
+		if num[0] == '-' {
 			v = -v
 		}
 		return v, nil
 	}
-	num := p.data[start:p.i]
 	v, err := strconv.ParseFloat(string(num), 64)
 	if err != nil {
 		return 0, fmt.Errorf("json: cannot unmarshal number %s into Go value of type float64", num)
@@ -394,8 +580,40 @@ func (p *scanner) mass() (float64, error) {
 	return v, nil
 }
 
+// number steps over a number in the JSON grammar, the cursor on its '-' or
+// first digit. For a plain integer it returns its count of digits, and 0
+// when a fraction or an exponent follows them.
+func (p *Scanner) number() (int, error) {
+	p.next('-')
+	intStart := p.i
+	switch {
+	case p.next('0'):
+	case p.i < len(p.data) && p.data[p.i]-'1' <= 8:
+		p.digits()
+	default:
+		return 0, p.syntax("in numeric literal")
+	}
+	digits := p.i - intStart
+	if p.next('.') {
+		digits = 0
+		if p.digits() == 0 {
+			return 0, p.syntax("after decimal point in numeric literal")
+		}
+	}
+	if p.next('e') || p.next('E') {
+		digits = 0
+		if !p.next('+') {
+			p.next('-')
+		}
+		if p.digits() == 0 {
+			return 0, p.syntax("in exponent of numeric literal")
+		}
+	}
+	return digits, nil
+}
+
 // digits consumes a run of decimal digits and returns its length.
-func (p *scanner) digits() int {
+func (p *Scanner) digits() int {
 	start, i := p.i, p.i
 	for i < len(p.data) && p.data[i]-'0' <= 9 {
 		i++

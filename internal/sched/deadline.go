@@ -23,6 +23,21 @@ const (
 	PolicySPJF = "spjf"
 )
 
+// BudgetMS converts a deadline budget given in whole milliseconds on the
+// wire into a duration. It saturates instead of wrapping: a budget past the
+// largest time.Duration (about 292 years) becomes that duration, and one
+// below the smallest becomes that, so no budget reads as a different one.
+func BudgetMS(ms int64) time.Duration {
+	const limit = math.MaxInt64 / int64(time.Millisecond)
+	switch {
+	case ms > limit:
+		return math.MaxInt64
+	case ms < -limit:
+		return math.MinInt64
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
 // ValidatePolicy reports whether name is an accepted Config.Policy value
 // (the empty string selects FIFO). Facades and CLIs share it so the accepted
 // set lives in one place.

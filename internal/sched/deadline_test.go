@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -281,6 +282,30 @@ func TestCostMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n%s", want, text)
+		}
+	}
+}
+
+// TestBudgetMSSaturates pins the wire budget conversion at its edges: exact
+// up to the largest whole-millisecond duration, and the nearest extreme
+// duration past it, where the product would have wrapped.
+func TestBudgetMSSaturates(t *testing.T) {
+	const limit = math.MaxInt64 / int64(time.Millisecond)
+	for ms, want := range map[int64]time.Duration{
+		0:                 0,
+		1:                 time.Millisecond,
+		-3:                -3 * time.Millisecond,
+		limit:             time.Duration(limit) * time.Millisecond,
+		limit + 1:         math.MaxInt64,
+		18446744073710:    math.MaxInt64,
+		70761710266749840: math.MaxInt64,
+		math.MaxInt64:     math.MaxInt64,
+		-limit:            -time.Duration(limit) * time.Millisecond,
+		-limit - 1:        math.MinInt64,
+		math.MinInt64:     math.MinInt64,
+	} {
+		if got := BudgetMS(ms); got != want {
+			t.Errorf("BudgetMS(%d) = %v, want %v", ms, got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -98,6 +99,11 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if req.Budget() != 2*time.Millisecond {
 		t.Fatalf("sub-millisecond budget rounded to %v, want 2ms", req.Budget())
+	}
+	// A budget whose nanoseconds overflow saturates instead of wrapping to
+	// a few hundred microseconds.
+	if huge := (&StripeRequest{BudgetMS: 18446744073710}).Budget(); huge != math.MaxInt64 {
+		t.Fatalf("585-year budget read as %v", huge)
 	}
 	for i := range spec.Outs {
 		if got.Outs[i] != spec.Outs[i] {

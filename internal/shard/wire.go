@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
+	"repro/internal/sched"
 )
 
 // StripeRequest is the POST /v1/shard/reconstruct body: one stripe
@@ -99,7 +100,7 @@ func (r *StripeRequest) Budget() time.Duration {
 	if r.BudgetMS <= 0 {
 		return 0
 	}
-	return time.Duration(r.BudgetMS) * time.Millisecond
+	return sched.BudgetMS(r.BudgetMS)
 }
 
 // Spec decodes the request into the core stripe spec, validating the wire
