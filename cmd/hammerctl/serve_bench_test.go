@@ -140,12 +140,13 @@ func BenchmarkDecodeKeyShuffled(b *testing.B) {
 	benchDecodeKey(b, shuffledHistogramJSON(b))
 }
 
-// benchCountsJSON is the §6.6 workload histogram as integer shot counts, in
-// the serving benchmark's shape: the key outcome about 5000 shots, its
-// neighbours 1000-2000, the tail 10-20, members in ascending order.
-func benchCountsJSON(tb testing.TB, bits, support int) []byte {
+// benchCountsJSON is the §6.6 workload histogram of the given seed as
+// integer shot counts, in the serving benchmark's shape: the key outcome
+// about 5000 shots, its neighbours 1000-2000, the tail 10-20, members in
+// ascending order.
+func benchCountsJSON(tb testing.TB, bits, support int, seed int64) []byte {
 	tb.Helper()
-	d := dist.Synthetic(bits, support, 42)
+	d := dist.Synthetic(bits, support, seed)
 	h := make(map[string]int, d.Len())
 	d.Range(func(x bitstr.Bits, p float64) { h[bitstr.Format(x, bits)] = int(math.Round(p * 1e5)) })
 	body, err := json.Marshal(h)
@@ -159,7 +160,7 @@ func benchCountsJSON(tb testing.TB, bits, support int) []byte {
 // 4000-outcome integer counts wrapped as {"counts": ..., "config":
 // {"radius": 3}}, beside the same counts bare.
 func BenchmarkDecodeKeyWrapped(b *testing.B) {
-	counts := benchCountsJSON(b, 20, 4000)
+	counts := benchCountsJSON(b, 20, 4000, 42)
 	b.Run("bare", func(b *testing.B) { benchDecodeKey(b, counts) })
 	wrapped := fmt.Appendf(nil, `{"counts": %s, "config": {"radius": 3}}`, counts)
 	b.Run("wrapped", func(b *testing.B) { benchDecodeKey(b, wrapped) })
@@ -174,7 +175,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 		if m > 0 {
 			body = append(body, ", "...)
 		}
-		body = append(body, benchCountsJSON(b, 12, 256)...)
+		body = append(body, benchCountsJSON(b, 12, 256, 42)...)
 	}
 	body = append(body, "]}"...)
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -49,11 +50,14 @@ func TestEnginesAgree(t *testing.T) {
 			if ex.Engine != EngineExact {
 				t.Fatalf("n=%d: exact reported %q", n, ex.Engine)
 			}
+			want := oracleOf(histOf(in), Options{})
+			checkOracle(t, fmt.Sprintf("n=%d workers=%d exact", n, workers), want, ex.Out)
 			for _, engine := range indexEngines {
 				got := Reconstruct(in, Options{Engine: engine, Workers: workers})
 				if got.Engine != engine {
 					t.Fatalf("n=%d: engine %q reported %q", n, engine, got.Engine)
 				}
+				checkOracle(t, fmt.Sprintf("n=%d workers=%d %s", n, workers, engine), want, got.Out)
 				if d := dist.TVD(ex.Out, got.Out); d > 1e-12 {
 					t.Fatalf("n=%d workers=%d %s: engine TVD %v", n, workers, engine, d)
 				}
@@ -78,8 +82,11 @@ func TestEnginesAgree(t *testing.T) {
 // TestEnginesAgreeAcrossOptions sweeps the option surface the engines must
 // agree under: explicit radii, every weight scheme, the filter ablation
 // (which exercises the blocked engine's slab path), and TopM truncation.
+// Every case without TopM, which the oracle does not model, is also pinned
+// to the oracle.
 func TestEnginesAgreeAcrossOptions(t *testing.T) {
 	in := goldenDist(12, 9)
+	hist := histOf(in)
 	cases := []Options{
 		{Radius: 1},
 		{Radius: 3},
@@ -95,10 +102,18 @@ func TestEnginesAgreeAcrossOptions(t *testing.T) {
 		exOpts := opts
 		exOpts.Engine = EngineExact
 		ex := Reconstruct(in, exOpts)
+		var want map[string]float64
+		if opts.TopM == 0 {
+			want = oracleOf(hist, opts)
+			checkOracle(t, fmt.Sprintf("case %d exact", i), want, ex.Out)
+		}
 		for _, engine := range indexEngines {
 			ixOpts := opts
 			ixOpts.Engine = engine
 			got := Reconstruct(in, ixOpts)
+			if opts.TopM == 0 {
+				checkOracle(t, fmt.Sprintf("case %d %s", i, engine), want, got.Out)
+			}
 			if d := dist.TVD(ex.Out, got.Out); d > 1e-12 {
 				t.Fatalf("case %d (%+v) %s: engine TVD %v", i, opts, engine, d)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -38,8 +39,8 @@ func fuzzDist(data []byte, n int) *dist.Dist {
 
 // FuzzBlockedRadius pins the blocked engine — whichever scan its count rule
 // picks — to the exact reference within 1e-12 per outcome and per global
-// CHS entry, over fuzzed histograms, widths, radii (0 = the paper's default)
-// and worker counts.
+// CHS entry, and both to the oracle within 1e-12 per outcome, over fuzzed
+// histograms, widths, radii (0 = the paper's default) and worker counts.
 func FuzzBlockedRadius(f *testing.F) {
 	seed := func(key uint64, chunks ...[4]byte) []byte {
 		b := binary.LittleEndian.AppendUint64(nil, key)
@@ -74,6 +75,9 @@ func FuzzBlockedRadius(f *testing.F) {
 				t.Fatalf("n=%d %+v: outcome %b: exact %v, blocked %v", n, opts, x, p, q)
 			}
 		})
+		want := oracleOf(histOf(in), opts)
+		checkOracle(t, fmt.Sprintf("n=%d %+v exact", n, opts), want, ex.Out)
+		checkOracle(t, fmt.Sprintf("n=%d %+v blocked", n, opts), want, got.Out)
 	})
 }
 
@@ -81,7 +85,9 @@ func FuzzBlockedRadius(f *testing.F) {
 // fuzzed sequence of (outcome, count) ingests over a fuzzed width, radius
 // (0 = the paper's default), filter setting and weight scheme, with
 // snapshots at fuzzed points, must reconstruct every snapshot within 1e-12
-// TVD of Reconstruct over the histogram accumulated so far. The anti-drift
+// TVD of Reconstruct over the histogram accumulated so far, and within 1e-12
+// per outcome of the oracle over the same shots, which the test accumulates
+// by key string on its own. The anti-drift
 // rebuild is brought down to every few revalidations, so sequences cross it
 // as well as the delta-patched partial pass.
 //
@@ -124,6 +130,7 @@ func FuzzIncrementalSnapshots(f *testing.F) {
 		key := bitstr.Bits(binary.LittleEndian.Uint64(data)) & all
 		inc := NewIncremental(n, opts)
 		acc := dist.New(n)
+		hist := make(map[string]float64)
 		chunks := data[8:min(len(data), 8+5*256)]
 		for ; len(chunks) >= 5; chunks = chunks[5:] {
 			c := chunks
@@ -139,6 +146,7 @@ func FuzzIncrementalSnapshots(f *testing.F) {
 			k := float64(1 + c[4]>>1)
 			inc.Add(x, k)
 			acc.Add(x, k)
+			hist[bitstr.Format(x, n)] += k
 			if c[4]&1 == 0 && len(chunks) >= 10 {
 				continue
 			}
@@ -150,6 +158,7 @@ func FuzzIncrementalSnapshots(f *testing.F) {
 			if d := dist.TVD(got.Out, want.Out); !(d <= 1e-12) {
 				t.Fatalf("n=%d %+v, %d outcomes: incremental TVD %v from batch", n, opts, acc.Len(), d)
 			}
+			checkOracle(t, fmt.Sprintf("n=%d %+v, %d outcomes", n, opts, len(hist)), oracleOf(hist, opts), got.Out)
 			inc.resyncIn = min(inc.resyncIn, resyncEvery)
 		}
 	})
