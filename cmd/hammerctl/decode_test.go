@@ -79,17 +79,19 @@ func checkRequest(t *testing.T, rr *reconstructRequest, ref referenceRequest) {
 	if !reflect.DeepEqual(rr.override, ref.override) || rr.deadline != ref.deadline {
 		t.Fatalf("override %+v/%v, reference %+v/%v", rr.override, rr.deadline, ref.override, ref.deadline)
 	}
+	// Keys first, as the handler does: FromEntries takes the entries over
+	// and normalizes them in place.
+	for _, o := range []core.Options{{}, {Radius: 2, Engine: core.EngineExact, TopM: 4}} {
+		if k, want := cache.KeyEntries(rr.entries, rr.width, o), cache.Key(ref.counts, o); k != want {
+			t.Fatalf("key %s, reference %s", k, want)
+		}
+	}
 	got, err := dist.FromEntries(rr.width, rr.entries)
 	if err != nil {
 		t.Fatalf("FromEntries rejected scanned entries: %v", err)
 	}
 	if !sameDist(got, ref.d) {
 		t.Fatalf("dist %v, reference %v", got, ref.d)
-	}
-	for _, o := range []core.Options{{}, {Radius: 2, Engine: core.EngineExact, TopM: 4}} {
-		if k, want := cache.KeyEntries(rr.entries, rr.width, o), cache.Key(ref.counts, o); k != want {
-			t.Fatalf("key %s, reference %s", k, want)
-		}
 	}
 }
 

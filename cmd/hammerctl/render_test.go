@@ -64,16 +64,18 @@ func renderCases() []*dist.Dist {
 	for _, n := range []int{1, 12, 20, 64} {
 		outcomes := []bitstr.Bits{0, 1, bitstr.AllOnes(n), bitstr.AllOnes(n) / 3, bitstr.AllOnes(n) &^ 2}
 		for _, m := range masses {
-			d := dist.New(n)
+			b := dist.NewBuilder(n)
 			for _, x := range outcomes {
-				d.Set(x, m)
+				b.Set(x, m)
 			}
+			d := b.Dist()
 			out = append(out, d)
 		}
-		mixed := dist.New(n)
+		bld := dist.NewBuilder(n)
 		for i, x := range outcomes {
-			mixed.Set(x, masses[i])
+			bld.Set(x, masses[i])
 		}
+		mixed := bld.Dist()
 		out = append(out, mixed)
 	}
 	return out
@@ -238,9 +240,10 @@ func TestCacheStoresExactLength(t *testing.T) {
 // emit a body.
 func TestRenderNonFiniteMass(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
-		d := dist.New(2)
-		d.Add(0b01, 0.5)
-		d.Add(0b10, bad)
+		b := dist.NewBuilder(2)
+		b.Add(0b01, 0.5)
+		b.Add(0b10, bad)
+		d := b.Dist()
 		res := &core.Result{Out: d, Engine: core.EngineExact, Radius: 1}
 		_, want := encodeJSON(referenceResult(res))
 		if want == nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -33,28 +34,29 @@ func benchHistogramJSON(tb testing.TB, bits, support int) []byte {
 
 // benchReconstruct drives POST /v1/reconstruct through the full handler
 // stack (middleware, decode, cache, render) with the recorder as the
-// wire.
-func benchReconstruct(b *testing.B, cacheEntries int, body []byte, wantHeader string) {
+// wire, request i sending bodies[i%len(bodies)] after one warm-up request
+// of the first.
+func benchReconstruct(b *testing.B, cacheEntries int, bodies [][]byte, wantHeader string) {
 	b.Helper()
 	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 1}, CacheEntries: cacheEntries})
 	if err != nil {
 		b.Fatal(err)
 	}
 	mux := srv.mux()
-	do := func() *httptest.ResponseRecorder {
+	do := func(body []byte) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/v1/reconstruct", strings.NewReader(string(body)))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, req)
 		return rec
 	}
-	if rec := do(); rec.Code != http.StatusOK {
+	if rec := do(bodies[0]); rec.Code != http.StatusOK {
 		b.Fatalf("warm-up status %d: %s", rec.Code, rec.Body)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := do()
+		rec := do(bodies[i%len(bodies)])
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d", rec.Code)
 		}
@@ -70,19 +72,47 @@ func benchReconstruct(b *testing.B, cacheEntries int, body []byte, wantHeader st
 // BenchmarkUncachedReconstruct for the hit speedup (`microbench -suite
 // cache` emits the ratio as BENCH_cache.json; the acceptance floor is 10x).
 func BenchmarkCachedReconstruct(b *testing.B) {
-	benchReconstruct(b, 64, benchHistogramJSON(b, 20, 4000), cacheHit)
+	benchReconstruct(b, 64, [][]byte{benchHistogramJSON(b, 20, 4000)}, cacheHit)
 }
 
 // BenchmarkCachedReconstructShuffled is BenchmarkCachedReconstruct with the
 // body's members shuffled, so every hit also pays the decoder's sort.
 func BenchmarkCachedReconstructShuffled(b *testing.B) {
-	benchReconstruct(b, 64, shuffledHistogramJSON(b), cacheHit)
+	benchReconstruct(b, 64, [][]byte{shuffledHistogramJSON(b)}, cacheHit)
 }
 
 // BenchmarkUncachedReconstruct is the same request served with caching
 // disabled: a full reconstruction per timed request.
 func BenchmarkUncachedReconstruct(b *testing.B) {
-	benchReconstruct(b, 0, benchHistogramJSON(b, 20, 4000), "")
+	benchReconstruct(b, 0, [][]byte{benchHistogramJSON(b, 20, 4000)}, "")
+}
+
+// BenchmarkUncachedReconstructTight is the serving benchmark's tight request
+// through the full handler with caching disabled: 20-bit/4000-outcome
+// integer counts wrapped with {"radius": 3}, which blocked serves with its
+// block multi-index. It cycles 256 distinct bodies, as tight does: eight
+// dist.Synthetic histograms, each sent with its heaviest outcome's count
+// raised by 0 to 31 shots.
+func BenchmarkUncachedReconstructTight(b *testing.B) {
+	var bodies [][]byte
+	for seed := range int64(8) {
+		d := dist.Synthetic(20, 4000, seed+1)
+		key := d.MostProbable()
+		for vary := range 32 {
+			body, sep := []byte(`{"counts": {`), ""
+			d.Range(func(x bitstr.Bits, p float64) {
+				k := int64(math.Round(p * 1e5))
+				if x == key {
+					k += int64(vary)
+				}
+				body = bitstr.AppendFormat(append(body, sep+`"`...), x, 20)
+				body = strconv.AppendInt(append(body, `": `...), k, 10)
+				sep = ", "
+			})
+			bodies = append(bodies, append(body, `}, "config": {"radius": 3}}`...))
+		}
+	}
+	benchReconstruct(b, 0, bodies, "")
 }
 
 // benchDecodeKey times what a cache hit does before the lookup: decode the

@@ -9,8 +9,10 @@ package baselines
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
@@ -55,7 +57,7 @@ func Merge(members []*dist.Dist, mode MergeMode) *dist.Dist {
 			panic("baselines: ensemble width mismatch")
 		}
 	}
-	out := dist.New(n)
+	out := dist.NewBuilder(n)
 	switch mode {
 	case MergeMean:
 		w := 1 / float64(len(members))
@@ -64,13 +66,14 @@ func Merge(members []*dist.Dist, mode MergeMode) *dist.Dist {
 		}
 	case MergeGeo:
 		// Geometric mean over the union support; outcomes missing from any
-		// member get zero.
+		// member get zero. The support is walked in ascending order, so the
+		// total the merge normalizes by is summed in a fixed order.
 		support := map[bitstr.Bits]bool{}
 		for _, m := range members {
 			m.Range(func(x bitstr.Bits, _ float64) { support[x] = true })
 		}
 		inv := 1 / float64(len(members))
-		for x := range support {
+		for _, x := range slices.Sorted(maps.Keys(support)) {
 			logp := 0.0
 			ok := true
 			for _, m := range members {
@@ -92,7 +95,7 @@ func Merge(members []*dist.Dist, mode MergeMode) *dist.Dist {
 	default:
 		panic(fmt.Sprintf("baselines: unknown merge mode %d", mode))
 	}
-	return out.Normalize()
+	return out.Dist().Normalize()
 }
 
 // DiverseMappings executes the logical circuit under `k` different qubit
@@ -136,7 +139,7 @@ func permuteCircuit(c *quantum.Circuit, perm []int) *quantum.Circuit {
 // the measured string is bit q of the logical outcome.
 func unpermuteDist(d *dist.Dist, perm []int) *dist.Dist {
 	n := d.NumBits()
-	out := dist.New(n)
+	out := dist.NewBuilder(n)
 	d.Range(func(x bitstr.Bits, p float64) {
 		var y bitstr.Bits
 		for q, pq := range perm {
@@ -146,7 +149,7 @@ func unpermuteDist(d *dist.Dist, perm []int) *dist.Dist {
 		}
 		out.Add(y, p)
 	})
-	return out
+	return out.Dist()
 }
 
 // Pipeline names a post-processing chain applied to a measured distribution.

@@ -2,6 +2,8 @@ package baselines
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -16,11 +18,10 @@ import (
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMergeMean(t *testing.T) {
-	a := dist.New(2)
+	a, b := dist.NewBuilder(2), dist.NewBuilder(2)
 	a.Set(0b00, 1)
-	b := dist.New(2)
 	b.Set(0b11, 1)
-	m := Merge([]*dist.Dist{a, b}, MergeMean)
+	m := Merge([]*dist.Dist{a.Dist(), b.Dist()}, MergeMean)
 	if !almostEq(m.Prob(0b00), 0.5, 1e-12) || !almostEq(m.Prob(0b11), 0.5, 1e-12) {
 		t.Errorf("mean merge = %v", m)
 	}
@@ -29,34 +30,32 @@ func TestMergeMean(t *testing.T) {
 func TestMergeGeoSuppressesDisjointErrors(t *testing.T) {
 	// Two mappings agree on the correct outcome but each has its own
 	// correlated error; the geometric merge keeps only the agreement.
-	a := dist.New(3)
+	a, b := dist.NewBuilder(3), dist.NewBuilder(3)
 	a.Set(0b111, 0.6)
 	a.Set(0b100, 0.4) // mapping-A-specific error
-	b := dist.New(3)
 	b.Set(0b111, 0.6)
 	b.Set(0b001, 0.4) // mapping-B-specific error
-	m := Merge([]*dist.Dist{a, b}, MergeGeo)
+	m := Merge([]*dist.Dist{a.Dist(), b.Dist()}, MergeGeo)
 	if !almostEq(m.Prob(0b111), 1, 1e-12) {
 		t.Errorf("geo merge = %v", m)
 	}
 }
 
 func TestMergeGeoFallsBackOnDisjointSupport(t *testing.T) {
-	a := dist.New(2)
+	a, b := dist.NewBuilder(2), dist.NewBuilder(2)
 	a.Set(0b00, 1)
-	b := dist.New(2)
 	b.Set(0b11, 1)
-	m := Merge([]*dist.Dist{a, b}, MergeGeo)
+	m := Merge([]*dist.Dist{a.Dist(), b.Dist()}, MergeGeo)
 	if !almostEq(m.Total(), 1, 1e-12) {
 		t.Errorf("fallback merge mass = %v", m.Total())
 	}
 }
 
 func TestMergePanics(t *testing.T) {
-	a := dist.New(2)
-	a.Set(0, 1)
-	b := dist.New(3)
-	b.Set(0, 1)
+	ab, bb := dist.NewBuilder(2), dist.NewBuilder(3)
+	ab.Set(0, 1)
+	bb.Set(0, 1)
+	a, b := ab.Dist(), bb.Dist()
 	for name, fn := range map[string]func(){
 		"empty":    func() { Merge(nil, MergeMean) },
 		"mismatch": func() { Merge([]*dist.Dist{a, b}, MergeMean) },
@@ -178,5 +177,31 @@ func TestStandardPipelines(t *testing.T) {
 	}
 	if psts["readout+hammer"] <= psts["baseline"] {
 		t.Errorf("composition did not help: %v", psts["readout+hammer"])
+	}
+}
+
+// TestMergeGeoBitReproducible: the geometric merge collects its support in
+// a map, and must not let Go's map order into the total it normalizes by,
+// so repeated merges of one ensemble agree in every bit of every mass.
+func TestMergeGeoBitReproducible(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var members []*dist.Dist
+	for range 3 {
+		b := dist.NewBuilder(10)
+		for x := range 1024 {
+			b.Set(bitstr.Bits(x), 0.01+rng.Float64())
+		}
+		members = append(members, b.Dist().Normalize())
+	}
+	bits := func() []uint64 {
+		var out []uint64
+		Merge(members, MergeGeo).Range(func(_ bitstr.Bits, p float64) { out = append(out, math.Float64bits(p)) })
+		return out
+	}
+	first := bits()
+	for call := 1; call < 20; call++ {
+		if !slices.Equal(bits(), first) {
+			t.Fatalf("merge %d: masses differ in some bit from the first merge's", call)
+		}
 	}
 }

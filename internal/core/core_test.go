@@ -15,14 +15,14 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // "111" occurs less often than the dominant incorrect outcome "101", but has
 // a richer Hamming neighborhood.
 func fig4Example() *dist.Dist {
-	d := dist.New(3)
-	d.Set(bitstr.MustParse("111"), 0.30)
-	d.Set(bitstr.MustParse("101"), 0.40)
-	d.Set(bitstr.MustParse("110"), 0.05)
-	d.Set(bitstr.MustParse("011"), 0.10)
-	d.Set(bitstr.MustParse("010"), 0.10)
-	d.Set(bitstr.MustParse("001"), 0.05)
-	return d
+	b := dist.NewBuilder(3)
+	b.Set(bitstr.MustParse("111"), 0.30)
+	b.Set(bitstr.MustParse("101"), 0.40)
+	b.Set(bitstr.MustParse("110"), 0.05)
+	b.Set(bitstr.MustParse("011"), 0.10)
+	b.Set(bitstr.MustParse("010"), 0.10)
+	b.Set(bitstr.MustParse("001"), 0.05)
+	return b.Dist()
 }
 
 func TestDefaultRadius(t *testing.T) {
@@ -65,11 +65,12 @@ func TestReconstructPreservesSupport(t *testing.T) {
 func TestAlgorithm1ByHand(t *testing.T) {
 	// Hand-execute Algorithm 1 on a tiny 3-outcome distribution and compare
 	// exactly. n = 4 => strict d < 2 admits only d in {0, 1}.
-	d := dist.New(4)
+	bld := dist.NewBuilder(4)
 	a, b, c := bitstr.MustParse("1111"), bitstr.MustParse("1110"), bitstr.MustParse("0011")
-	d.Set(a, 0.5) // correct
-	d.Set(b, 0.3) // 1 away from a
-	d.Set(c, 0.2) // 3 away from a, 2 away from b (outside radius)
+	bld.Set(a, 0.5) // correct
+	bld.Set(b, 0.3) // 1 away from a
+	bld.Set(c, 0.2) // 3 away from a, 2 away from b (outside radius)
+	d := bld.Dist()
 	res := Reconstruct(d, Options{Workers: 1})
 	if res.Radius != 1 {
 		t.Fatalf("radius = %d, want 1", res.Radius)
@@ -111,11 +112,11 @@ func TestReconstructBoostsCorrectOutcome(t *testing.T) {
 	n := 8
 	key := bitstr.MustParse("00000000")
 	top := bitstr.MustParse("00011111")
-	in := dist.New(n)
-	in.Set(key, 0.10)
-	in.Set(top, 0.14)
+	b := dist.NewBuilder(n)
+	b.Set(key, 0.10)
+	b.Set(top, 0.14)
 	for i := 0; i < n; i++ {
-		in.Set(bitstr.Flip(key, i), 0.05)
+		b.Set(bitstr.Flip(key, i), 0.05)
 	}
 	fillers := []string{
 		"11110000", "11110001", "11110010", "11110100", "11111000",
@@ -126,8 +127,9 @@ func TestReconstructBoostsCorrectOutcome(t *testing.T) {
 		if bitstr.Distance(fb, key) < 4 || bitstr.Distance(fb, top) < 4 {
 			t.Fatalf("filler %s too close to key or top", f)
 		}
-		in.Set(fb, 0.04)
+		b.Set(fb, 0.04)
 	}
+	in := b.Dist()
 	if !almostEq(in.Total(), 1, 1e-12) {
 		t.Fatalf("construction mass = %v", in.Total())
 	}
@@ -164,11 +166,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 5; trial++ {
 		n := 10
-		in := dist.New(n)
+		b := dist.NewBuilder(n)
 		for i := 0; i < 200; i++ {
-			in.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
+			b.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
 		}
-		in.Normalize()
+		in := b.Dist().Normalize()
 		seq := Reconstruct(in, Options{Workers: 1})
 		par := Reconstruct(in, Options{Workers: 8})
 		if d := dist.TVD(seq.Out, par.Out); d > 1e-12 {
@@ -183,8 +185,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestSingletonDistributionIsFixedPoint(t *testing.T) {
-	d := dist.New(6)
-	d.Set(0b101010, 1)
+	b := dist.NewBuilder(6)
+	b.Set(0b101010, 1)
+	d := b.Dist()
 	out := Run(d)
 	if !almostEq(out.Prob(0b101010), 1, 1e-12) {
 		t.Errorf("singleton not fixed: %v", out)
@@ -195,9 +198,10 @@ func TestUniformPairIsFixedPoint(t *testing.T) {
 	// Two equal-probability outcomes: the filter blocks both directions
 	// (neither has strictly higher probability), so HAMMER must not change
 	// anything.
-	d := dist.New(4)
-	d.Set(0b0000, 0.5)
-	d.Set(0b0001, 0.5)
+	b := dist.NewBuilder(4)
+	b.Set(0b0000, 0.5)
+	b.Set(0b0001, 0.5)
+	d := b.Dist()
 	out := Run(d)
 	if !almostEq(out.Prob(0b0000), 0.5, 1e-12) || !almostEq(out.Prob(0b0001), 0.5, 1e-12) {
 		t.Errorf("equal pair changed: %v", out)
@@ -207,9 +211,10 @@ func TestUniformPairIsFixedPoint(t *testing.T) {
 func TestFilterAblation(t *testing.T) {
 	// Without the filter, a low-probability outcome next to a dominant one
 	// receives credit from it; with the filter it cannot.
-	d := dist.New(4)
-	d.Set(0b0000, 0.9)
-	d.Set(0b0001, 0.1)
+	b := dist.NewBuilder(4)
+	b.Set(0b0000, 0.9)
+	b.Set(0b0001, 0.1)
+	d := b.Dist()
 	withFilter := Reconstruct(d, Options{Radius: 1})
 	without := Reconstruct(d, Options{Radius: 1, DisableFilter: true})
 	if without.Out.Prob(0b0001) <= withFilter.Out.Prob(0b0001) {
@@ -249,10 +254,11 @@ func TestExpDecayWeights(t *testing.T) {
 // is 2^-64, not a division by a shifted-out zero — an infinite weight times
 // an empty distance-64 neighborhood turned every score into NaN.
 func TestExpDecayFullRadius64(t *testing.T) {
-	d := dist.New(64)
-	d.Set(0, 0.6)
-	d.Set(^bitstr.Bits(0), 0.3)
-	d.Set(1, 0.1)
+	bld := dist.NewBuilder(64)
+	bld.Set(0, 0.6)
+	bld.Set(^bitstr.Bits(0), 0.3)
+	bld.Set(1, 0.1)
+	d := bld.Dist()
 	for _, engine := range []string{EngineExact, EngineBlocked} {
 		res := Reconstruct(d, Options{Radius: 64, Weights: ExpDecay, Engine: engine})
 		if w := res.Weights[64]; w != math.Ldexp(1, -64) {
@@ -277,7 +283,7 @@ func TestRadiusClamping(t *testing.T) {
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"negative radius": func() { Reconstruct(fig4Example(), Options{Radius: -1}) },
-		"empty input":     func() { Run(dist.New(4)) },
+		"empty input":     func() { Run(dist.NewBuilder(4).Dist()) },
 		"unknown scheme":  func() { Reconstruct(fig4Example(), Options{Weights: WeightScheme(42)}) },
 	} {
 		func() {
@@ -348,25 +354,25 @@ func TestLargeSyntheticReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	n := 12
 	key := bitstr.Bits(0b101010101010)
-	in := dist.New(n)
-	in.Add(key, 0.10)
+	b := dist.NewBuilder(n)
+	b.Add(key, 0.10)
 	// Clustered errors: single and double bit flips.
 	for i := 0; i < n; i++ {
-		in.Add(bitstr.Flip(key, i), 0.015+0.01*rng.Float64())
+		b.Add(bitstr.Flip(key, i), 0.015+0.01*rng.Float64())
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < 0.3 {
-				in.Add(bitstr.Flip(bitstr.Flip(key, i), j), 0.005*rng.Float64())
+				b.Add(bitstr.Flip(bitstr.Flip(key, i), j), 0.005*rng.Float64())
 			}
 		}
 	}
 	// A dominant correlated error.
 	top := key ^ 0b11000
-	in.Add(top, 0.13)
+	b.Add(top, 0.13)
 	// Uniform tail.
 	for i := 0; i < 300; i++ {
-		in.Add(bitstr.Bits(rng.Intn(1<<n)), 0.001*rng.Float64())
+		b.Add(bitstr.Bits(rng.Intn(1<<n)), 0.001*rng.Float64())
 	}
-	in.Normalize()
+	in := b.Dist().Normalize()
 	out := Run(in)
 	// PST must improve: the correct key's probability rises. (The IST
 	// against an in-cluster correlated error is not guaranteed to improve
@@ -391,11 +397,11 @@ func TestLargeSyntheticReconstruction(t *testing.T) {
 
 func TestTopMEqualsExactWhenLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
-	in := dist.New(10)
+	b := dist.NewBuilder(10)
 	for i := 0; i < 150; i++ {
-		in.Add(bitstr.Bits(rng.Intn(1<<10)), rng.Float64())
+		b.Add(bitstr.Bits(rng.Intn(1<<10)), rng.Float64())
 	}
-	in.Normalize()
+	in := b.Dist().Normalize()
 	exact := Reconstruct(in, Options{Workers: 1})
 	capped := Reconstruct(in, Options{Workers: 1, TopM: in.Len()})
 	over := Reconstruct(in, Options{Workers: 1, TopM: in.Len() * 3})
@@ -414,15 +420,15 @@ func TestTopMTruncationPreservesKeyBoost(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	n := 12
 	key := bitstr.AllOnes(12)
-	in := dist.New(n)
-	in.Add(key, 0.08)
+	b := dist.NewBuilder(n)
+	b.Add(key, 0.08)
 	for i := 0; i < n; i++ {
-		in.Add(bitstr.Flip(key, i), 0.02)
+		b.Add(bitstr.Flip(key, i), 0.02)
 	}
 	for i := 0; i < 500; i++ {
-		in.Add(bitstr.Bits(rng.Intn(1<<n)), 5e-4*rng.Float64())
+		b.Add(bitstr.Bits(rng.Intn(1<<n)), 5e-4*rng.Float64())
 	}
-	in.Normalize()
+	in := b.Dist().Normalize()
 	exact := Reconstruct(in, Options{}).Out
 	trunc := Reconstruct(in, Options{TopM: 64}).Out
 	if !almostEq(trunc.Total(), 1, 1e-9) {
@@ -456,20 +462,21 @@ func TestReconstructXORRelabelingEquivariance(t *testing.T) {
 	// distribution equals translating the reconstruction.
 	rng := rand.New(rand.NewSource(17))
 	n := 9
-	in := dist.New(n)
+	b := dist.NewBuilder(n)
 	for i := 0; i < 120; i++ {
-		in.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
+		b.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
 	}
-	in.Normalize()
+	in := b.Dist().Normalize()
 	mask := bitstr.Bits(rng.Intn(1 << n))
-	shifted := dist.New(n)
-	in.Range(func(x bitstr.Bits, p float64) { shifted.Set(x^mask, p) })
+	bld := dist.NewBuilder(n)
+	in.Range(func(x bitstr.Bits, p float64) { bld.Set(x^mask, p) })
+	shifted := bld.Dist()
 
 	outDirect := Reconstruct(shifted, Options{Workers: 1}).Out
 	outRef := Reconstruct(in, Options{Workers: 1}).Out
-	outShifted := dist.New(n)
+	outShifted := dist.NewBuilder(n)
 	outRef.Range(func(x bitstr.Bits, p float64) { outShifted.Set(x^mask, p) })
-	if d := dist.TVD(outDirect, outShifted); d > 1e-12 {
+	if d := dist.TVD(outDirect, outShifted.Dist()); d > 1e-12 {
 		t.Errorf("XOR equivariance violated: TVD %v", d)
 	}
 }
@@ -478,11 +485,11 @@ func TestReconstructBitPermutationEquivariance(t *testing.T) {
 	// Permuting bit positions also preserves Hamming geometry.
 	rng := rand.New(rand.NewSource(29))
 	n := 8
-	in := dist.New(n)
+	b := dist.NewBuilder(n)
 	for i := 0; i < 80; i++ {
-		in.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
+		b.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
 	}
-	in.Normalize()
+	in := b.Dist().Normalize()
 	perm := rng.Perm(n)
 	apply := func(x bitstr.Bits) bitstr.Bits {
 		var y bitstr.Bits
@@ -493,14 +500,15 @@ func TestReconstructBitPermutationEquivariance(t *testing.T) {
 		}
 		return y
 	}
-	permuted := dist.New(n)
-	in.Range(func(x bitstr.Bits, p float64) { permuted.Set(apply(x), p) })
+	bld := dist.NewBuilder(n)
+	in.Range(func(x bitstr.Bits, p float64) { bld.Set(apply(x), p) })
+	permuted := bld.Dist()
 
 	outDirect := Reconstruct(permuted, Options{Workers: 1}).Out
 	outRef := Reconstruct(in, Options{Workers: 1}).Out
-	outPermuted := dist.New(n)
+	outPermuted := dist.NewBuilder(n)
 	outRef.Range(func(x bitstr.Bits, p float64) { outPermuted.Set(apply(x), p) })
-	if d := dist.TVD(outDirect, outPermuted); d > 1e-12 {
+	if d := dist.TVD(outDirect, outPermuted.Dist()); d > 1e-12 {
 		t.Errorf("bit-permutation equivariance violated: TVD %v", d)
 	}
 }

@@ -15,11 +15,11 @@ import (
 // space.
 func goldenDist(n int, seed int64) *dist.Dist {
 	rng := rand.New(rand.NewSource(seed))
-	d := dist.New(n)
+	b := dist.NewBuilder(n)
 	key := bitstr.Bits(rng.Intn(1 << uint(n)))
-	d.Add(key, 0.1+0.1*rng.Float64())
+	b.Add(key, 0.1+0.1*rng.Float64())
 	for i := 0; i < n; i++ {
-		d.Add(bitstr.Flip(key, i), 0.01+0.03*rng.Float64())
+		b.Add(bitstr.Flip(key, i), 0.01+0.03*rng.Float64())
 	}
 	support := 1 << uint(n)
 	tail := support / 4
@@ -27,9 +27,9 @@ func goldenDist(n int, seed int64) *dist.Dist {
 		tail = 400
 	}
 	for i := 0; i < tail; i++ {
-		d.Add(bitstr.Bits(rng.Intn(support)), 0.002*rng.Float64())
+		b.Add(bitstr.Bits(rng.Intn(support)), 0.002*rng.Float64())
 	}
-	return d.Normalize()
+	return b.Dist().Normalize()
 }
 
 // indexEngines are the batch engines built on the popcount-bucketed index —

@@ -21,7 +21,7 @@ func fuzzDist(data []byte, n int) *dist.Dist {
 	}
 	all := bitstr.AllOnes(n)
 	key := bitstr.Bits(binary.LittleEndian.Uint64(data)) & all
-	d := dist.New(n)
+	b := dist.NewBuilder(n)
 	for c := data[8:min(len(data), 8+4*256)]; len(c) >= 4; c = c[4:] {
 		x, flags := key, c[3]
 		for k := 0; k < 3; k++ {
@@ -32,9 +32,9 @@ func fuzzDist(data []byte, n int) *dist.Dist {
 		if flags&8 != 0 {
 			x ^= bitstr.Bits(binary.LittleEndian.Uint32(c)) * 0x9E3779B97F4A7C15 & all
 		}
-		d.Add(x, float64(1+flags>>4))
+		b.Add(x, float64(1+flags>>4))
 	}
-	return d.Normalize()
+	return b.Dist().Normalize()
 }
 
 // FuzzBlockedRadius pins the blocked engine — whichever scan its count rule
@@ -129,7 +129,7 @@ func FuzzIncrementalSnapshots(f *testing.F) {
 		all := bitstr.AllOnes(n)
 		key := bitstr.Bits(binary.LittleEndian.Uint64(data)) & all
 		inc := NewIncremental(n, opts)
-		acc := dist.New(n)
+		acc := dist.NewBuilder(n)
 		hist := make(map[string]float64)
 		chunks := data[8:min(len(data), 8+5*256)]
 		for ; len(chunks) >= 5; chunks = chunks[5:] {
@@ -151,7 +151,7 @@ func FuzzIncrementalSnapshots(f *testing.F) {
 				continue
 			}
 			got := inc.Snapshot()
-			want := Reconstruct(acc.Clone().Normalize(), opts)
+			want := Reconstruct(acc.Dist().Normalize(), opts)
 			if got.Radius != want.Radius {
 				t.Fatalf("n=%d %+v: radius %d vs %d", n, opts, got.Radius, want.Radius)
 			}

@@ -227,8 +227,8 @@ func (inc *Incremental) Snapshot() *Result {
 	}
 	w := weights(chs, maxD, inc.scheme)
 
-	// Scores in ascending outcome order, so the output is built in one pass
-	// with its sorted key cache filled.
+	// Scores in ascending outcome order: the entries become the output's
+	// storage as they are, normalized in place.
 	es := make([]dist.Entry, 0, len(inc.sorted))
 	for _, s := range inc.sorted {
 		p := inc.mass[s] * inv

@@ -68,7 +68,7 @@ func TestIncrementalInterleavedSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 10
 	inc := NewIncremental(n, Options{})
-	acc := dist.New(n)
+	acc := dist.NewBuilder(n)
 	key := bitstr.Bits(rng.Intn(1 << n))
 	for round := 0; round < 12; round++ {
 		batch := 1 + rng.Intn(40)
@@ -83,7 +83,7 @@ func TestIncrementalInterleavedSnapshots(t *testing.T) {
 			acc.Add(x, 1)
 		}
 		got := inc.Snapshot()
-		want := Reconstruct(acc.Clone().Normalize(), Options{})
+		want := Reconstruct(acc.Dist().Normalize(), Options{})
 		if d := dist.TVD(got.Out, want.Out); d > 1e-12 {
 			t.Fatalf("round %d (%d outcomes): TVD %v", round, acc.Len(), d)
 		}
@@ -100,7 +100,7 @@ func TestIncrementalFullResyncBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n = 8
 	inc := NewIncremental(n, Options{})
-	acc := dist.New(n)
+	acc := dist.NewBuilder(n)
 	inc.resyncIn = 3 // force the boundary within a short test
 	for round := 0; round < 8; round++ {
 		for i := 0; i < 10; i++ {
@@ -109,7 +109,7 @@ func TestIncrementalFullResyncBoundary(t *testing.T) {
 			acc.Add(x, 1)
 		}
 		got := inc.Snapshot()
-		want := Reconstruct(acc.Clone().Normalize(), Options{})
+		want := Reconstruct(acc.Dist().Normalize(), Options{})
 		if d := dist.TVD(got.Out, want.Out); d > 1e-12 {
 			t.Fatalf("round %d (resyncIn now %d): TVD %v", round, inc.resyncIn, d)
 		}
@@ -353,9 +353,9 @@ func TestIncrementalSingleOutcome(t *testing.T) {
 // accumulated returns the normalized histogram an Incremental has
 // accumulated: the batch path's input for the same shots.
 func accumulated(inc *Incremental) *dist.Dist {
-	d := dist.New(inc.NumBits())
-	inc.Range(func(x bitstr.Bits, m float64) { d.Set(x, m) })
-	return d.Normalize()
+	b := dist.NewBuilder(inc.NumBits())
+	inc.Range(func(x bitstr.Bits, m float64) { b.Set(x, m) })
+	return b.Dist().Normalize()
 }
 
 // BenchmarkIncrementalSnapshot pins the tentpole's perf claim at the core

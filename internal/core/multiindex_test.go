@@ -19,9 +19,9 @@ func clusterDist(n, support int, seed int64) *dist.Dist {
 	rng := rand.New(rand.NewSource(seed))
 	all := bitstr.AllOnes(n)
 	key := bitstr.Bits(rng.Uint64()) & all
-	d := dist.New(n)
-	d.Set(key, 200)
-	for d.Len() < support {
+	b := dist.NewBuilder(n)
+	b.Set(key, 200)
+	for b.Len() < support {
 		x := bitstr.Bits(rng.Uint64()) & all
 		if rng.Intn(4) == 0 {
 			x = key
@@ -29,9 +29,9 @@ func clusterDist(n, support int, seed int64) *dist.Dist {
 				x = bitstr.Flip(x, rng.Intn(n))
 			}
 		}
-		d.Add(x, float64(1+rng.Intn(12)))
+		b.Add(x, float64(1+rng.Intn(12)))
 	}
-	return d.Normalize()
+	return b.Dist().Normalize()
 }
 
 // usesMultiIndex reports whether the blocked engine scans the support of in
@@ -70,8 +70,9 @@ func TestBlockedMetamorphic(t *testing.T) {
 		in := clusterDist(n, min(600, 1<<(n-2)), int64(n))
 		mask := bitstr.Bits(rng.Uint64()) & bitstr.AllOnes(n)
 		perm := rng.Perm(n)
-		moved := dist.New(n)
-		in.Range(func(x bitstr.Bits, p float64) { moved.Set(relabel(x, mask, perm), p) })
+		bld := dist.NewBuilder(n)
+		in.Range(func(x bitstr.Bits, p float64) { bld.Set(relabel(x, mask, perm), p) })
+		moved := bld.Dist()
 		multi := 0
 		for r := 1; r <= min(n, 8); r++ {
 			if usesMultiIndex(in, r) {
@@ -106,8 +107,9 @@ func TestBlockedScanFallsBackOnConstantBlock(t *testing.T) {
 		t.Fatal("test premise broken: the unskewed support does not take the multi-index")
 	}
 	const low = 0x1f // block 0 of the four 5-bit blocks
-	skew := dist.New(n)
-	in.Range(func(x bitstr.Bits, p float64) { skew.Add(x&^low, p) })
+	bld := dist.NewBuilder(n)
+	in.Range(func(x bitstr.Bits, p float64) { bld.Add(x&^low, p) })
+	skew := bld.Dist()
 	if usesMultiIndex(skew, r) {
 		t.Fatal("multi-index chosen with a constant block")
 	}
@@ -134,17 +136,17 @@ func TestBlockedHashedBuckets(t *testing.T) {
 	collided := 0
 	for seed := int64(0); seed < 200 && collided < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		in := dist.New(n)
-		for in.Len() < 400 {
+		bld := dist.NewBuilder(n)
+		for bld.Len() < 400 {
 			x := bitstr.Bits(rng.Uint64())
 			y := x
 			for k := 2 + rng.Intn(2); k > 0; k-- {
 				y = bitstr.Flip(y, rng.Intn(16))
 			}
-			in.Add(x, float64(1+rng.Intn(9)))
-			in.Add(y, float64(1+rng.Intn(9)))
+			bld.Add(x, float64(1+rng.Intn(9)))
+			bld.Add(y, float64(1+rng.Intn(9)))
 		}
-		in.Normalize()
+		in := bld.Dist().Normalize()
 		if !usesMultiIndex(in, r) {
 			t.Fatalf("seed %d: test premise broken: radius 3 does not take the multi-index", seed)
 		}

@@ -139,15 +139,16 @@ func (s *Scratch) ablationSlabs(workers, n, stride int) [][]float64 {
 type Session struct {
 	opts Options
 
-	entries []dist.Entry // flattened input, ascending outcome order
+	entries []dist.Entry // the TopM head and tail, in flatten's orders
 	outs    []bitstr.Bits
 	probs   []float64
 
 	prob    Problem
 	scratch Scratch
 
-	out *dist.Dist
-	res Result
+	outEntries []dist.Entry // the output's storage
+	out        dist.Dist
+	res        Result
 }
 
 // NewSession validates the options once and returns a reusable session.
@@ -241,47 +242,57 @@ func (s *Session) Reconstruct(ctx context.Context, in *dist.Dist) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-
-	if s.out == nil || s.out.NumBits() != n {
-		s.out = dist.New(n)
-	} else {
-		s.out.Reset()
-	}
-	out := s.out
-	for i, x := range outs {
-		out.Set(x, scores[i])
-	}
-	// Truncated tail outcomes score as isolated: L(x) = Pr(x)².
-	for _, e := range tail {
-		out.Set(e.X, e.P*e.P)
-	}
-	out.Normalize()
-	s.res = Result{Out: out, GlobalCHS: chs, Weights: w, Radius: maxD, Engine: eng.Name()}
+	s.res = Result{Out: s.finish(n, outs, scores, tail), GlobalCHS: chs, Weights: w, Radius: maxD, Engine: eng.Name()}
 	return &s.res, nil
 }
 
+// finish is the scoring epilogue of Reconstruct and CombineStripes: it
+// writes the scores of outs into the session's output entries, adds the
+// truncated tail scored as isolated (L(x) = Pr(x)²), and normalizes. The
+// total adds the scores in ascending outcome order, then the tail in rank
+// order, so the output is bit-identical whatever order the entries are
+// stored in; a tail then sorts into place.
+func (s *Session) finish(n int, outs []bitstr.Bits, scores []float64, tail []dist.Entry) *dist.Dist {
+	es := s.outEntries[:0]
+	var total float64
+	for i, x := range outs {
+		es = append(es, dist.Entry{X: x, P: scores[i]})
+		total += scores[i]
+	}
+	for _, e := range tail {
+		es = append(es, dist.Entry{X: e.X, P: e.P * e.P})
+		total += e.P * e.P
+	}
+	if len(tail) > 0 {
+		slices.SortFunc(es, byOutcome)
+	}
+	s.outEntries = es
+	return s.out.Reset(n, es, total).Normalize()
+}
+
+// byOutcome orders entries by ascending outcome.
+func byOutcome(a, b dist.Entry) int { return cmp.Compare(a.X, b.X) }
+
 // flatten extracts parallel outcome/probability slices in deterministic
-// ascending outcome order into the session's buffers. When TopM is active and
-// the support is larger, only the TopM most probable outcomes are returned
-// and the rest come back as the tail (in descending-probability order, the
-// order the tail-scoring loop consumes them in). The orders are exactly those
-// of the historical one-shot path, so reconstructions stay bit-identical.
+// ascending outcome order into the session's buffers, reading the input's
+// entries in place. When TopM is active and the support is larger, only the
+// TopM most probable outcomes are returned and the rest come back as the
+// tail (in descending-probability order, the order the tail-scoring loop
+// consumes them in). The orders are exactly those of the historical one-shot
+// path, so reconstructions stay bit-identical.
 func (s *Session) flatten(d *dist.Dist) ([]bitstr.Bits, []float64, []dist.Entry) {
-	s.entries = s.entries[:0]
-	d.Range(func(x bitstr.Bits, p float64) {
-		s.entries = append(s.entries, dist.Entry{X: x, P: p})
-	})
-	flat := s.entries
+	flat := d.Entries()
 	var tail []dist.Entry
 	if topM := s.opts.TopM; topM > 0 && len(flat) > topM {
-		// Stable rank-order sort, then restore ascending order within the
-		// head — the same two sorts (over the same starting order) TopK and
-		// the historical flattenTop performed. Outcomes are unique, so both
-		// orders are total and the results are identical permutations
-		// regardless of algorithm.
+		// Stable rank-order sort of a copy, then restore ascending order
+		// within the head — the same two sorts (over the same starting
+		// order) TopK and the historical flattenTop performed. Outcomes are
+		// unique, so both orders are total and the results are identical
+		// permutations regardless of algorithm.
+		s.entries = append(s.entries[:0], flat...)
 		slices.SortStableFunc(s.entries, dist.CompareByProb)
 		head := s.entries[:topM]
-		slices.SortFunc(head, func(a, b dist.Entry) int { return cmp.Compare(a.X, b.X) })
+		slices.SortFunc(head, byOutcome)
 		flat, tail = head, s.entries[topM:]
 	}
 	s.outs = s.outs[:0]

@@ -95,7 +95,7 @@ func TestSessionEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Reconstruct(context.Background(), dist.New(4)); err == nil {
+	if _, err := sess.Reconstruct(context.Background(), dist.NewBuilder(4).Dist()); err == nil {
 		t.Error("empty distribution accepted")
 	}
 	if _, err := sess.Reconstruct(context.Background(), nil); err == nil {

@@ -251,22 +251,9 @@ func (s *Session) CombineStripes(ctx context.Context, in *dist.Dist, parts []Str
 		scores[e.Ord] = v * e.P
 	}
 
-	if s.out == nil || s.out.NumBits() != n {
-		s.out = dist.New(n)
-	} else {
-		s.out.Reset()
-	}
-	out := s.out
-	for i, x := range outs {
-		out.Set(x, scores[i])
-	}
-	for _, e := range tail {
-		out.Set(e.X, e.P*e.P)
-	}
-	out.Normalize()
 	if engine == "" {
 		engine = EngineBlocked
 	}
-	s.res = Result{Out: out, GlobalCHS: chs, Weights: w, Radius: maxD, Engine: engine}
+	s.res = Result{Out: s.finish(n, outs, scores, tail), GlobalCHS: chs, Weights: w, Radius: maxD, Engine: engine}
 	return &s.res, nil
 }

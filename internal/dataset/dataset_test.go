@@ -3,6 +3,8 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -231,5 +233,36 @@ func TestGHZSuite(t *testing.T) {
 	run2 := Execute(s.Instances[0], noise.IBMParisLike(), 0)
 	if dist.TVD(run.Noisy, run2.Noisy) != 0 {
 		t.Error("GHZ execution not deterministic")
+	}
+}
+
+// TestRecordDistsBitReproducible: a record's histograms are maps, and
+// Dists must not let Go's map order into the total it normalizes by, so
+// repeated conversions of one record agree in every bit of every mass.
+func TestRecordDistsBitReproducible(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	rec := &Record{ID: "r", Qubits: 16, Ideal: map[string]float64{}, Noisy: map[string]float64{}}
+	for len(rec.Noisy) < 500 {
+		rec.Noisy[bitstr.Format(bitstr.Bits(rng.Intn(1<<16)), 16)] = rng.Float64() / 7
+	}
+	for len(rec.Ideal) < 40 {
+		rec.Ideal[bitstr.Format(bitstr.Bits(rng.Intn(1<<16)), 16)] = rng.Float64() / 3
+	}
+	bits := func() []uint64 {
+		ideal, noisy, _, err := rec.Dists()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []uint64
+		for _, d := range []*dist.Dist{ideal, noisy} {
+			d.Range(func(_ bitstr.Bits, p float64) { out = append(out, math.Float64bits(p)) })
+		}
+		return out
+	}
+	first := bits()
+	for call := 1; call < 20; call++ {
+		if !slices.Equal(bits(), first) {
+			t.Fatalf("call %d: masses differ in some bit from the first call's", call)
+		}
 	}
 }

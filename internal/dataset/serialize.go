@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"repro/internal/bitstr"
 	"repro/internal/dist"
@@ -74,16 +76,19 @@ func distToMap(d *dist.Dist, eps float64) map[string]float64 {
 	return m
 }
 
+// mapToDist builds the normalized distribution of a record's histogram. Its
+// n-bit keys are visited in sorted order, which is ascending outcome order,
+// so the total it normalizes by is summed in a fixed order.
 func mapToDist(m map[string]float64, n int) (*dist.Dist, error) {
-	d := dist.New(n)
-	for s, p := range m {
+	b := dist.NewBuilder(n)
+	for _, s := range slices.Sorted(maps.Keys(m)) {
 		x, err := bitstr.Parse(s)
 		if err != nil {
 			return nil, err
 		}
-		d.Set(x, p)
+		b.Set(x, m[s])
 	}
-	return d.Normalize(), nil
+	return b.Dist().Normalize(), nil
 }
 
 // WriteRecords streams records as a JSON array.

@@ -1,14 +1,14 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitstr"
 )
@@ -42,82 +42,49 @@ func CompareByProb(a, b Entry) int {
 	return 0
 }
 
-// Dist is a sparse probability distribution over n-bit outcomes. The zero
-// value is not usable; construct with New. Iteration (Range, Outcomes,
-// String) is always in ascending outcome order, so results never depend on
-// Go's randomized map order.
+// Dist is a sparse probability distribution over n-bit outcomes: its
+// support in ascending outcome order, each outcome with its mass, plus the
+// total mass. Every reader walks that one slice, so iteration (Range,
+// Outcomes, String) is in ascending outcome order and a lookup is a binary
+// search. A Dist is built whole — from sorted entries (FromEntries, Reset),
+// by a Builder, or by the constructors below — and afterwards only
+// Normalize and Reset change it.
 type Dist struct {
-	n    int
-	p    map[bitstr.Bits]float64
-	keys []bitstr.Bits // sorted cache of the support; rebuilt when stale
-	// The first read after a change to the support rebuilds keys. Readers
-	// may run concurrently, so the rebuild happens under keysMu, and stale
-	// is atomic so that a reader finding it clear sees the finished keys.
-	stale  atomic.Bool
-	keysMu sync.Mutex
-	total  float64
-}
-
-// New returns an empty distribution over n-bit outcomes.
-func New(n int) *Dist {
-	if n < 1 || n > bitstr.MaxBits {
-		panic(fmt.Sprintf("dist: width %d out of range [1,%d]", n, bitstr.MaxBits))
-	}
-	d := &Dist{n: n, p: make(map[bitstr.Bits]float64)}
-	d.stale.Store(true)
-	return d
-}
-
-// Reset empties the distribution in place, keeping the allocated map and key
-// cache so the next fill of a similar support is allocation-free. It returns
-// the distribution for chaining.
-func (d *Dist) Reset() *Dist {
-	clear(d.p)
-	d.keys = d.keys[:0]
-	d.stale.Store(true)
-	d.total = 0
-	return d
+	n     int
+	es    []Entry
+	total float64
 }
 
 // NumBits returns the outcome width in bits.
 func (d *Dist) NumBits() int { return d.n }
 
 // Len returns the support size (number of stored outcomes).
-func (d *Dist) Len() int { return len(d.p) }
+func (d *Dist) Len() int { return len(d.es) }
 
 // Total returns the stored probability mass.
 func (d *Dist) Total() float64 { return d.total }
 
+// Entries returns the support in ascending outcome order with its masses.
+// The slice is the distribution's own storage: callers must not modify it.
+func (d *Dist) Entries() []Entry { return d.es }
+
 // Prob returns the mass on outcome x (zero if absent).
-func (d *Dist) Prob(x bitstr.Bits) float64 { return d.p[x] }
-
-func (d *Dist) check(x bitstr.Bits) {
-	if x&^bitstr.AllOnes(d.n) != 0 {
-		panic(fmt.Sprintf("dist: outcome %b exceeds %d bits", x, d.n))
-	}
-}
-
-// Set stores mass p on outcome x, replacing any previous value. Outcomes set
-// to zero stay in the support: HAMMER distinguishes "observed with vanishing
-// likelihood" from "never observed".
-func (d *Dist) Set(x bitstr.Bits, p float64) {
-	d.check(x)
-	old, ok := d.p[x]
-	d.p[x] = p
-	d.total += p - old
+func (d *Dist) Prob(x bitstr.Bits) float64 {
+	i, ok := slices.BinarySearchFunc(d.es, x, func(e Entry, x bitstr.Bits) int { return cmp.Compare(e.X, x) })
 	if !ok {
-		d.stale.Store(true)
+		return 0
 	}
+	return d.es[i].P
 }
 
-// Add accumulates mass p onto outcome x.
-func (d *Dist) Add(x bitstr.Bits, p float64) {
-	d.check(x)
-	if _, ok := d.p[x]; !ok {
-		d.stale.Store(true)
-	}
-	d.p[x] += p
-	d.total += p
+// Reset makes d the distribution of es over n-bit outcomes, taking
+// ownership of the slice, and returns d for chaining. The entries must hold
+// distinct outcomes within n bits in ascending order, and total their
+// summed mass; Reset checks neither and adds nothing, so the caller fixes
+// the order its total is summed in.
+func (d *Dist) Reset(n int, es []Entry, total float64) *Dist {
+	d.n, d.es, d.total = n, es, total
+	return d
 }
 
 // Normalize scales the distribution to unit mass in place and returns it for
@@ -127,68 +94,45 @@ func (d *Dist) Normalize() *Dist {
 		panic(fmt.Sprintf("dist: cannot normalize mass %v", d.total))
 	}
 	inv := 1 / d.total
-	for x, p := range d.p {
-		d.p[x] = p * inv
+	for i := range d.es {
+		d.es[i].P *= inv
 	}
 	d.total = 1
 	return d
 }
 
-func (d *Dist) sortedKeys() []bitstr.Bits {
-	if d.stale.Load() {
-		d.keysMu.Lock()
-		if d.stale.Load() {
-			d.keys = d.keys[:0]
-			for x := range d.p {
-				d.keys = append(d.keys, x)
-			}
-			// The generic slices sort keeps this hot rebuild free of the
-			// reflection allocations sort.Slice would add.
-			slices.Sort(d.keys)
-			d.stale.Store(false)
-		}
-		d.keysMu.Unlock()
-	}
-	return d.keys
-}
-
 // Outcomes returns the support in ascending order. The slice is the caller's
 // to keep.
 func (d *Dist) Outcomes() []bitstr.Bits {
-	return append([]bitstr.Bits(nil), d.sortedKeys()...)
+	xs := make([]bitstr.Bits, len(d.es))
+	for i, e := range d.es {
+		xs[i] = e.X
+	}
+	return xs
 }
 
 // Range calls fn for every stored outcome in ascending order.
 func (d *Dist) Range(fn func(x bitstr.Bits, p float64)) {
-	for _, x := range d.sortedKeys() {
-		fn(x, d.p[x])
+	for _, e := range d.es {
+		fn(e.X, e.P)
 	}
 }
 
 // TopK returns min(k, Len) entries ordered by descending probability, ties
 // broken by ascending outcome, so the ranking is deterministic.
 func (d *Dist) TopK(k int) []Entry {
-	es := make([]Entry, 0, len(d.p))
-	for _, x := range d.sortedKeys() {
-		es = append(es, Entry{X: x, P: d.p[x]})
-	}
+	es := slices.Clone(d.es)
 	slices.SortStableFunc(es, CompareByProb)
-	if k < 0 {
-		k = 0
-	}
-	if k < len(es) {
-		es = es[:k]
-	}
-	return es
+	return es[:max(0, min(k, len(es)))]
 }
 
 // Entropy returns the Shannon entropy of the distribution in bits. The
 // distribution should be normalized; zero-mass outcomes contribute nothing.
 func (d *Dist) Entropy() float64 {
 	var h float64
-	for _, x := range d.sortedKeys() {
-		if p := d.p[x]; p > 0 {
-			h -= p * math.Log2(p)
+	for _, e := range d.es {
+		if e.P > 0 {
+			h -= e.P * math.Log2(e.P)
 		}
 	}
 	return h
@@ -197,14 +141,14 @@ func (d *Dist) Entropy() float64 {
 // MostProbable returns the highest-probability outcome, ties broken toward
 // the smaller outcome. It panics on an empty distribution.
 func (d *Dist) MostProbable() bitstr.Bits {
-	if len(d.p) == 0 {
+	if len(d.es) == 0 {
 		panic("dist: MostProbable of empty distribution")
 	}
 	var best bitstr.Bits
 	bestP := -1.0
-	for _, x := range d.sortedKeys() {
-		if p := d.p[x]; p > bestP {
-			best, bestP = x, p
+	for _, e := range d.es {
+		if e.P > bestP {
+			best, bestP = e.X, e.P
 		}
 	}
 	return best
@@ -212,12 +156,7 @@ func (d *Dist) MostProbable() bitstr.Bits {
 
 // Clone deep-copies the distribution.
 func (d *Dist) Clone() *Dist {
-	c := New(d.n)
-	for x, p := range d.p {
-		c.p[x] = p
-	}
-	c.total = d.total
-	return c
+	return &Dist{n: d.n, es: slices.Clone(d.es), total: d.total}
 }
 
 // Marginal sums the distribution over all but the low `keep` bits, the
@@ -226,21 +165,19 @@ func (d *Dist) Marginal(keep int) *Dist {
 	if keep < 1 || keep > d.n {
 		panic(fmt.Sprintf("dist: marginal over %d of %d bits", keep, d.n))
 	}
-	out := New(keep)
+	b := NewBuilder(keep)
 	mask := bitstr.AllOnes(keep)
-	// Ascending-order iteration keeps the fold over colliding outcomes
-	// bit-for-bit reproducible (map order is randomized per process).
-	d.Range(func(x bitstr.Bits, p float64) {
-		out.Add(x&mask, p)
-	})
-	return out
+	for _, e := range d.es {
+		b.Add(e.X&mask, e.P)
+	}
+	return b.Dist()
 }
 
 // Dense expands the distribution into a Vector over all 2^n outcomes.
 func (d *Dist) Dense() *Vector {
 	v := NewVector(d.n)
-	for x, p := range d.p {
-		v.p[x] = p
+	for _, e := range d.es {
+		v.p[e.X] = e.P
 	}
 	return v
 }
@@ -261,10 +198,10 @@ func (d *Dist) Sample(rng *rand.Rand, shots int) *Counts {
 	var keys []bitstr.Bits
 	var cum []float64
 	var acc float64
-	for _, x := range d.sortedKeys() {
-		if p := d.p[x]; p > 0 {
-			acc += p
-			keys = append(keys, x)
+	for _, e := range d.es {
+		if e.P > 0 {
+			acc += e.P
+			keys = append(keys, e.X)
 			cum = append(cum, acc)
 		}
 	}
@@ -287,14 +224,74 @@ func (d *Dist) Sample(rng *rand.Rand, shots int) *Counts {
 func (d *Dist) String() string {
 	var sb strings.Builder
 	sb.WriteString("dist{")
-	for i, x := range d.sortedKeys() {
+	for i, e := range d.es {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		fmt.Fprintf(&sb, "%s: %.4g", bitstr.Format(x, d.n), d.p[x])
+		fmt.Fprintf(&sb, "%s: %.4g", bitstr.Format(e.X, d.n), e.P)
 	}
 	sb.WriteString("}")
 	return sb.String()
+}
+
+// Builder accumulates a distribution one outcome at a time, in any order —
+// the form for callers whose outcomes arrive unsorted or repeat (bit
+// remaps, marginals, merges). It keeps a map and a running total, and
+// radix-sorts once, in Dist. Callers that hold their entries in ascending
+// order already build the Dist directly instead (FromEntries, Reset).
+type Builder struct {
+	n     int
+	p     map[bitstr.Bits]float64
+	total float64
+}
+
+// NewBuilder returns an empty builder over n-bit outcomes.
+func NewBuilder(n int) *Builder {
+	if n < 1 || n > bitstr.MaxBits {
+		panic(fmt.Sprintf("dist: width %d out of range [1,%d]", n, bitstr.MaxBits))
+	}
+	return &Builder{n: n, p: make(map[bitstr.Bits]float64)}
+}
+
+// Len returns the number of distinct outcomes set or added so far.
+func (b *Builder) Len() int { return len(b.p) }
+
+func (b *Builder) check(x bitstr.Bits) {
+	if x&^bitstr.AllOnes(b.n) != 0 {
+		panic(fmt.Sprintf("dist: outcome %b exceeds %d bits", x, b.n))
+	}
+}
+
+// Set stores mass p on outcome x, replacing any previous value. Outcomes set
+// to zero stay in the support: HAMMER distinguishes "observed with vanishing
+// likelihood" from "never observed".
+func (b *Builder) Set(x bitstr.Bits, p float64) {
+	b.check(x)
+	old := b.p[x]
+	b.p[x] = p
+	b.total += p - old
+}
+
+// Add accumulates mass p onto outcome x.
+func (b *Builder) Add(x bitstr.Bits, p float64) {
+	b.check(x)
+	b.p[x] += p
+	b.total += p
+}
+
+// Dist returns the accumulated distribution, not normalized: its total is
+// the running total of the Set and Add calls, in call order.
+func (b *Builder) Dist() *Dist {
+	xs := make([]uint64, 0, len(b.p))
+	ps := make([]float64, 0, len(b.p))
+	for x, p := range b.p {
+		xs, ps = append(xs, x), append(ps, p)
+	}
+	es := make([]Entry, len(xs))
+	for r, i := range radixOrder(xs, make([]int32, len(xs)), make([]int32, len(xs))) {
+		es[r] = Entry{X: xs[i], P: ps[i]}
+	}
+	return &Dist{n: b.n, es: es, total: b.total}
 }
 
 // Uniform returns the uniform distribution over all 2^n outcomes.
@@ -302,14 +299,13 @@ func Uniform(n int) *Dist {
 	if n < 1 || n > MaxDenseBits {
 		panic(fmt.Sprintf("dist: uniform width %d out of range [1,%d]", n, MaxDenseBits))
 	}
-	d := New(n)
-	size := uint64(1) << uint(n)
+	size := 1 << uint(n)
 	p := 1 / float64(size)
-	for x := uint64(0); x < size; x++ {
-		d.p[x] = p
+	es := make([]Entry, size)
+	for x := range es {
+		es[x] = Entry{X: bitstr.Bits(x), P: p}
 	}
-	d.total = 1
-	return d
+	return &Dist{n: n, es: es, total: 1}
 }
 
 // Synthetic builds the workload histogram of the paper's §6.6 evaluation: a
@@ -322,16 +318,16 @@ func Uniform(n int) *Dist {
 func Synthetic(n, support int, seed int64) *Dist {
 	support = min(support, 1<<uint(min(n, 62)))
 	rng := rand.New(rand.NewSource(seed))
-	d := New(n)
+	b := NewBuilder(n)
 	key := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(n)
-	d.Set(key, 0.05)
-	for i := 0; i < n && d.Len() < support; i++ {
-		d.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
+	b.Set(key, 0.05)
+	for i := 0; i < n && b.Len() < support; i++ {
+		b.Set(bitstr.Flip(key, i), 0.01+0.01*rng.Float64())
 	}
-	for d.Len() < support {
-		d.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
+	for b.Len() < support {
+		b.Set(bitstr.Bits(rng.Int63())&bitstr.AllOnes(n), 1e-4*(1+rng.Float64()))
 	}
-	return d.Normalize()
+	return b.Dist().Normalize()
 }
 
 // TVD returns the total variation distance between two sparse distributions
@@ -340,23 +336,28 @@ func TVD(a, b *Dist) float64 {
 	if a.n != b.n {
 		panic(fmt.Sprintf("dist: TVD width mismatch %d vs %d", a.n, b.n))
 	}
-	// Ascending-order iteration keeps the sum bit-for-bit reproducible
-	// (map order is randomized per process).
+	// Two merge walks add the terms in a fixed order — a's outcomes
+	// ascending, then the outcomes only b holds, ascending — so the sum is
+	// bit-for-bit reproducible.
 	var s float64
-	for _, x := range a.sortedKeys() {
-		diff := a.p[x] - b.p[x]
-		if diff < 0 {
-			diff = -diff
+	j := 0
+	for _, e := range a.es {
+		for j < len(b.es) && b.es[j].X < e.X {
+			j++
 		}
-		s += diff
+		q := 0.0
+		if j < len(b.es) && b.es[j].X == e.X {
+			q = b.es[j].P
+		}
+		s += math.Abs(e.P - q)
 	}
-	for _, x := range b.sortedKeys() {
-		if _, ok := a.p[x]; !ok {
-			pb := b.p[x]
-			if pb < 0 {
-				pb = -pb
-			}
-			s += pb
+	i := 0
+	for _, e := range b.es {
+		for i < len(a.es) && a.es[i].X < e.X {
+			i++
+		}
+		if i == len(a.es) || a.es[i].X != e.X {
+			s += math.Abs(e.P)
 		}
 	}
 	return s / 2
@@ -419,10 +420,10 @@ func (v *Vector) Normalize() *Vector {
 // Sparse extracts the entries with mass strictly above the threshold into a
 // sparse Dist. A zero threshold keeps exactly the positive-mass outcomes.
 func (v *Vector) Sparse(threshold float64) *Dist {
-	d := New(v.n)
+	d := &Dist{n: v.n}
 	for x, p := range v.p {
 		if p > threshold {
-			d.p[bitstr.Bits(x)] = p
+			d.es = append(d.es, Entry{X: bitstr.Bits(x), P: p})
 			d.total += p
 		}
 	}
@@ -500,24 +501,14 @@ func (c *Counts) AddN(x bitstr.Bits, k int) {
 
 // Range calls fn for every observed outcome in ascending order.
 func (c *Counts) Range(fn func(x bitstr.Bits, k int)) {
-	keys := make([]bitstr.Bits, 0, len(c.c))
-	for x := range c.c {
-		keys = append(keys, x)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, x := range keys {
+	for _, x := range slices.Sorted(maps.Keys(c.c)) {
 		fn(x, c.c[x])
 	}
 }
 
 // Clone deep-copies the count histogram.
 func (c *Counts) Clone() *Counts {
-	out := NewCounts(c.n)
-	for x, k := range c.c {
-		out.c[x] = k
-	}
-	out.total = c.total
-	return out
+	return &Counts{n: c.n, c: maps.Clone(c.c), total: c.total}
 }
 
 // Dist converts the counts to a normalized probability distribution.
@@ -525,11 +516,10 @@ func (c *Counts) Dist() *Dist {
 	if c.total <= 0 {
 		panic("dist: cannot convert empty counts to a distribution")
 	}
-	d := New(c.n)
+	d := &Dist{n: c.n, es: make([]Entry, 0, len(c.c)), total: 1}
 	inv := 1 / float64(c.total)
-	for x, k := range c.c {
-		d.p[x] = float64(k) * inv
-	}
-	d.total = 1
+	c.Range(func(x bitstr.Bits, k int) {
+		d.es = append(d.es, Entry{X: x, P: float64(k) * inv})
+	})
 	return d
 }

@@ -23,22 +23,24 @@ func randomDist(t testing.TB, n, support int, seed int64) *Dist {
 	if max := 1 << uint(n); support > max {
 		support = max
 	}
-	d := New(n)
-	for d.Len() < support {
-		d.Set(bitstr.Bits(rng.Intn(1<<uint(n))), 0.01+rng.Float64())
+	b := NewBuilder(n)
+	for b.Len() < support {
+		b.Set(bitstr.Bits(rng.Intn(1<<uint(n))), 0.01+rng.Float64())
 	}
-	return d
+	return b.Dist()
 }
 
 func TestSetAddProbTotal(t *testing.T) {
-	d := New(4)
-	d.Set(0b0101, 0.25)
-	d.Add(0b0101, 0.25)
-	d.Add(0b1111, 0.5)
-	if d.Len() != 2 || !almostEq(d.Prob(0b0101), 0.5, 1e-15) || !almostEq(d.Total(), 1, 1e-15) {
+	b := NewBuilder(4)
+	b.Set(0b0101, 0.25)
+	b.Add(0b0101, 0.25)
+	b.Add(0b1111, 0.5)
+	d := b.Dist()
+	if b.Len() != 2 || d.Len() != 2 || !almostEq(d.Prob(0b0101), 0.5, 1e-15) || !almostEq(d.Total(), 1, 1e-15) {
 		t.Fatalf("len=%d prob=%v total=%v", d.Len(), d.Prob(0b0101), d.Total())
 	}
-	d.Set(0b0101, 0.1)
+	b.Set(0b0101, 0.1)
+	d = b.Dist()
 	if !almostEq(d.Total(), 0.6, 1e-15) {
 		t.Fatalf("total after Set = %v", d.Total())
 	}
@@ -48,9 +50,10 @@ func TestSetAddProbTotal(t *testing.T) {
 }
 
 func TestZeroMassOutcomesStayInSupport(t *testing.T) {
-	d := New(3)
-	d.Set(0b001, 0)
-	d.Set(0b010, 1)
+	b := NewBuilder(3)
+	b.Set(0b001, 0)
+	b.Set(0b010, 1)
+	d := b.Dist()
 	if d.Len() != 2 {
 		t.Fatalf("support %d, want 2 (explicit zero kept)", d.Len())
 	}
@@ -84,9 +87,9 @@ func TestRangeOrderStable(t *testing.T) {
 			t.Fatalf("Range not strictly ascending at %d: %v >= %v", i, first[i-1], first[i])
 		}
 	}
-	// Mutating an existing outcome must not perturb the order; repeated
-	// passes and Outcomes agree element for element.
-	d.Set(first[3], 9.9)
+	// Normalizing must not perturb the order; repeated passes and Outcomes
+	// agree element for element.
+	d.Normalize()
 	var second []bitstr.Bits
 	d.Range(func(x bitstr.Bits, _ float64) { second = append(second, x) })
 	outs := d.Outcomes()
@@ -100,19 +103,27 @@ func TestRangeOrderStable(t *testing.T) {
 	}
 }
 
-// TestConcurrentRangeAfterSet pins the read-only concurrency promise on the
-// lazy key cache: the first Range after a Set that grows the support
-// rebuilds the sorted keys, and several readers may make that first call at
-// once. Each must see the whole support in ascending order. Run with -race.
+// TestConcurrentRangeAfterSet pins the read-only concurrency promise: a
+// Dist fresh from a Builder whose last Set grew the support is read at
+// once by several goroutines (Range, Prob, AppendJSON), and each must see
+// the whole support in ascending order, every mass where Range put it, and
+// the same rendering. Run with -race.
 func TestConcurrentRangeAfterSet(t *testing.T) {
-	d := randomDist(t, 12, 500, 11)
+	base := randomDist(t, 12, 500, 11)
 	var fresh bitstr.Bits
 	for round := 0; round < 20; round++ {
-		for d.Prob(fresh) != 0 { // randomDist's masses are all positive
+		for base.Prob(fresh) != 0 { // randomDist's masses are all positive
 			fresh++
 		}
-		d.Set(fresh, 0.5) // a new outcome: the key cache is stale
-		want := d.Len()
+		b := NewBuilder(12)
+		base.Range(b.Set)
+		b.Set(fresh, 0.5) // a new outcome, set last
+		base = b.Dist()
+		d, want := base, base.Len()
+		render, err := AppendJSON(nil, d, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for r := 0; r < 6; r++ {
@@ -121,14 +132,20 @@ func TestConcurrentRangeAfterSet(t *testing.T) {
 				defer wg.Done()
 				<-start
 				got, prev := 0, bitstr.Bits(0)
-				d.Range(func(x bitstr.Bits, _ float64) {
+				d.Range(func(x bitstr.Bits, p float64) {
 					if got > 0 && x <= prev {
 						t.Errorf("round %d: Range not ascending: %b after %b", round, x, prev)
+					}
+					if q := d.Prob(x); q != p {
+						t.Errorf("round %d: Prob(%b) = %v, Range gave %v", round, x, q, p)
 					}
 					got, prev = got+1, x
 				})
 				if got != want {
 					t.Errorf("round %d: Range visited %d outcomes, want %d", round, got, want)
+				}
+				if again, _ := AppendJSON(nil, d, "", " "); string(again) != string(render) {
+					t.Errorf("round %d: AppendJSON differs between readers", round)
 				}
 			}()
 		}
@@ -138,12 +155,13 @@ func TestConcurrentRangeAfterSet(t *testing.T) {
 }
 
 func TestTopKDeterministicOrdering(t *testing.T) {
-	d := New(4)
+	b := NewBuilder(4)
 	// Deliberate ties: equal probabilities must order by ascending outcome.
-	d.Set(0b1000, 0.2)
-	d.Set(0b0001, 0.2)
-	d.Set(0b0010, 0.5)
-	d.Set(0b0100, 0.1)
+	b.Set(0b1000, 0.2)
+	b.Set(0b0001, 0.2)
+	b.Set(0b0010, 0.5)
+	b.Set(0b0100, 0.1)
+	d := b.Dist()
 	want := []bitstr.Bits{0b0010, 0b0001, 0b1000, 0b0100}
 	for trial := 0; trial < 10; trial++ {
 		got := d.TopK(d.Len())
@@ -183,17 +201,19 @@ func TestCloneIndependence(t *testing.T) {
 	if TVD(d, c) != 0 {
 		t.Fatal("clone differs")
 	}
-	c.Set(0b1, 123)
-	if d.Prob(0b1) == c.Prob(0b1) {
+	x := d.Outcomes()[0]
+	c.Normalize() // randomDist is not normalized, so every mass moves
+	if d.Prob(x) == c.Prob(x) {
 		t.Fatal("clone shares storage")
 	}
 }
 
 func TestMarginal(t *testing.T) {
-	d := New(5)
-	d.Set(0b10011, 0.5) // low 3 bits: 011
-	d.Set(0b00011, 0.25)
-	d.Set(0b00100, 0.25)
+	b := NewBuilder(5)
+	b.Set(0b10011, 0.5) // low 3 bits: 011
+	b.Set(0b00011, 0.25)
+	b.Set(0b00100, 0.25)
+	d := b.Dist()
 	m := d.Marginal(3)
 	if m.NumBits() != 3 {
 		t.Fatalf("marginal width %d", m.NumBits())
@@ -207,10 +227,11 @@ func TestMarginal(t *testing.T) {
 }
 
 func TestMostProbableTieBreak(t *testing.T) {
-	d := New(3)
-	d.Set(0b110, 0.4)
-	d.Set(0b001, 0.4)
-	d.Set(0b010, 0.2)
+	b := NewBuilder(3)
+	b.Set(0b110, 0.4)
+	b.Set(0b001, 0.4)
+	b.Set(0b010, 0.2)
+	d := b.Dist()
 	if got := d.MostProbable(); got != 0b001 {
 		t.Fatalf("MostProbable = %03b, want 001 (smaller outcome wins ties)", got)
 	}
@@ -220,8 +241,9 @@ func TestEntropy(t *testing.T) {
 	if h := Uniform(6).Entropy(); !almostEq(h, 6, 1e-12) {
 		t.Fatalf("uniform entropy %v, want 6", h)
 	}
-	point := New(6)
-	point.Set(0b101, 1)
+	b := NewBuilder(6)
+	b.Set(0b101, 1)
+	point := b.Dist()
 	if h := point.Entropy(); h != 0 {
 		t.Fatalf("point-mass entropy %v", h)
 	}
@@ -248,11 +270,12 @@ func TestSampleNeverDrawsZeroMassOutcomes(t *testing.T) {
 	// Zero-mass outcomes stay in the support but must never be sampled —
 	// including via the u == acc boundary fallback, which previously could
 	// land on a trailing zero-mass key.
-	d := New(4)
-	d.Set(0b0000, 0) // zero-mass head
-	d.Set(0b0101, 0.7)
-	d.Set(0b1001, 0.3)
-	d.Set(0b1111, 0) // zero-mass tail
+	b := NewBuilder(4)
+	b.Set(0b0000, 0) // zero-mass head
+	b.Set(0b0101, 0.7)
+	b.Set(0b1001, 0.3)
+	b.Set(0b1111, 0) // zero-mass tail
+	d := b.Dist()
 	c := d.Sample(rand.New(rand.NewSource(5)), 10000)
 	if c.Get(0b0000) != 0 || c.Get(0b1111) != 0 {
 		t.Fatalf("sampled zero-mass outcomes: %d %d", c.Get(0b0000), c.Get(0b1111))
@@ -313,9 +336,10 @@ func TestTVDProperties(t *testing.T) {
 		t.Fatal("TVD not symmetric")
 	}
 	// Disjoint supports: TVD is exactly 1 for normalized distributions.
-	l, r := New(2), New(2)
-	l.Set(0b00, 1)
-	r.Set(0b11, 1)
+	lb, rb := NewBuilder(2), NewBuilder(2)
+	lb.Set(0b00, 1)
+	rb.Set(0b11, 1)
+	l, r := lb.Dist(), rb.Dist()
 	if !almostEq(TVD(l, r), 1, 1e-15) {
 		t.Fatalf("disjoint TVD %v", TVD(l, r))
 	}
@@ -372,9 +396,10 @@ func TestSyntheticGolden(t *testing.T) {
 }
 
 func TestStringRendersAscending(t *testing.T) {
-	d := New(3)
-	d.Set(0b110, 0.75)
-	d.Set(0b001, 0.25)
+	b := NewBuilder(3)
+	b.Set(0b110, 0.75)
+	b.Set(0b001, 0.25)
+	d := b.Dist()
 	s := d.String()
 	if !strings.Contains(s, "001") || strings.Index(s, "001") > strings.Index(s, "110") {
 		t.Fatalf("String not ascending: %s", s)
@@ -383,18 +408,18 @@ func TestStringRendersAscending(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero width":           func() { New(0) },
-		"width overflow":       func() { New(65) },
-		"outcome too wide":     func() { New(3).Set(0b1000, 1) },
-		"normalize empty":      func() { New(3).Normalize() },
-		"sample empty":         func() { New(3).Sample(rand.New(rand.NewSource(1)), 5) },
+		"zero width":           func() { NewBuilder(0) },
+		"width overflow":       func() { NewBuilder(65) },
+		"outcome too wide":     func() { NewBuilder(3).Set(0b1000, 1) },
+		"normalize empty":      func() { NewBuilder(3).Dist().Normalize() },
+		"sample empty":         func() { NewBuilder(3).Dist().Sample(rand.New(rand.NewSource(1)), 5) },
 		"negative shots":       func() { Uniform(3).Sample(rand.New(rand.NewSource(1)), -1) },
 		"marginal zero":        func() { Uniform(3).Marginal(0) },
 		"marginal too wide":    func() { Uniform(3).Marginal(4) },
-		"most probable empty":  func() { New(3).MostProbable() },
+		"most probable empty":  func() { NewBuilder(3).Dist().MostProbable() },
 		"vector too wide":      func() { NewVector(MaxDenseBits + 1) },
 		"uniform too wide":     func() { Uniform(MaxDenseBits + 1) },
-		"tvd width mismatch":   func() { TVD(New(3), New(4)) },
+		"tvd width mismatch":   func() { TVD(Uniform(3), Uniform(4)) },
 		"counts negative":      func() { NewCounts(3).AddN(0, -1) },
 		"counts empty to dist": func() { NewCounts(3).Dist() },
 	} {
@@ -406,5 +431,26 @@ func TestPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestTVDSumOrder pins TVD's addition order, bit for bit: a's outcomes in
+// ascending order, then the outcomes only b holds, ascending — the order
+// the merge walks must keep.
+func TestTVDSumOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		a, b := randomDist(t, 9, 150, seed).Normalize(), randomDist(t, 9, 150, seed+100).Normalize()
+		var s float64
+		for _, x := range a.Outcomes() {
+			s += math.Abs(a.Prob(x) - b.Prob(x))
+		}
+		for _, x := range b.Outcomes() {
+			if a.Prob(x) == 0 {
+				s += b.Prob(x)
+			}
+		}
+		if got, want := TVD(a, b), s/2; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d: TVD %v, ordered sum %v", seed, got, want)
+		}
 	}
 }

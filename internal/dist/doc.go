@@ -8,10 +8,13 @@
 //   - Vector — a dense probability array over all 2^n outcomes, the natural
 //     output of the statevector and density-matrix simulators and the form
 //     the distribution-level noise channels operate on.
-//   - Dist — a sparse bitstring→probability store with deterministic
-//     (ascending-outcome) iteration, the form HAMMER and every analysis
-//     package consume. Measured histograms are sparse: even 256K trials on a
+//   - Dist — a sparse distribution held as its entries in ascending outcome
+//     order plus the total: readers walk the slice, and a lookup is a
+//     binary search. It is the form HAMMER and every analysis package
+//     consume. Measured histograms are sparse: even 256K trials on a
 //     20-qubit program touch a vanishing fraction of the 2^20 outcomes.
+//     Builder accumulates one outcome by outcome in any order and
+//     radix-sorts once, for the callers whose outcomes arrive unsorted.
 //   - Counts — sparse integer shot counts, the raw form finite-shot
 //     sampling produces.
 //
@@ -56,8 +59,8 @@
 //     histogram in place, so a request body is read in one pass. It accepts
 //     exactly the documents encoding/json accepts, nesting depth included,
 //     and KeyIs matches member names as encoding/json matches struct fields.
-//   - FromEntries builds the normalized Dist from such entries, adding mass
-//     in ascending outcome order: bit-identical to FromHistogram of the
+//   - FromEntries takes such entries over as the normalized Dist, adding
+//     mass in ascending outcome order: bit-identical to FromHistogram of the
 //     same histogram, which is key parsing in front of it, so histogram
 //     validation exists once (checkEntries).
 //   - AppendJSON renders a Dist back into the object at a given prefix and
@@ -80,10 +83,13 @@
 //     range in ascending outcome order, Index buckets in (descending
 //     probability, ascending outcome) order — so every experiment in the
 //     repository reproduces bit-for-bit from its seed. FromHistogram and
-//     FromEntries accumulate mass in ascending outcome order for the same
-//     reason.
-//   - Reuse: Dist.Reset, Index.Reset, Packed.Reset, and MultiIndex.Reset
-//     rebuild in place without shedding capacity; the request-oriented
-//     core's 0 allocs/op after warm-up depends on these paths not
-//     allocating for same-shape problems.
+//     FromEntries accumulate mass in ascending outcome order, and TVD adds
+//     its terms in a fixed order, for the same reason. A Builder's total is
+//     summed in call order, so a caller that builds from a map visits the
+//     map in ascending outcome order.
+//   - Reuse: Dist.Reset takes over entries its caller reuses, and
+//     Index.Reset, Packed.Reset and MultiIndex.Reset rebuild in place
+//     without shedding capacity; the request-oriented core's 0 allocs/op
+//     after warm-up depends on these paths not allocating for same-shape
+//     problems.
 package dist

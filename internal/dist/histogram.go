@@ -53,26 +53,19 @@ func FromHistogram(histogram map[string]float64) (*Dist, int, error) {
 // Histogram.Entries decodes the wire into. Masses are raw (counts or
 // probabilities): they must be non-negative with positive total, and they
 // accumulate in entry order, so the result is bit-identical to
-// FromHistogram of the same histogram.
+// FromHistogram of the same histogram. The Dist takes ownership of es and
+// normalizes it in place.
 func FromEntries(n int, es []Entry) (*Dist, error) {
 	total, err := checkEntries(n, es)
 	if err != nil {
 		return nil, err
 	}
-	d := &Dist{
-		n:     n,
-		p:     make(map[bitstr.Bits]float64, len(es)),
-		keys:  make([]bitstr.Bits, len(es)),
-		total: 1,
-	}
-	// One pass does what Add then Normalize would: 0+P turns a -0 mass into
-	// the +0 an accumulating Add stores, and the product is Normalize's.
+	// 0+P turns a -0 mass into +0, and the product is Normalize's.
 	inv := 1 / total
-	for i, e := range es {
-		d.p[e.X] = (0 + e.P) * inv
-		d.keys[i] = e.X
+	for i := range es {
+		es[i].P = (0 + es[i].P) * inv
 	}
-	return d, nil
+	return &Dist{n: n, es: es, total: 1}, nil
 }
 
 // checkEntries is the histogram validation FromHistogram and

@@ -44,11 +44,7 @@ type Index struct {
 // NewIndex builds the index of a sparse distribution in O(N): a radix sort
 // ranks it.
 func NewIndex(d *Dist) *Index {
-	entries := make([]Entry, 0, d.Len())
-	d.Range(func(x bitstr.Bits, p float64) {
-		entries = append(entries, Entry{X: x, P: p})
-	})
-	return NewIndexOf(d.n, entries)
+	return NewIndexOf(d.n, d.es)
 }
 
 // NewIndexOf builds the index of an explicit outcome set over an n-bit
@@ -97,11 +93,10 @@ func (ix *Index) Reset(n int, entries []Entry) *Index {
 	return ix
 }
 
-// rank returns the positions of entries in CompareByProb order: an LSD
-// radix sort of their rankKeys, one byte per pass. A pass whose byte is the
-// same in every key would leave the order as it is, so it is skipped:
-// probabilities from 2^-15 to 1 share their top byte, and integer masses
-// below 2^16 their four low ones.
+// rank returns the positions of entries in CompareByProb order: the
+// radixOrder of their rankKeys. Probabilities from 2^-15 to 1 share their
+// top byte, and integer masses below 2^16 their four low ones, so most of
+// its passes are skipped.
 func (ix *Index) rank(entries []Entry) []int32 {
 	n := len(entries)
 	if cap(ix.keys) < n {
@@ -109,11 +104,21 @@ func (ix *Index) rank(entries []Entry) []int32 {
 		ix.order = make([]int32, n)
 		ix.tmp = make([]int32, n)
 	}
-	keys, src, dst := ix.keys[:n], ix.order[:n], ix.tmp[:n]
-	var count [8][256]int32
+	keys := ix.keys[:n]
 	for i, e := range entries {
-		k := rankKey(e.P)
-		keys[i] = k
+		keys[i] = rankKey(e.P)
+	}
+	return radixOrder(keys, ix.order[:n], ix.tmp[:n])
+}
+
+// radixOrder returns the positions of keys in ascending key order, equal
+// keys in position order: a stable LSD radix sort, one byte per pass, that
+// uses src and dst (each as long as keys) as scratch. A pass whose byte is
+// the same in every key would leave the order as it is, so it is skipped.
+func radixOrder(keys []uint64, src, dst []int32) []int32 {
+	n := len(keys)
+	var count [8][256]int32
+	for i, k := range keys {
 		src[i] = int32(i)
 		count[0][byte(k)]++
 		count[1][byte(k>>8)]++

@@ -43,10 +43,11 @@ func TestIndexBucketsPartitionByPopcount(t *testing.T) {
 }
 
 func TestIndexRankedOrder(t *testing.T) {
-	d := New(4)
-	d.Set(0b0001, 0.3)
-	d.Set(0b1000, 0.3) // tie with 0001: ascending outcome breaks it
-	d.Set(0b1111, 0.4)
+	b := NewBuilder(4)
+	b.Set(0b0001, 0.3)
+	b.Set(0b1000, 0.3) // tie with 0001: ascending outcome breaks it
+	b.Set(0b1111, 0.4)
+	d := b.Dist()
 	ix := NewIndex(d)
 	ranked := ix.Ranked()
 	want := []bitstr.Bits{0b1111, 0b0001, 0b1000}

@@ -632,7 +632,7 @@ func AppendJSON(dst []byte, d *Dist, prefix, indent string) ([]byte, error) {
 		return append(dst, "{}"...), nil
 	}
 	dst = append(dst, '{')
-	for i, x := range d.sortedKeys() {
+	for i, e := range d.es {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -640,10 +640,10 @@ func AppendJSON(dst []byte, d *Dist, prefix, indent string) ([]byte, error) {
 		dst = append(dst, prefix...)
 		dst = append(dst, indent...)
 		dst = append(dst, '"')
-		dst = bitstr.AppendFormat(dst, x, d.n)
+		dst = bitstr.AppendFormat(dst, e.X, d.n)
 		dst = append(dst, `": `...)
 		var err error
-		if dst, err = appendFloat(dst, d.p[x]); err != nil {
+		if dst, err = appendFloat(dst, e.P); err != nil {
 			return dst, err
 		}
 	}

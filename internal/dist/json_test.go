@@ -28,13 +28,13 @@ func bitIdentical(a, b *Dist) bool {
 		math.Float64bits(a.Total()) != math.Float64bits(b.Total()) {
 		return false
 	}
-	same := true
-	a.Range(func(x bitstr.Bits, p float64) {
-		if q, ok := b.p[x]; !ok || math.Float64bits(p) != math.Float64bits(q) {
-			same = false
+	for i, e := range a.Entries() {
+		f := b.Entries()[i]
+		if e.X != f.X || math.Float64bits(e.P) != math.Float64bits(f.P) {
+			return false
 		}
-	})
-	return same
+	}
+	return true
 }
 
 // parse decodes and validates one histogram object.
@@ -234,11 +234,12 @@ func TestFromEntriesRejects(t *testing.T) {
 func TestAppendJSONMatchesMarshalIndent(t *testing.T) {
 	masses := []float64{0, 5e-324, 1e-7, 9.99999e-7, 1e-6, 0.1, 1 / 3.0, 1, 123456789, 1e20, 1e21, 2.5e300}
 	for _, n := range []int{1, 12, 20, 64} {
-		d := New(n)
+		b := NewBuilder(n)
 		outcomes := []bitstr.Bits{0, bitstr.AllOnes(n), bitstr.AllOnes(n) / 3, 1}
 		for i, m := range masses {
-			d.Set(outcomes[i%len(outcomes)]^bitstr.Bits(i)&bitstr.AllOnes(n), m)
+			b.Set(outcomes[i%len(outcomes)]^bitstr.Bits(i)&bitstr.AllOnes(n), m)
 		}
+		d := b.Dist()
 		for _, pi := range [][2]string{{"", " "}, {"  ", " "}, {"", "\t"}, {">", "  "}} {
 			want, err := json.MarshalIndent(ToHistogram(d), pi[0], pi[1])
 			if err != nil {
@@ -250,11 +251,12 @@ func TestAppendJSONMatchesMarshalIndent(t *testing.T) {
 			}
 		}
 	}
-	if got, err := AppendJSON(nil, New(3), "", " "); err != nil || string(got) != "{}" {
+	if got, err := AppendJSON(nil, NewBuilder(3).Dist(), "", " "); err != nil || string(got) != "{}" {
 		t.Errorf("empty: %q %v", got, err)
 	}
-	inf := New(1)
-	inf.Set(1, math.Inf(1))
+	bld := NewBuilder(1)
+	bld.Set(1, math.Inf(1))
+	inf := bld.Dist()
 	if _, err := AppendJSON(nil, inf, "", " "); err == nil {
 		t.Error("+Inf rendered")
 	}

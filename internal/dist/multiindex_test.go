@@ -11,11 +11,11 @@ import (
 // wideDist is randomDist for widths up to 64 bits.
 func wideDist(n, support int, seed int64) *Dist {
 	rng := rand.New(rand.NewSource(seed))
-	d := New(n)
-	for d.Len() < support {
-		d.Set(bitstr.Bits(rng.Uint64())&bitstr.AllOnes(n), float64(1+rng.Intn(9)))
+	b := NewBuilder(n)
+	for b.Len() < support {
+		b.Set(bitstr.Bits(rng.Uint64())&bitstr.AllOnes(n), float64(1+rng.Intn(9)))
 	}
-	return d
+	return b.Dist()
 }
 
 // TestMultiIndexMirrorsBruteForce pins the layout against a direct

@@ -9,58 +9,46 @@ import (
 	"repro/internal/bitstr"
 )
 
+// TestDistReset: Reset makes a Dist of the given entries and total, whatever
+// it held before, so a refill behaves like a fresh distribution.
 func TestDistReset(t *testing.T) {
-	d := New(4)
-	d.Set(0b0011, 0.25)
-	d.Set(0b1100, 0.75)
-	if got := d.Outcomes(); len(got) != 2 {
-		t.Fatalf("outcomes = %v", got)
+	var d Dist
+	d.Reset(4, []Entry{{0b0011, 1}, {0b1100, 3}}, 4).Normalize()
+	if got := d.Outcomes(); len(got) != 2 || d.Prob(0b1100) != 0.75 || d.Total() != 1 {
+		t.Fatalf("outcomes %v, Prob(1100) %v, total %v", got, d.Prob(0b1100), d.Total())
 	}
-	d.Reset()
-	if d.Len() != 0 || d.Total() != 0 {
-		t.Fatalf("reset left len=%d total=%v", d.Len(), d.Total())
+	d.Reset(5, nil, 0)
+	if d.Len() != 0 || d.Total() != 0 || d.NumBits() != 5 || d.Prob(0b0011) != 0 {
+		t.Fatalf("reset left len=%d total=%v n=%d", d.Len(), d.Total(), d.NumBits())
 	}
-	if got := d.Outcomes(); len(got) != 0 {
-		t.Fatalf("reset outcomes = %v", got)
-	}
-	if d.Prob(0b0011) != 0 {
-		t.Fatal("reset kept mass")
-	}
-	// Refill with a different support: iteration order and totals behave
-	// like a fresh distribution.
-	d.Set(0b1111, 0.5)
-	d.Set(0b0001, 0.5)
+	d.Reset(5, []Entry{{0b00001, 0.5}, {0b11111, 0.5}}, 1)
 	got := d.Outcomes()
-	if len(got) != 2 || got[0] != 0b0001 || got[1] != 0b1111 {
-		t.Fatalf("refilled outcomes = %v", got)
-	}
-	if !almostEq(d.Total(), 1, 1e-12) {
-		t.Fatalf("refilled total = %v", d.Total())
+	if len(got) != 2 || got[0] != 0b00001 || got[1] != 0b11111 || d.Total() != 1 {
+		t.Fatalf("refilled outcomes = %v, total %v", got, d.Total())
 	}
 }
 
+// TestDistResetRefillAllocationFree: refilling a Dist from reused entries,
+// normalizing and ranging over it allocate nothing — the session's output
+// path.
 func TestDistResetRefillAllocationFree(t *testing.T) {
-	d := New(10)
-	fill := func() {
-		for i := 0; i < 100; i++ {
-			d.Set(bitstr.Bits(i*7%1024), float64(i+1))
-		}
-	}
-	fill()
-	_ = d.Outcomes()
+	var d Dist
+	es := make([]Entry, 0, 100)
 	avg := testing.AllocsPerRun(20, func() {
-		d.Reset()
-		fill()
-		d.Normalize()
+		es = es[:0]
+		var total float64
+		for i := 0; i < 100; i++ {
+			es = append(es, Entry{X: bitstr.Bits(i * 7), P: float64(i + 1)})
+			total += float64(i + 1)
+		}
+		d.Reset(10, es, total).Normalize()
 		var n int
 		d.Range(func(bitstr.Bits, float64) { n++ })
 		if n != 100 {
 			t.Fatal("support changed")
 		}
 	})
-	// Outcomes() copies; Range over the cached keys must not allocate more
-	// than the occasional map-internals touch.
-	if avg > 1 {
+	if avg != 0 {
 		t.Errorf("reset+refill allocates %.1f allocs/op", avg)
 	}
 }

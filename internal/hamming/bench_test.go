@@ -11,11 +11,11 @@ import (
 
 func randomDist(n, support int, seed int64) *dist.Dist {
 	rng := rand.New(rand.NewSource(seed))
-	d := dist.New(n)
-	for d.Len() < support {
-		d.Set(bitstr.Bits(rng.Intn(1<<uint(n))), rng.Float64())
+	b := dist.NewBuilder(n)
+	for b.Len() < support {
+		b.Set(bitstr.Bits(rng.Intn(1<<uint(n))), rng.Float64())
 	}
-	return d.Normalize()
+	return b.Dist().Normalize()
 }
 
 func BenchmarkSpectrum(b *testing.B) {

@@ -13,14 +13,14 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // paperExample is the output distribution of Fig. 6(a).
 func paperExample() *dist.Dist {
-	d := dist.New(3)
-	d.Set(bitstr.MustParse("111"), 0.30)
-	d.Set(bitstr.MustParse("101"), 0.40)
-	d.Set(bitstr.MustParse("110"), 0.05)
-	d.Set(bitstr.MustParse("011"), 0.10)
-	d.Set(bitstr.MustParse("010"), 0.10)
-	d.Set(bitstr.MustParse("001"), 0.05)
-	return d
+	b := dist.NewBuilder(3)
+	b.Set(bitstr.MustParse("111"), 0.30)
+	b.Set(bitstr.MustParse("101"), 0.40)
+	b.Set(bitstr.MustParse("110"), 0.05)
+	b.Set(bitstr.MustParse("011"), 0.10)
+	b.Set(bitstr.MustParse("010"), 0.10)
+	b.Set(bitstr.MustParse("001"), 0.05)
+	return b.Dist()
 }
 
 func TestSpectrumSingleCorrect(t *testing.T) {
@@ -51,11 +51,12 @@ func TestSpectrumSingleCorrect(t *testing.T) {
 
 func TestSpectrumMultipleCorrect(t *testing.T) {
 	// With both all-zero and all-one correct (GHZ), min distance applies.
-	d := dist.New(4)
-	d.Set(bitstr.MustParse("0000"), 0.4)
-	d.Set(bitstr.MustParse("1111"), 0.4)
-	d.Set(bitstr.MustParse("1110"), 0.1) // dist 1 from 1111
-	d.Set(bitstr.MustParse("0011"), 0.1) // dist 2 from both
+	b := dist.NewBuilder(4)
+	b.Set(bitstr.MustParse("0000"), 0.4)
+	b.Set(bitstr.MustParse("1111"), 0.4)
+	b.Set(bitstr.MustParse("1110"), 0.1) // dist 1 from 1111
+	b.Set(bitstr.MustParse("0011"), 0.1) // dist 2 from both
+	d := b.Dist()
 	s := NewSpectrum(d, []bitstr.Bits{0b0000, 0b1111})
 	if !almostEq(s.Bins[0], 0.8, 1e-12) || !almostEq(s.Bins[1], 0.1, 1e-12) || !almostEq(s.Bins[2], 0.1, 1e-12) {
 		t.Errorf("bins = %v", s.Bins)
@@ -99,8 +100,9 @@ func TestEHD(t *testing.T) {
 
 func TestEHDBoundaryCases(t *testing.T) {
 	// Perfect output: EHD = 0.
-	d := dist.New(5)
-	d.Set(0b10101, 1)
+	b := dist.NewBuilder(5)
+	b.Set(0b10101, 1)
+	d := b.Dist()
 	if got := EHD(d, []bitstr.Bits{0b10101}); got != 0 {
 		t.Errorf("perfect EHD = %v", got)
 	}
@@ -118,15 +120,16 @@ func TestEHDInvariantUnderCorrectRelabeling(t *testing.T) {
 	// XOR-translating every outcome and the correct key together preserves EHD.
 	rng := rand.New(rand.NewSource(3))
 	n := 8
-	d := dist.New(n)
+	b := dist.NewBuilder(n)
 	for i := 0; i < 30; i++ {
-		d.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
+		b.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
 	}
-	d.Normalize()
+	d := b.Dist().Normalize()
 	key := bitstr.Bits(rng.Intn(1 << n))
 	mask := bitstr.Bits(rng.Intn(1 << n))
-	shifted := dist.New(n)
-	d.Range(func(x bitstr.Bits, p float64) { shifted.Add(x^mask, p) })
+	bld := dist.NewBuilder(n)
+	d.Range(func(x bitstr.Bits, p float64) { bld.Add(x^mask, p) })
+	shifted := bld.Dist()
 	if !almostEq(EHD(d, []bitstr.Bits{key}), EHD(shifted, []bitstr.Bits{key ^ mask}), 1e-12) {
 		t.Error("EHD not invariant under XOR relabeling")
 	}
@@ -174,9 +177,10 @@ func TestAverageCHSMass(t *testing.T) {
 
 func TestGlobalCHSMatchesHandComputation(t *testing.T) {
 	// Tiny 2-outcome distribution: x=00 (0.75), y=11 (0.25).
-	d := dist.New(2)
-	d.Set(0b00, 0.75)
-	d.Set(0b11, 0.25)
+	b := dist.NewBuilder(2)
+	b.Set(0b00, 0.75)
+	b.Set(0b11, 0.25)
+	d := b.Dist()
 	g := GlobalCHS(d, 2)
 	// d=0: P(00)+P(11) = 1. d=2: from 00 see 11 (0.25), from 11 see 00 (0.75) => 1.
 	if !almostEq(g[0], 1, 1e-12) || !almostEq(g[1], 0, 1e-12) || !almostEq(g[2], 1, 1e-12) {
@@ -212,11 +216,11 @@ func TestIndexedVariantsMatchDirect(t *testing.T) {
 	// with results identical to the one-shot forms.
 	rng := rand.New(rand.NewSource(4))
 	n := 10
-	d := dist.New(n)
+	bld := dist.NewBuilder(n)
 	for i := 0; i < 200; i++ {
-		d.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
+		bld.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
 	}
-	d.Normalize()
+	d := bld.Dist().Normalize()
 	correct := []bitstr.Bits{bitstr.Bits(rng.Intn(1 << n)), bitstr.Bits(rng.Intn(1 << n))}
 	ix := dist.NewIndex(d)
 
@@ -280,10 +284,11 @@ func TestCorrectOutcomeHasRicherNeighborhoodThanFrequentIncorrect(t *testing.T) 
 
 func TestMarginalFlipRates(t *testing.T) {
 	// Bit 1 flips with probability 0.3; others never flip.
-	d := dist.New(3)
+	b := dist.NewBuilder(3)
 	key := bitstr.MustParse("000")
-	d.Set(key, 0.7)
-	d.Set(bitstr.MustParse("010"), 0.3)
+	b.Set(key, 0.7)
+	b.Set(bitstr.MustParse("010"), 0.3)
+	d := b.Dist()
 	rates := MarginalFlipRates(d, []bitstr.Bits{key})
 	want := []float64{0, 0.3, 0}
 	for q := range want {
@@ -295,11 +300,12 @@ func TestMarginalFlipRates(t *testing.T) {
 
 func TestMarginalFlipRatesDetectBadQubit(t *testing.T) {
 	// A systematically flipped qubit shows a rate above 1/2.
-	d := dist.New(4)
+	b := dist.NewBuilder(4)
 	key := bitstr.MustParse("0000")
-	d.Set(key, 0.2)
-	d.Set(bitstr.MustParse("0100"), 0.65) // bit 2 flipped dominantly
-	d.Set(bitstr.MustParse("0101"), 0.15) // bits 0 and 2
+	b.Set(key, 0.2)
+	b.Set(bitstr.MustParse("0100"), 0.65) // bit 2 flipped dominantly
+	b.Set(bitstr.MustParse("0101"), 0.15) // bits 0 and 2
+	d := b.Dist()
 	rates := MarginalFlipRates(d, []bitstr.Bits{key})
 	if rates[2] < 0.5 {
 		t.Errorf("bad qubit not flagged: rates = %v", rates)
@@ -312,9 +318,10 @@ func TestMarginalFlipRatesDetectBadQubit(t *testing.T) {
 func TestMarginalFlipRatesMultiCorrect(t *testing.T) {
 	// With both GHZ outcomes correct, an outcome one flip from all-ones is
 	// attributed to all-ones, not measured against all-zeros.
-	d := dist.New(4)
-	d.Set(bitstr.MustParse("0000"), 0.5)
-	d.Set(bitstr.MustParse("1110"), 0.5) // 1 flip from 1111
+	b := dist.NewBuilder(4)
+	b.Set(bitstr.MustParse("0000"), 0.5)
+	b.Set(bitstr.MustParse("1110"), 0.5) // 1 flip from 1111
+	d := b.Dist()
 	rates := MarginalFlipRates(d, []bitstr.Bits{0b0000, 0b1111})
 	if !almostEq(rates[0], 0.5, 1e-12) {
 		t.Errorf("rates = %v", rates)

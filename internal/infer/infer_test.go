@@ -10,12 +10,12 @@ import (
 )
 
 func sample() *dist.Dist {
-	d := dist.New(3)
-	d.Set(bitstr.MustParse("111"), 0.30)
-	d.Set(bitstr.MustParse("101"), 0.40)
-	d.Set(bitstr.MustParse("011"), 0.20)
-	d.Set(bitstr.MustParse("000"), 0.10)
-	return d
+	b := dist.NewBuilder(3)
+	b.Set(bitstr.MustParse("111"), 0.30)
+	b.Set(bitstr.MustParse("101"), 0.40)
+	b.Set(bitstr.MustParse("011"), 0.20)
+	b.Set(bitstr.MustParse("000"), 0.10)
+	return b.Dist()
 }
 
 func TestArgMaxAndTopK(t *testing.T) {
@@ -65,11 +65,12 @@ func TestSuccess(t *testing.T) {
 func TestMajorityVote(t *testing.T) {
 	// Errors are single flips around 111; the per-bit majority recovers it
 	// even though 111 itself is not the argmax.
-	d := dist.New(3)
-	d.Set(bitstr.MustParse("111"), 0.30)
-	d.Set(bitstr.MustParse("110"), 0.25)
-	d.Set(bitstr.MustParse("101"), 0.35)
-	d.Set(bitstr.MustParse("011"), 0.10)
+	b := dist.NewBuilder(3)
+	b.Set(bitstr.MustParse("111"), 0.30)
+	b.Set(bitstr.MustParse("110"), 0.25)
+	b.Set(bitstr.MustParse("101"), 0.35)
+	b.Set(bitstr.MustParse("011"), 0.10)
+	d := b.Dist()
 	if got := MajorityVote(d); got != bitstr.MustParse("111") {
 		t.Errorf("MajorityVote = %s", bitstr.Format(got, 3))
 	}
@@ -80,10 +81,11 @@ func TestBestVerifiedFindsOptimalCut(t *testing.T) {
 	// but classical verification of the top-3 candidates recovers it.
 	g := graph.Ring(4)
 	opt := g.BruteForce()
-	d := dist.New(4)
-	d.Set(bitstr.MustParse("0001"), 0.4) // poor cut
-	d.Set(bitstr.MustParse("0011"), 0.35)
-	d.Set(opt.Argmins[0], 0.25)
+	b := dist.NewBuilder(4)
+	b.Set(bitstr.MustParse("0001"), 0.4) // poor cut
+	b.Set(bitstr.MustParse("0011"), 0.35)
+	b.Set(opt.Argmins[0], 0.25)
+	d := b.Dist()
 	verifier := func(x bitstr.Bits) float64 { return g.CutCost(x) }
 	got := BestVerified(d, 3, verifier)
 	if !Success(got, opt.Argmins) {
@@ -99,16 +101,16 @@ func TestHammerImprovesInferenceRank(t *testing.T) {
 	// End-to-end: a clustered key at rank 2 moves to rank 1 after HAMMER.
 	n := 8
 	key := bitstr.MustParse("00000000")
-	d := dist.New(n)
-	d.Set(key, 0.10)
-	d.Set(bitstr.MustParse("00011111"), 0.14) // isolated spurious leader
+	b := dist.NewBuilder(n)
+	b.Set(key, 0.10)
+	b.Set(bitstr.MustParse("00011111"), 0.14) // isolated spurious leader
 	for i := 0; i < n; i++ {
-		d.Set(bitstr.Flip(key, i), 0.05)
+		b.Set(bitstr.Flip(key, i), 0.05)
 	}
 	for _, f := range []string{"11110000", "11110011", "11110101", "11111001"} {
-		d.Set(bitstr.MustParse(f), 0.09)
+		b.Set(bitstr.MustParse(f), 0.09)
 	}
-	d.Normalize()
+	d := b.Dist().Normalize()
 	correct := []bitstr.Bits{key}
 	before := RankOf(d, correct)
 	after := RankOf(core.Run(d), correct)

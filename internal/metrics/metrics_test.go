@@ -11,12 +11,12 @@ import (
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func sample() *dist.Dist {
-	d := dist.New(3)
-	d.Set(bitstr.MustParse("111"), 0.30)
-	d.Set(bitstr.MustParse("101"), 0.40)
-	d.Set(bitstr.MustParse("011"), 0.20)
-	d.Set(bitstr.MustParse("000"), 0.10)
-	return d
+	b := dist.NewBuilder(3)
+	b.Set(bitstr.MustParse("111"), 0.30)
+	b.Set(bitstr.MustParse("101"), 0.40)
+	b.Set(bitstr.MustParse("011"), 0.20)
+	b.Set(bitstr.MustParse("000"), 0.10)
+	return b.Dist()
 }
 
 func TestPSTSingleCorrect(t *testing.T) {
@@ -53,9 +53,10 @@ func TestIST(t *testing.T) {
 }
 
 func TestISTExceedingOneMeansInferable(t *testing.T) {
-	d := dist.New(2)
-	d.Set(0b11, 0.6)
-	d.Set(0b00, 0.4)
+	b := dist.NewBuilder(2)
+	b.Set(0b11, 0.6)
+	b.Set(0b00, 0.4)
+	d := b.Dist()
 	if got := IST(d, []bitstr.Bits{0b11}); got <= 1 {
 		t.Errorf("IST = %v, want > 1", got)
 	}
@@ -78,8 +79,9 @@ func TestImprovementAggregation(t *testing.T) {
 func TestPSTSingleOutcomeHistogram(t *testing.T) {
 	// A support-1 histogram: PST is 1 when the outcome is correct, 0 when
 	// the correct outcome was never observed.
-	d := dist.New(4)
-	d.Set(0b1010, 1)
+	b := dist.NewBuilder(4)
+	b.Set(0b1010, 1)
+	d := b.Dist()
 	if got := PST(d, []bitstr.Bits{0b1010}); !almostEq(got, 1, 1e-12) {
 		t.Errorf("PST correct singleton = %v", got)
 	}
@@ -92,8 +94,9 @@ func TestISTSingleOutcomeHistogram(t *testing.T) {
 	// Support-1, incorrect outcome: the correct outcome has zero mass, the
 	// top incorrect carries everything — IST is exactly 0, not a panic (an
 	// incorrect outcome was observed, so the ratio is well defined).
-	d := dist.New(4)
-	d.Set(0b1111, 1)
+	b := dist.NewBuilder(4)
+	b.Set(0b1111, 1)
+	d := b.Dist()
 	if got := IST(d, []bitstr.Bits{0b0000}); got != 0 {
 		t.Errorf("IST all-incorrect singleton = %v", got)
 	}
@@ -110,10 +113,11 @@ func TestISTSingleOutcomeHistogram(t *testing.T) {
 func TestISTExactTie(t *testing.T) {
 	// Correct and top incorrect tied: IST is exactly 1 — the boundary the
 	// paper reads as "not inferable" (the criterion is IST > 1).
-	d := dist.New(3)
-	d.Set(0b111, 0.35)
-	d.Set(0b000, 0.35)
-	d.Set(0b001, 0.30)
+	b := dist.NewBuilder(3)
+	b.Set(0b111, 0.35)
+	b.Set(0b000, 0.35)
+	b.Set(0b001, 0.30)
+	d := b.Dist()
 	if got := IST(d, []bitstr.Bits{0b111}); got != 1 {
 		t.Errorf("tied IST = %v, want exactly 1", got)
 	}
@@ -127,10 +131,11 @@ func TestPSTTiesAndZeroMassOutcomes(t *testing.T) {
 	// Zero-mass outcomes stay in the support (observed with vanishing
 	// likelihood); PST over them is well-defined 0, and ties among correct
 	// outcomes sum, not max.
-	d := dist.New(2)
-	d.Set(0b00, 0.5)
-	d.Set(0b01, 0.5)
-	d.Set(0b10, 0)
+	b := dist.NewBuilder(2)
+	b.Set(0b00, 0.5)
+	b.Set(0b01, 0.5)
+	b.Set(0b10, 0)
+	d := b.Dist()
 	if got := PST(d, []bitstr.Bits{0b10}); got != 0 {
 		t.Errorf("PST zero-mass correct = %v", got)
 	}
@@ -152,8 +157,9 @@ func TestImprovementEdgeValues(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	d := sample()
-	noErrors := dist.New(2)
-	noErrors.Set(0b11, 1)
+	b := dist.NewBuilder(2)
+	b.Set(0b11, 1)
+	noErrors := b.Dist()
 	for name, fn := range map[string]func(){
 		"PST empty correct": func() { PST(d, nil) },
 		"IST empty correct": func() { IST(d, nil) },

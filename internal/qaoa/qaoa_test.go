@@ -43,8 +43,9 @@ func TestZeroParamsGiveUniform(t *testing.T) {
 func TestExpectationPointMass(t *testing.T) {
 	g := graph.Ring(6)
 	opt := g.BruteForce()
-	d := dist.New(6)
-	d.Set(opt.Argmins[0], 1)
+	b := dist.NewBuilder(6)
+	b.Set(opt.Argmins[0], 1)
+	d := b.Dist()
 	if e := Expectation(d, g); !almostEq(e, opt.Cost, 1e-12) {
 		t.Errorf("point-mass expectation = %v, want %v", e, opt.Cost)
 	}
@@ -110,9 +111,10 @@ func TestStandardParamsShape(t *testing.T) {
 func TestSolutionRatiosAndCumulative(t *testing.T) {
 	g := graph.Ring(4)
 	cmin := g.BruteForce().Cost // -4
-	d := dist.New(4)
-	d.Set(bitstr.MustParse("0101"), 0.5) // optimal, ratio 1
-	d.Set(bitstr.MustParse("0000"), 0.5) // uncut, cost +4, ratio -1
+	b := dist.NewBuilder(4)
+	b.Set(bitstr.MustParse("0101"), 0.5) // optimal, ratio 1
+	b.Set(bitstr.MustParse("0000"), 0.5) // uncut, cost +4, ratio -1
+	d := b.Dist()
 	rm := SolutionRatios(d, g, cmin)
 	if len(rm) != 2 {
 		t.Fatalf("ratios = %v", rm)
@@ -185,8 +187,8 @@ func TestPanics(t *testing.T) {
 		"params mismatch": func() { Build(g, Params{Betas: []float64{1}, Gammas: []float64{1, 2}}) },
 		"empty params":    func() { Build(g, Params{}) },
 		"standard p=0":    func() { StandardParams(0) },
-		"CR nonneg cmin":  func() { CostRatio(dist.New(4), g, 1) },
-		"ratios cmin":     func() { SolutionRatios(dist.New(4), g, 0) },
+		"CR nonneg cmin":  func() { CostRatio(dist.NewBuilder(4).Dist(), g, 1) },
+		"ratios cmin":     func() { SolutionRatios(dist.NewBuilder(4).Dist(), g, 0) },
 		"landscape steps": func() { NewLandscape(g, -4, 1, 1, 1, func(Params) *dist.Dist { return nil }) },
 		"optimize rounds": func() { Optimize(good, func(Params) float64 { return 0 }, 0, 0.1) },
 	} {

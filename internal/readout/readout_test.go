@@ -18,11 +18,11 @@ func TestMitigateInvertsReadoutExactly(t *testing.T) {
 	// the original distribution must come back (infinite-shot limit).
 	n := 5
 	rng := rand.New(rand.NewSource(6))
-	orig := dist.New(n)
+	b := dist.NewBuilder(n)
 	for i := 0; i < 12; i++ {
-		orig.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
+		b.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
 	}
-	orig.Normalize()
+	orig := b.Dist().Normalize()
 	cal := Uniform(n, 0.02, 0.05)
 	v := orig.Dense()
 	(&noise.Readout{P01: cal.P01, P10: cal.P10}).Apply(v)
@@ -34,9 +34,10 @@ func TestMitigateInvertsReadoutExactly(t *testing.T) {
 }
 
 func TestMitigateIdentityWhenNoError(t *testing.T) {
-	d := dist.New(3)
-	d.Set(0b101, 0.6)
-	d.Set(0b010, 0.4)
+	b := dist.NewBuilder(3)
+	b.Set(0b101, 0.6)
+	b.Set(0b010, 0.4)
+	d := b.Dist()
 	out := Mitigate(d, Uniform(3, 0, 0))
 	if dv := dist.TVD(d, out); dv > 1e-12 {
 		t.Errorf("zero-rate mitigation changed distribution: %v", dv)
@@ -47,8 +48,9 @@ func TestMitigateClipsNegatives(t *testing.T) {
 	// A distribution inconsistent with the calibration (e.g. sharp point
 	// mass with large assumed error) produces negative quasi-probabilities
 	// that must be clipped to a valid distribution.
-	d := dist.New(2)
-	d.Set(0b01, 1)
+	b := dist.NewBuilder(2)
+	b.Set(0b01, 1)
+	d := b.Dist()
 	out := Mitigate(d, Uniform(2, 0.2, 0.3))
 	if !almostEq(out.Total(), 1, 1e-9) {
 		t.Errorf("mitigated mass = %v", out.Total())
@@ -96,8 +98,9 @@ func TestMitigateSingleOutcomeConsistent(t *testing.T) {
 	// A support-1 histogram consistent with a zero-error calibration is a
 	// fixed point; with per-qubit asymmetric rates it spreads into the
 	// simplex but stays normalized with no negative mass.
-	d := dist.New(3)
-	d.Set(0b110, 1)
+	b := dist.NewBuilder(3)
+	b.Set(0b110, 1)
+	d := b.Dist()
 	if out := Mitigate(d, Uniform(3, 0, 0)); out.Len() != 1 || !almostEq(out.Prob(0b110), 1, 1e-12) {
 		t.Errorf("zero-error singleton changed: %v", out)
 	}
@@ -118,11 +121,11 @@ func TestMitigateAsymmetricRoundTrip(t *testing.T) {
 	// invert exactly in the infinite-shot limit, like the uniform case.
 	n := 4
 	rng := rand.New(rand.NewSource(11))
-	orig := dist.New(n)
+	b := dist.NewBuilder(n)
 	for i := 0; i < 7; i++ {
-		orig.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
+		b.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
 	}
-	orig.Normalize()
+	orig := b.Dist().Normalize()
 	cal := &Calibration{
 		P01: []float64{0.01, 0.0, 0.08, 0.03},
 		P10: []float64{0.04, 0.0, 0.02, 0.10},
@@ -159,8 +162,9 @@ func TestMitigatePanicsOnBadCalibration(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	d := dist.New(2)
-	d.Set(0, 1)
+	b := dist.NewBuilder(2)
+	b.Set(0, 1)
+	d := b.Dist()
 	Mitigate(d, Uniform(3, 0.1, 0.1))
 }
 

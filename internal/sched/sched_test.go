@@ -20,16 +20,16 @@ import (
 // testDist builds a deterministic clustered histogram over n bits.
 func testDist(n int, seed int64) *dist.Dist {
 	rng := rand.New(rand.NewSource(seed))
-	d := dist.New(n)
+	b := dist.NewBuilder(n)
 	key := bitstr.Bits(rng.Intn(1 << uint(n)))
-	d.Add(key, 0.1+0.1*rng.Float64())
+	b.Add(key, 0.1+0.1*rng.Float64())
 	for i := 0; i < n; i++ {
-		d.Add(bitstr.Flip(key, i), 0.01+0.03*rng.Float64())
+		b.Add(bitstr.Flip(key, i), 0.01+0.03*rng.Float64())
 	}
 	for i := 0; i < 60; i++ {
-		d.Add(bitstr.Bits(rng.Intn(1<<uint(n))), 0.002*rng.Float64())
+		b.Add(bitstr.Bits(rng.Intn(1<<uint(n))), 0.002*rng.Float64())
 	}
-	return d.Normalize()
+	return b.Dist().Normalize()
 }
 
 func TestNewValidatesOptions(t *testing.T) {
@@ -144,7 +144,7 @@ func TestBatchEmptyInputError(t *testing.T) {
 	err = s.Batch(context.Background(), 3,
 		func(i int) (Request, error) {
 			if i == 1 {
-				return Request{In: dist.New(4)}, nil // empty support: session rejects
+				return Request{In: dist.NewBuilder(4).Dist()}, nil // empty support: session rejects
 			}
 			return Request{In: testDist(8, int64(i))}, nil
 		},

@@ -83,7 +83,7 @@ func (r *Result) RemapDist(d *dist.Dist) *dist.Dist {
 	if d.NumBits() != n {
 		panic(fmt.Sprintf("transpile: remap width %d vs layout %d", d.NumBits(), n))
 	}
-	out := dist.New(n)
+	out := dist.NewBuilder(n)
 	d.Range(func(x bitstr.Bits, p float64) {
 		var y bitstr.Bits
 		for logical, physical := range r.Layout {
@@ -93,7 +93,7 @@ func (r *Result) RemapDist(d *dist.Dist) *dist.Dist {
 		}
 		out.Add(y, p)
 	})
-	return out
+	return out.Dist()
 }
 
 // Cancel removes adjacent self-inverse gate pairs (H·H, X·X, CX·CX on the
