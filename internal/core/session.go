@@ -248,10 +248,10 @@ func (s *Session) Reconstruct(ctx context.Context, in *dist.Dist) (*Result, erro
 
 // finish is the scoring epilogue of Reconstruct and CombineStripes: it
 // writes the scores of outs into the session's output entries, adds the
-// truncated tail scored as isolated (L(x) = Pr(x)²), and normalizes. The
-// total adds the scores in ascending outcome order, then the tail in rank
-// order, so the output is bit-identical whatever order the entries are
-// stored in; a tail then sorts into place.
+// truncated tail scored as isolated (L(x) = Pr(x)²), and normalizes. Every
+// output bit depends on the order the total is summed in, and cached
+// response bodies are pinned to this one: outs ascending, then the tail in
+// rank order. The tail then sorts into place.
 func (s *Session) finish(n int, outs []bitstr.Bits, scores []float64, tail []dist.Entry) *dist.Dist {
 	es := s.outEntries[:0]
 	var total float64

@@ -167,6 +167,8 @@ func (d *Dist) Marginal(keep int) *Dist {
 	}
 	b := NewBuilder(keep)
 	mask := bitstr.AllOnes(keep)
+	// Ascending-order iteration keeps the fold over colliding outcomes, and
+	// the total, bit-for-bit reproducible.
 	for _, e := range d.es {
 		b.Add(e.X&mask, e.P)
 	}
