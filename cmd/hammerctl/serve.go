@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -33,6 +34,11 @@ import (
 // bytes on the wire; 32 MiB admits batches of roughly a million outcomes
 // while keeping a malicious body from exhausting memory.
 const maxRequestBytes = 32 << 20
+
+// maxPresizeBytes caps the buffer a request body is read into up front from
+// its Content-Length: a larger declared body grows as it arrives, so a
+// client cannot make the server reserve memory it never sends.
+const maxPresizeBytes = 1 << 20
 
 // runServe starts the HTTP reconstruction service: a shared bounded-worker
 // scheduler with pooled per-request sessions, plus a manager of live
@@ -189,7 +195,11 @@ type server struct {
 	// writes stored bytes verbatim — byte-identical to the miss that filled
 	// it, with no re-encoding on the hot path — and still reports
 	// X-Hammer-Engine.
-	cache   *cache.Tiered
+	cache *cache.Tiered
+	// digests maps the SHA-256 of a /v1/reconstruct body to the canonical
+	// cache key it decoded to, so a byte-identical repeat finds its key
+	// without decoding. It exists exactly when L1 does, at L1's capacity.
+	digests *cache.LRU[string]
 	metrics *serverMetrics
 	// journal, when non-nil (-data), is the wal store behind the session
 	// manager; the server closes it when Serve returns. recovered is the
@@ -281,7 +291,7 @@ func newServer(c serverConfig) (_ *server, err error) {
 	m := newServerMetrics(mgr.Len, tiers)
 	sch.Instrument(m.sched)
 	mgr.Instrument(m.serve)
-	srv := &server{sch: sch, mgr: mgr, base: c.Config, cache: tiers, metrics: m, journal: journal}
+	srv := &server{sch: sch, mgr: mgr, base: c.Config, cache: tiers, digests: cache.New[string](c.CacheEntries), metrics: m, journal: journal}
 	srv.stripeSessions.New = func() any {
 		sess, err := core.NewSession(core.Options{Workers: 1})
 		if err != nil {
@@ -456,21 +466,42 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// The histogram is validated here, so an invalid one never reaches a
+	// A byte-identical repeat of a body this server has answered finds its
+	// cache key from one SHA-256 of the bytes, without decoding them.
+	var (
+		digest, key string
+		known       bool
+	)
+	if s.digests != nil {
+		sum := sha256.Sum256(body)
+		digest = string(sum[:])
+		key, known = s.digests.Get(digest)
+	}
+	var (
+		rr   *reconstructRequest
+		opts *core.Options
+		eff  core.Options
+	)
+	decode := func() (err error) {
+		if rr, err = decodeReconstruct(body); err != nil {
+			return err
+		}
+		if opts, err = s.requestOptions(rr.override); err != nil {
+			return err
+		}
+		eff = s.sch.Options()
+		if opts != nil {
+			eff = *opts
+		}
+		return nil
+	}
+	// Any other body is validated here, so an invalid one never reaches a
 	// cache tier: no miss is counted and no disk or peer is consulted.
-	rr, err := decodeReconstruct(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, -1, err)
-		return
-	}
-	opts, err := s.requestOptions(rr.override)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, -1, err)
-		return
-	}
-	eff := s.sch.Options()
-	if opts != nil {
-		eff = *opts
+	if !known {
+		if err := decode(); err != nil {
+			writeError(w, http.StatusBadRequest, -1, err)
+			return
+		}
 	}
 	// Result cache: repeated identical (histogram, options) requests — the
 	// QAOA-optimizer pattern — skip reconstruction entirely. The key is a
@@ -478,12 +509,24 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	// changes the result, so it is not part of the key), so the bare and
 	// {"counts": ...} spellings of one request share an entry. On a miss the
 	// response is rendered once: the same bytes are stored (immutable from
-	// here on) and written, so a later hit is byte-identical to this miss.
+	// here on) and written, so a later hit is byte-identical to this miss. A
+	// known digest whose entry every tier has since dropped decodes in fill.
 	var status int
 	var out rendered
 	engine, resp, tier, err := s.cache.Fetch(
-		func() string { return cache.KeyEntries(rr.entries, rr.width, eff) },
+		func() string {
+			if !known {
+				key = cache.KeyEntries(rr.entries, rr.width, eff)
+			}
+			return key
+		},
 		func() (string, []byte, error) {
+			if rr == nil {
+				if err := decode(); err != nil {
+					status = http.StatusBadRequest
+					return "", nil, err
+				}
+			}
 			var err error
 			if out, status, err = s.reconstruct(r, rr, opts, eff); err != nil {
 				return "", nil, err
@@ -503,6 +546,9 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(engineHeader, out.engine)
 		writeError(w, http.StatusInternalServerError, -1, err)
 		return
+	}
+	if !known {
+		s.digests.Put(digest, key)
 	}
 	w.Header().Set(engineHeader, engine)
 	if label := cacheLabels[tier]; label != "" {
@@ -666,17 +712,31 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, extraTypes ...string) 
 		writeError(w, http.StatusUnsupportedMediaType, -1, err)
 		return nil, false
 	}
-	// MaxBytesReader gets the unwrapped writer: on an oversized body it
-	// marks the connection Connection: close through a private type
-	// assertion on exactly the writer it is handed, which the metrics
-	// middleware's wrapper would otherwise defeat (it only flags the
-	// connection — the 413 envelope is still written through w).
-	body, err := io.ReadAll(http.MaxBytesReader(unwrapWriter(w), r.Body, maxRequestBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, bodyStatus(err), -1, err)
 		return nil, false
 	}
 	return body, true
+}
+
+// readBody drains the request body, capped at maxRequestBytes. A body that
+// declares a Content-Length of at most maxPresizeBytes is read into one
+// buffer of that size (with room for the read that sees EOF); any other
+// grows as io.ReadAll grows it.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	// MaxBytesReader gets the unwrapped writer: on an oversized body it
+	// marks the connection Connection: close through a private type
+	// assertion on exactly the writer it is handed, which the metrics
+	// middleware's wrapper would otherwise defeat (it only flags the
+	// connection — the 413 envelope is still written through w).
+	body := http.MaxBytesReader(unwrapWriter(w), r.Body, maxRequestBytes)
+	if n := r.ContentLength; n > 0 && n <= maxPresizeBytes {
+		buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+		_, err := buf.ReadFrom(body)
+		return buf.Bytes(), err
+	}
+	return io.ReadAll(body)
 }
 
 // unwrapWriter follows Unwrap chains down to the ResponseWriter net/http

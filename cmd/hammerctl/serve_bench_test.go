@@ -75,6 +75,13 @@ func BenchmarkCachedReconstruct(b *testing.B) {
 	benchReconstruct(b, 64, [][]byte{benchHistogramJSON(b, 20, 4000)}, cacheHit)
 }
 
+// BenchmarkCachedReconstructCounts is a served cache hit of the serving
+// benchmark's repeat traffic: one body of 20-bit/4000-outcome integer
+// counts, sent again byte for byte.
+func BenchmarkCachedReconstructCounts(b *testing.B) {
+	benchReconstruct(b, 64, [][]byte{benchCountsJSON(b, 20, 4000, 42)}, cacheHit)
+}
+
 // BenchmarkCachedReconstructShuffled is BenchmarkCachedReconstruct with the
 // body's members shuffled, so every hit also pays the decoder's sort.
 func BenchmarkCachedReconstructShuffled(b *testing.B) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -158,7 +157,7 @@ func (s *server) handleStreamHandoff(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("unsupported Content-Type %q (want application/octet-stream)", mt))
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(unwrapWriter(w), r.Body, maxRequestBytes))
+	raw, err := readBody(w, r)
 	if err != nil {
 		writeError(w, bodyStatus(err), -1, err)
 		return

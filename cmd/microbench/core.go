@@ -22,6 +22,10 @@ import (
 // gate) so downstream consumers can check it instead of assuming it. The
 // gates sit on the blocked engine's acceptance workload, 20-bit /
 // 4000-support.
+//
+// Each row is the median of three runs (timer.medians), so one slow run on a
+// shared host moves neither the row nor the constants costfit refits from
+// it.
 const (
 	coreWorkers     = 1
 	coreGateSupport = 4000
@@ -61,12 +65,12 @@ func runCore() (any, error) {
 			}
 			for _, engine := range []string{core.EngineExact, core.EngineBlocked} {
 				opts := core.Options{Engine: engine, Radius: radius, Workers: coreWorkers}
-				ns := t.measure(func(b *testing.B) error {
+				ns := t.medians(func(b *testing.B) error {
 					for i := 0; i < b.N; i++ {
 						core.Reconstruct(d, opts)
 					}
 					return nil
-				}).NsPerOp()
+				})[0].NsPerOp()
 				cfg.Engines[engine] = cost.CoreEngineRun{
 					NsPerOp:    ns,
 					NsPerPair:  float64(ns) / float64(pairs),

@@ -159,6 +159,28 @@ func (t *timer) measure(f func(b *testing.B) error) testing.BenchmarkResult {
 	})
 }
 
+// medianRuns is how many times timer.medians measures each function.
+const medianRuns = 3
+
+// medians measures each of fs medianRuns times, taking them in turn, and
+// returns each one's run of median ns/op: one slow or one lucky run on a
+// shared host does not set a row, and a host whose speed drifts between
+// runs does not favour whichever function ran in its fast spell.
+func (t *timer) medians(fs ...func(b *testing.B) error) []testing.BenchmarkResult {
+	runs := make([][medianRuns]testing.BenchmarkResult, len(fs))
+	for r := range medianRuns {
+		for i, f := range fs {
+			runs[i][r] = t.measure(f)
+		}
+	}
+	out := make([]testing.BenchmarkResult, len(fs))
+	for i := range runs {
+		slices.SortFunc(runs[i][:], func(a, b testing.BenchmarkResult) int { return cmp.Compare(a.NsPerOp(), b.NsPerOp()) })
+		out[i] = runs[i][medianRuns/2]
+	}
+	return out
+}
+
 // histogram is dist.Synthetic's §6.6 workload as a wire-form histogram.
 func histogram(uniqueOutcomes int, seed int64) map[string]float64 {
 	d := dist.Synthetic(bits, uniqueOutcomes, seed)

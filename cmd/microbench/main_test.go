@@ -119,6 +119,25 @@ func TestTimerKeepsFirstError(t *testing.T) {
 	}
 }
 
+// TestTimerMediansKeepFirstError: medians measures through the same timer,
+// so a failing first run ends every later one and the error is the
+// function's own.
+func TestTimerMediansKeepFirstError(t *testing.T) {
+	var tm timer
+	calls := 0
+	rs := tm.medians(func(b *testing.B) error {
+		calls++
+		return errors.New("replay folded 3 shots, want 4")
+	}, func(b *testing.B) error {
+		calls++
+		return nil
+	})
+	if tm.err == nil || tm.err.Error() != "replay folded 3 shots, want 4" || calls != 1 || rs[0].N != 0 || rs[1].N != 0 {
+		t.Errorf("err %v, %d calls, results N=%d,%d; want the function's error, 1 call and nothing measured",
+			tm.err, calls, rs[0].N, rs[1].N)
+	}
+}
+
 // TestReadmeClaims ties every number in README's Benchmarks claim list, and
 // the cache example, to the committed report field it comes from. Each row
 // renders one field (in a few words of the claim's own context) as README

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -37,23 +38,29 @@ func fuzzDist(data []byte, n int) *dist.Dist {
 	return b.Dist().Normalize()
 }
 
+// fuzzSeed is a fuzzDist input: the key, then one four-byte chunk per
+// outcome.
+func fuzzSeed(key uint64, chunks ...[4]byte) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, key)
+	for _, c := range chunks {
+		b = append(b, c[:]...)
+	}
+	return b
+}
+
+// fuzzNear are seed chunks for outcomes one to three flips from the key,
+// and one far from it.
+var fuzzNear = [][4]byte{{0, 1, 2, 0x17}, {3, 4, 5, 0x23}, {6, 0, 0, 0x31}, {7, 8, 0, 0x13}, {9, 1, 5, 0x07}, {2, 2, 2, 0x1f}}
+
 // FuzzBlockedRadius pins the blocked engine — whichever scan its count rule
 // picks — to the exact reference within 1e-12 per outcome and per global
 // CHS entry, and both to the oracle within 1e-12 per outcome, over fuzzed
 // histograms, widths, radii (0 = the paper's default) and worker counts.
 func FuzzBlockedRadius(f *testing.F) {
-	seed := func(key uint64, chunks ...[4]byte) []byte {
-		b := binary.LittleEndian.AppendUint64(nil, key)
-		for _, c := range chunks {
-			b = append(b, c[:]...)
-		}
-		return b
-	}
-	near := [][4]byte{{0, 1, 2, 0x17}, {3, 4, 5, 0x23}, {6, 0, 0, 0x31}, {7, 8, 0, 0x13}, {9, 1, 5, 0x07}, {2, 2, 2, 0x1f}}
-	f.Add(seed(0xdeadbeef, near...), uint8(20), uint8(3), uint8(0))
-	f.Add(seed(0x0123456789abcdef, near...), uint8(64), uint8(2), uint8(3))
-	f.Add(seed(0x5a5a, near...), uint8(33), uint8(5), uint8(1))
-	f.Add(seed(1, near[:2]...), uint8(4), uint8(0), uint8(2))
+	f.Add(fuzzSeed(0xdeadbeef, fuzzNear...), uint8(20), uint8(3), uint8(0))
+	f.Add(fuzzSeed(0x0123456789abcdef, fuzzNear...), uint8(64), uint8(2), uint8(3))
+	f.Add(fuzzSeed(0x5a5a, fuzzNear...), uint8(33), uint8(5), uint8(1))
+	f.Add(fuzzSeed(1, fuzzNear[:2]...), uint8(4), uint8(0), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, width, radius, workers uint8) {
 		n := 1 + int(width)%bitstr.MaxBits
 		in := fuzzDist(data, n)
@@ -78,6 +85,31 @@ func FuzzBlockedRadius(f *testing.F) {
 		want := oracleOf(histOf(in), opts)
 		checkOracle(t, fmt.Sprintf("n=%d %+v exact", n, opts), want, ex.Out)
 		checkOracle(t, fmt.Sprintf("n=%d %+v blocked", n, opts), want, got.Out)
+	})
+}
+
+// FuzzRelabel checks HAMMER's two exact symmetries, XOR by a mask and a
+// permutation of the bit columns, on every path: over fuzzDist histograms of
+// fuzzed width and radius (0 = the paper's default), exact, blocked and the
+// stream must each reconstruct the relabeled histogram to the relabeled
+// output, within 1e-12 per outcome (checkRelabel). The permutation is
+// rand.Perm of the width under the fuzzed seed.
+func FuzzRelabel(f *testing.F) {
+	f.Add(fuzzSeed(0xdeadbeef, fuzzNear...), uint64(0x5a5a5), int64(1), uint8(20), uint8(3))
+	f.Add(fuzzSeed(0x0123456789abcdef, fuzzNear...), uint64(1<<63|1), int64(2), uint8(64), uint8(2))
+	f.Add(fuzzSeed(0x5a5a, fuzzNear...), uint64(0xffff_ffff), int64(3), uint8(33), uint8(5))
+	f.Add(fuzzSeed(7, fuzzNear...), uint64(0), int64(4), uint8(12), uint8(0))
+	f.Add(fuzzSeed(1, fuzzNear[:2]...), uint64(5), int64(5), uint8(4), uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, mask uint64, permSeed int64, width, radius uint8) {
+		n := 1 + int(width)%bitstr.MaxBits
+		in := fuzzDist(data, n)
+		if in == nil {
+			return
+		}
+		perm := rand.New(rand.NewSource(permSeed)).Perm(n)
+		m := bitstr.Bits(mask) & bitstr.AllOnes(n)
+		checkRelabel(t, fmt.Sprintf("n=%d mask=%#x perm=%v", n, m, perm), in, m, perm,
+			Options{Radius: int(radius) % (n + 1)})
 	})
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -57,37 +58,70 @@ func relabel(x, mask bitstr.Bits, perm []int) bitstr.Bits {
 	return y
 }
 
+// checkRelabel reconstructs in and its relabeling under opts on exact,
+// blocked and the stream path, and fails unless each path's output on the
+// relabeled histogram is its relabeled output, to 1e-12 per outcome. Both
+// streams are fed in's outcomes in ascending order, so the relabeled one
+// takes its slots out of outcome order.
+func checkRelabel(t testing.TB, label string, in *dist.Dist, mask bitstr.Bits, perm []int, opts Options) {
+	t.Helper()
+	n := in.NumBits()
+	bld := dist.NewBuilder(n)
+	in.Range(func(x bitstr.Bits, p float64) { bld.Set(relabel(x, mask, perm), p) })
+	moved := bld.Dist()
+	stream := func(move bool) *dist.Dist {
+		inc := NewIncremental(n, opts)
+		in.Range(func(x bitstr.Bits, p float64) {
+			if move {
+				x = relabel(x, mask, perm)
+			}
+			inc.Add(x, p)
+		})
+		return inc.Snapshot().Out
+	}
+	exact, blocked := opts, opts
+	exact.Engine, blocked.Engine = EngineExact, EngineBlocked
+	for _, c := range []struct {
+		path      string
+		want, got *dist.Dist
+	}{
+		{"exact", Reconstruct(in, exact).Out, Reconstruct(moved, exact).Out},
+		{"blocked", Reconstruct(in, blocked).Out, Reconstruct(moved, blocked).Out},
+		{"stream", stream(false), stream(true)},
+	} {
+		if c.want.Len() != c.got.Len() {
+			t.Fatalf("%s %s: support %d, relabeled %d", label, c.path, c.want.Len(), c.got.Len())
+		}
+		c.want.Range(func(x bitstr.Bits, p float64) {
+			if q := c.got.Prob(relabel(x, mask, perm)); !(math.Abs(p-q) <= 1e-12) {
+				t.Fatalf("%s %s: outcome %b reconstructs to %v, its relabeling to %v", label, c.path, x, p, q)
+			}
+		})
+	}
+}
+
 // TestBlockedMetamorphic is an oracle that shares no code with the block
 // layout: XOR-relabeling the outcomes and permuting their bit columns moves
 // bits between blocks and reshuffles every bucket, yet the reconstruction of
 // the relabeled histogram must be the relabeled reconstruction, to 1e-12 per
-// outcome. Widths 33 (blocks of unequal width) and 64 (blocks wider than the
-// bucket key, so buckets hash) are covered alongside 12 and 20, at every
-// radius from 1 to min(n, 8), single-threaded and striped.
+// outcome, on blocked, exact and the stream path. Widths 33 (blocks of
+// unequal width) and 64 (blocks wider than the bucket key, so buckets hash)
+// are covered alongside 12 and 20, at every radius from 1 to min(n, 8),
+// single-threaded and striped.
 func TestBlockedMetamorphic(t *testing.T) {
 	for _, n := range []int{12, 20, 33, 64} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		in := clusterDist(n, min(600, 1<<(n-2)), int64(n))
 		mask := bitstr.Bits(rng.Uint64()) & bitstr.AllOnes(n)
 		perm := rng.Perm(n)
-		bld := dist.NewBuilder(n)
-		in.Range(func(x bitstr.Bits, p float64) { bld.Set(relabel(x, mask, perm), p) })
-		moved := bld.Dist()
 		multi := 0
 		for r := 1; r <= min(n, 8); r++ {
 			if usesMultiIndex(in, r) {
 				multi++
 			}
 			for _, workers := range []int{1, 4} {
-				opts := Options{Engine: EngineBlocked, Radius: r, Workers: workers}
-				want := Reconstruct(in, opts).Out
-				got := Reconstruct(moved, opts).Out
-				want.Range(func(x bitstr.Bits, p float64) {
-					if q := got.Prob(relabel(x, mask, perm)); math.Abs(p-q) > 1e-12 {
-						t.Fatalf("n=%d r=%d workers=%d: outcome %b reconstructs to %v, its relabeling to %v",
-							n, r, workers, x, p, q)
-					}
-				})
+				checkRelabel(t, fmt.Sprintf("n=%d r=%d workers=%d", n, r, workers), in, mask, perm,
+					Options{Radius: r, Workers: workers})
 			}
 		}
 		if multi == 0 {
