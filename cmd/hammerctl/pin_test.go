@@ -3,8 +3,11 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"slices"
 	"testing"
 
 	hammer "repro"
@@ -18,8 +21,12 @@ import (
 // one fails here. The reconstruct bodies carry dist.Synthetic(20, 4000, 42)
 // as wrapped integer counts, under the default options and three overrides
 // (one pins the exact engine); the batch body carries 16 members of
-// dist.Synthetic(12, 256, seed) counts, seeds 1 to 16. One worker keeps the
-// bytes independent of the host's CPU count.
+// dist.Synthetic(12, 256, seed) counts, seeds 1 to 16. The stream rows are
+// the ?snapshot=1 acks of one 20-bit session: dist.Synthetic(20, 2000, 42)
+// as integer counts, whose snapshot rebuilds every row, then three 128-shot
+// ingests sampled from those counts, whose snapshots walk only the changed
+// outcomes and patch their neighbours. One worker keeps the bytes
+// independent of the host's CPU count.
 func TestResponseBytesPinned(t *testing.T) {
 	counts := benchCountsJSON(t, 20, 4000, 42)
 	batch := []byte(`{"requests": [`)
@@ -31,6 +38,12 @@ func TestResponseBytesPinned(t *testing.T) {
 	}
 	batch = append(batch, "]}"...)
 	ts := newTestServer(t, hammer.Config{}, 1)
+	if code, body := postJSON(t, ts.URL+"/v1/stream", `{"width": 20, "id": "pin"}`); code != http.StatusCreated {
+		t.Fatalf("stream create: status %d: %s", code, body)
+	}
+	seed := benchCountsJSON(t, 20, 2000, 42)
+	shots := sampledIngests(t, seed, 3, 128)
+	const ingest = "/v1/stream/pin/shots?snapshot=1"
 	for _, tc := range []struct {
 		name, path string
 		body       []byte
@@ -41,6 +54,10 @@ func TestResponseBytesPinned(t *testing.T) {
 		{"topm 500", "/v1/reconstruct", fmt.Appendf(nil, `{"counts": %s, "config": {"topm": 500}}`, counts), "d7548717332efa47d36fee3b974e187ae4af9408dda008b1b6c43e9e4a4a6d3f"},
 		{"exact radius 2", "/v1/reconstruct", fmt.Appendf(nil, `{"counts": %s, "config": {"engine": "exact", "radius": 2}}`, counts), "abe6cbb0dc86d684e55afd60eb7677f525df7b429961c54f310bba3b155aa0fa"},
 		{"batch", "/v1/batch", batch, "99821eec7d11fffab941bae03ac68204730c556cb2051282b3de685de803ac26"},
+		{"stream full", ingest, fmt.Appendf(nil, `{"counts": %s}`, seed), "357e14c050265838934517212d51b131127e1aa6fbfa43f08847dda3e8808e8e"},
+		{"stream partial 1", ingest, shots[0], "f8c159fc707ad8266810d7e9095c9a8b8d00bcf0128d20eb2e7dce599d98cc0a"},
+		{"stream partial 2", ingest, shots[1], "a155e2f74497ce0516faf971a22f50fe271f255d31d7d4f8f780f940cd7d6a7f"},
+		{"stream partial 3", ingest, shots[2], "ea93925dc4d8dd5d2507461dfcf9040ed8be0e82c54a49854e65e522d5786ab4"},
 	} {
 		code, body := postJSON(t, ts.URL+tc.path, string(tc.body))
 		if code != http.StatusOK {
@@ -51,4 +68,41 @@ func TestResponseBytesPinned(t *testing.T) {
 			t.Errorf("%s: body SHA-256 %s, pinned %s (%d bytes)", tc.name, got, tc.sum, len(body))
 		}
 	}
+}
+
+// sampledIngests draws k stream ingest bodies of shots shots each from a
+// counts histogram, a fixed rand seed choosing each shot with probability
+// proportional to its outcome's count.
+func sampledIngests(t *testing.T, counts []byte, k, shots int) [][]byte {
+	t.Helper()
+	var h map[string]int
+	if err := json.Unmarshal(counts, &h); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(h))
+	for key := range h {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	cum := make([]int, len(keys))
+	total := 0
+	for i, key := range keys {
+		total += h[key]
+		cum[i] = total
+	}
+	rng := rand.New(rand.NewSource(7))
+	bodies := make([][]byte, k)
+	for b := range bodies {
+		batch := map[string]int{}
+		for range shots {
+			i, _ := slices.BinarySearch(cum, 1+rng.Intn(total))
+			batch[keys[i]]++
+		}
+		body, err := json.Marshal(map[string]any{"counts": batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[b] = body
+	}
+	return bodies
 }

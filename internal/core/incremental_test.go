@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -112,6 +116,72 @@ func TestIncrementalFullResyncBoundary(t *testing.T) {
 		want := Reconstruct(acc.Dist().Normalize(), Options{})
 		if d := dist.TVD(got.Out, want.Out); d > 1e-12 {
 			t.Fatalf("round %d (resyncIn now %d): TVD %v", round, inc.resyncIn, d)
+		}
+	}
+}
+
+// TestIncrementalSnapshotBitsPinned pins the exact bits of a stream's
+// snapshots: one SHA-256 over every snapshot's outcomes, the
+// math.Float64bits of their scores and of GlobalCHS. The 1e-12 agreement
+// tests cannot see a walk that adds the same terms in another order; this
+// can, because the masses are not integers, so their sums round. The stream
+// is dist.Synthetic(20, 2000, 42) scaled by 1e5, then 300 snapshots each
+// after 64 unit shots sampled from it, at the default radius: the first and
+// the 257th snapshot rebuild every row (the second crosses
+// fullResyncEvery), the rest walk the changed outcomes and patch their
+// neighbours, and the key outcome's ball holds more than pinnedBallFloor
+// outcomes. Workers 4 runs the full rebuilds in parallel and must give the
+// same bits as Workers 1.
+func TestIncrementalSnapshotBitsPinned(t *testing.T) {
+	const (
+		n, support, snapshots, shots = 20, 2000, 300, 64
+		pinnedBallFloor              = 512
+		want                         = "9f9d68175dabfccd86d9c6801d3dcaa01fe9c4d63f81a7125bf56c3f914d5e89"
+	)
+	seed := dist.Synthetic(n, support, 42)
+	var outs []bitstr.Bits
+	var cum []float64
+	total := 0.0
+	seed.Range(func(x bitstr.Bits, p float64) {
+		total += p
+		outs, cum = append(outs, x), append(cum, total)
+	})
+	key := seed.MostProbable()
+	ball := 0
+	for _, y := range outs {
+		if d := bitstr.Distance(key, y); d >= 1 && d <= DefaultRadius(n) {
+			ball++
+		}
+	}
+	if ball <= pinnedBallFloor {
+		t.Fatalf("the key outcome's ball holds %d outcomes, want more than %d", ball, pinnedBallFloor)
+	}
+	for _, workers := range []int{1, 4} {
+		inc := NewIncremental(n, Options{Workers: workers})
+		seed.Range(func(x bitstr.Bits, p float64) { inc.Add(x, p*1e5) })
+		rng := rand.New(rand.NewSource(9))
+		h := sha256.New()
+		var buf []byte
+		for snap := range snapshots {
+			if snap > 0 {
+				for range shots {
+					i, _ := slices.BinarySearch(cum, rng.Float64()*total)
+					inc.Add(outs[min(i, len(outs)-1)], 1)
+				}
+			}
+			res := inc.Snapshot()
+			buf = buf[:0]
+			res.Out.Range(func(x bitstr.Bits, p float64) {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
+			})
+			for _, c := range res.GlobalCHS {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
+			}
+			h.Write(buf)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("Workers %d: snapshot bits SHA-256 %s, pinned %s", workers, got, want)
 		}
 	}
 }
