@@ -3,11 +3,8 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
-	"slices"
 	"testing"
 
 	hammer "repro"
@@ -68,41 +65,4 @@ func TestResponseBytesPinned(t *testing.T) {
 			t.Errorf("%s: body SHA-256 %s, pinned %s (%d bytes)", tc.name, got, tc.sum, len(body))
 		}
 	}
-}
-
-// sampledIngests draws k stream ingest bodies of shots shots each from a
-// counts histogram, a fixed rand seed choosing each shot with probability
-// proportional to its outcome's count.
-func sampledIngests(t *testing.T, counts []byte, k, shots int) [][]byte {
-	t.Helper()
-	var h map[string]int
-	if err := json.Unmarshal(counts, &h); err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, 0, len(h))
-	for key := range h {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
-	cum := make([]int, len(keys))
-	total := 0
-	for i, key := range keys {
-		total += h[key]
-		cum[i] = total
-	}
-	rng := rand.New(rand.NewSource(7))
-	bodies := make([][]byte, k)
-	for b := range bodies {
-		batch := map[string]int{}
-		for range shots {
-			i, _ := slices.BinarySearch(cum, 1+rng.Intn(total))
-			batch[keys[i]]++
-		}
-		body, err := json.Marshal(map[string]any{"counts": batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bodies[b] = body
-	}
-	return bodies
 }

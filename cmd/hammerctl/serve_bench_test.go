@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -193,6 +195,40 @@ func benchCountsJSON(tb testing.TB, bits, support int, seed int64) []byte {
 	return body
 }
 
+// BenchmarkStreamIngestSnapshot is the serving benchmark's stream traffic
+// through the full handler stack: a 20-bit session seeded with
+// dist.Synthetic(20, 2000, 42) as integer counts (a key outcome, its
+// single-bit flips and a uniform tail), then per op one plain ingest and one
+// ?snapshot=1 ingest, each of 64 shots sampled from the seed. Each snapshot
+// walks the outcomes both ingests changed, as the stream workload's do.
+func BenchmarkStreamIngestSnapshot(b *testing.B) {
+	srv, err := newServer(serverConfig{Config: hammer.Config{Workers: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mux := srv.mux()
+	post := func(path string, body []byte, want int) {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != want {
+			b.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	const ingest = "/v1/stream/bench/shots"
+	post("/v1/stream", []byte(`{"width": 20, "id": "bench"}`), http.StatusCreated)
+	seed := benchCountsJSON(b, 20, 2000, 42)
+	post(ingest+"?snapshot=1", fmt.Appendf(nil, `{"counts": %s}`, seed), http.StatusOK)
+	bodies := sampledIngests(b, seed, 256, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		post(ingest, bodies[2*i%len(bodies)], http.StatusOK)
+		post(ingest+"?snapshot=1", bodies[(2*i+1)%len(bodies)], http.StatusOK)
+	}
+}
+
 // BenchmarkDecodeKeyWrapped: decode plus cache key of tight's body, 20-bit/
 // 4000-outcome integer counts wrapped as {"counts": ..., "config":
 // {"radius": 3}}, beside the same counts bare.
@@ -245,4 +281,41 @@ func BenchmarkRenderReconstruct(b *testing.B) {
 			b.Fatal(out.err)
 		}
 	}
+}
+
+// sampledIngests draws k stream ingest bodies of shots shots each from a
+// counts histogram, a fixed rand seed choosing each shot with probability
+// proportional to its outcome's count.
+func sampledIngests(tb testing.TB, counts []byte, k, shots int) [][]byte {
+	tb.Helper()
+	var h map[string]int
+	if err := json.Unmarshal(counts, &h); err != nil {
+		tb.Fatal(err)
+	}
+	keys := make([]string, 0, len(h))
+	for key := range h {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	cum := make([]int, len(keys))
+	total := 0
+	for i, key := range keys {
+		total += h[key]
+		cum[i] = total
+	}
+	rng := rand.New(rand.NewSource(7))
+	bodies := make([][]byte, k)
+	for b := range bodies {
+		batch := map[string]int{}
+		for range shots {
+			i, _ := slices.BinarySearch(cum, 1+rng.Intn(total))
+			batch[keys[i]]++
+		}
+		body, err := json.Marshal(map[string]any{"counts": batch})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies[b] = body
+	}
+	return bodies
 }

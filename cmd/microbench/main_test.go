@@ -208,6 +208,8 @@ func TestReadmeClaims(t *testing.T) {
 		{"stream", "incremental_ns_per_op", ms, "snapshot costs %.2f ms"},
 		{"stream", "batch_ns_per_op", ms, "against %.2f ms for the batch pipeline"},
 		{"stream", "speedup", 1, "pipeline, %.1f×"},
+		// The streaming paragraph's rounded figure.
+		{"stream", "speedup", 1, "stream is about %.0f× cheaper"},
 		{"cache", "cache_hit_ns_per_op", ms, "a hit costs %.2f ms"},
 		{"cache", "full_reconstruct_ns_per_op", ms, "against %.1f ms,"},
 		{"cache", "speedup_hit_vs_full", 1, "%.1f× (`speedup_hit_vs_full`"},

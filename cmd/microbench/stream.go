@@ -12,7 +12,10 @@ import (
 
 // The stream suite measures the streaming layer's headline numbers — the
 // cost of a snapshot after a small shot batch, served incrementally versus
-// recomputed from scratch by the batch pipeline — as BENCH_stream.json.
+// recomputed from scratch by the batch pipeline — as BENCH_stream.json. The
+// two rows are measured in turn, three times each, and each is the median of
+// its runs (timer.medians), so host drift between them does not set the
+// speedup.
 const (
 	streamSupport = 2000 // unique outcomes in the accumulated stream
 	streamBatch   = 64   // shots per ingest-then-snapshot cycle
@@ -30,7 +33,7 @@ func runStream() (any, error) {
 		outcomes = append(outcomes, s)
 	})
 	var t timer
-	incremental := t.measure(func(b *testing.B) error {
+	rs := t.medians(func(b *testing.B) error {
 		s, err := hammer.NewStream(bits, hammer.Config{})
 		if err != nil {
 			return err
@@ -53,8 +56,7 @@ func runStream() (any, error) {
 			}
 		}
 		return nil
-	}).NsPerOp()
-	full := t.measure(func(b *testing.B) error {
+	}, func(b *testing.B) error {
 		acc := maps.Clone(base)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -66,7 +68,8 @@ func runStream() (any, error) {
 			}
 		}
 		return nil
-	}).NsPerOp()
+	})
+	incremental, full := rs[0].NsPerOp(), rs[1].NsPerOp()
 	return &cost.StreamReport{
 		Benchmark:          "stream-snapshot-after-batch",
 		Bits:               bits,

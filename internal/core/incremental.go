@@ -70,7 +70,13 @@ const fullResyncEvery = 256
 // clean (unchanged) neighbors; it never writes the row of another changed
 // outcome, whose own walk rebuilds it from the same current masses. That
 // cross-writing makes the partial pass serial; the periodic full resync
-// writes only own rows and runs in parallel.
+// writes only own rows and runs in parallel, each walk on its own stack.
+//
+// A walk visits every outcome in its weight window, but on a stream's usual
+// traffic only about 41% of them lie within the default radius, so a branch
+// on the distance would be a coin flip on every visit. The walk therefore
+// takes its candidates in two passes: a branch-free compaction into a
+// buffer on its stack, then a dense pass over the hits alone (see walk).
 //
 // Incremental is not safe for concurrent use; callers serialize Add and
 // Snapshot.
@@ -305,6 +311,19 @@ func (inc *Incremental) mergeSorted(first int) {
 	inc.sorted = append(append(merged, old...), fresh...)
 }
 
+// walkBuf is how many candidates a walk's compaction pass takes at a time,
+// and so how many hits its buffer holds. A hit is packed as j<<distBits | d:
+// the candidate's index j in its stretch and its distance d, at most 64.
+const (
+	walkBuf  = 512
+	distBits = 7
+)
+
+// ownRows are a walk's own rows, accumulated on its stack, where its stores
+// into neighbor rows cannot alias them. They are indexed by distance and
+// 1<<distBits long, so a distance masked out of a hit needs no bounds check.
+type ownRows struct{ all, adm [1 << distBits]float64 }
+
 // walk rebuilds slot c's rows from the outcomes within the radius of its
 // outcome and records its mass as synced. With patch set it also
 // delta-patches the rows of every clean neighbor for c's mass moving from
@@ -314,48 +333,89 @@ func (inc *Incremental) mergeSorted(first int) {
 // left alone — their own walks rebuild them from the current masses — so
 // without patch a walk writes only c's rows and walks of distinct slots may
 // run concurrently.
+//
+// The walk makes two passes over each stretch of up to walkBuf candidates
+// in its weight window. On a stream's usual traffic only about 41% of those
+// candidates lie within the radius, so a branch on the distance would be
+// mispredicted on a large share of visits. compact has no such branch: it
+// writes every candidate into the buffer and advances the write index only
+// for a hit. credit then runs over the hits alone, in candidate order, so
+// every row receives the same additions in the same order as a single pass
+// would make them, and the snapshots are bit for bit the same.
 func (inc *Incremental) walk(c int32, patch bool) {
-	maxD, span, admOff, filter := inc.maxD, inc.span, inc.admOff, inc.filter
-	mass, dirty, rows := inc.mass, inc.dirty, inc.rows
-	x := inc.outs[c]
-	newM, oldM := mass[c], inc.synced[c]
-	delta := newM - oldM
-	// The own rows accumulate on the stack, where the walk's stores into
-	// neighbor rows cannot alias them, and are copied out at the end.
-	var all, adm [bitstr.MaxBits + 1]float64
+	maxD, x := inc.maxD, inc.outs[c]
+	var own ownRows
+	var hits [walkBuf]uint32
 
 	wx := bits.OnesCount64(x)
 	lo, hi := max(wx-maxD, 0), min(wx+maxD, inc.n)
 	for w := lo; w <= hi; w++ {
 		ws := inc.words[w]
 		ss := inc.slots[w][:len(ws)]
-		for j, y := range ws {
-			d := bits.OnesCount64(x ^ y)
-			if uint(d-1) >= uint(maxD) { // d == 0 (x itself) or beyond the radius
-				continue
-			}
-			s := ss[j]
-			my := mass[s]
-			all[d] += my
-			if filter {
-				adm[d] += below(my, newM)
-			}
-			if !patch || dirty[s] {
-				continue
-			}
-			row := rows[int(s)*span:][:span]
-			row[d] += delta
-			if filter {
-				row[admOff+d] += below(newM, my) - below(oldM, my)
-			}
+		for len(ws) > 0 {
+			k := min(len(ws), walkBuf)
+			n := compact(x, ws[:k], uint(maxD), hits[:])
+			inc.credit(c, ss[:k], hits[:n], patch, &own)
+			ws, ss = ws[k:], ss[k:]
 		}
 	}
-	own := rows[int(c)*span:][:span]
-	copy(own, all[:maxD+1])
-	if filter {
-		copy(own[admOff:], adm[:maxD+1])
+	row := inc.rows[int(c)*inc.span:][:inc.span]
+	copy(row, own.all[:maxD+1])
+	if inc.filter {
+		copy(row[inc.admOff:], own.adm[:maxD+1])
 	}
-	inc.synced[c] = newM
+	inc.synced[c] = inc.mass[c]
+}
+
+// compact writes, in order, every word's index j and distance d from x into
+// hits as j<<distBits | d, and returns how many of them lie within distance
+// 1..maxD: the write index advances by the comparison's 0 or 1, so each hit
+// overwrites the miss before it and no branch depends on the distance. Words
+// may not outnumber walkBuf, so the masked index never wraps.
+//
+// It is kept out of line so that its few live values stay in registers:
+// under the default GOAMD64 baseline each popcount carries a has-POPCNT
+// probe with a call fallback, and inlined into walk the loop would spill the
+// values live across that call on every candidate.
+//
+//go:noinline
+func compact(x uint64, words []uint64, maxD uint, hits []uint32) int {
+	hits = hits[:walkBuf]
+	n := 0
+	for j, y := range words {
+		d := bits.OnesCount64(x ^ y)
+		hits[n&(walkBuf-1)] = uint32(j)<<distBits | uint32(d)
+		if uint(d-1) < maxD {
+			n++
+		}
+	}
+	return n
+}
+
+// credit is a walk's dense pass over one stretch's hits, slots being the
+// stretch's slots: slot c's own rows gain each hit's mass at its distance,
+// and with patch set each clean hit's rows are delta-patched for c's move.
+// The own adm row is accumulated with the filter off too, where walk never
+// copies it out: that keeps a branch out of the loop.
+func (inc *Incremental) credit(c int32, slots []int32, hits []uint32, patch bool, own *ownRows) {
+	mass, dirty, rows := inc.mass, inc.dirty, inc.rows
+	span, admOff, filter := inc.span, inc.admOff, inc.filter
+	newM, oldM := mass[c], inc.synced[c]
+	delta := newM - oldM
+	for _, h := range hits {
+		s, d := slots[h>>distBits], int(h&(1<<distBits-1))
+		my := mass[s]
+		own.all[d] += my
+		own.adm[d] += below(my, newM)
+		if !patch || dirty[s] {
+			continue
+		}
+		base := int(s) * span
+		rows[base+d] += delta
+		if filter {
+			rows[base+admOff+d] += below(newM, my) - below(oldM, my)
+		}
+	}
 }
 
 // below returns a when a < b and 0 otherwise. The walk's filter decisions

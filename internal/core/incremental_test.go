@@ -129,13 +129,12 @@ func TestIncrementalFullResyncBoundary(t *testing.T) {
 // after 64 unit shots sampled from it, at the default radius: the first and
 // the 257th snapshot rebuild every row (the second crosses
 // fullResyncEvery), the rest walk the changed outcomes and patch their
-// neighbours, and the key outcome's ball holds more than pinnedBallFloor
-// outcomes. Workers 4 runs the full rebuilds in parallel and must give the
+// neighbours, and the key outcome's ball holds more hits than one walk
+// buffer. Workers 4 runs the full rebuilds in parallel and must give the
 // same bits as Workers 1.
 func TestIncrementalSnapshotBitsPinned(t *testing.T) {
 	const (
 		n, support, snapshots, shots = 20, 2000, 300, 64
-		pinnedBallFloor              = 512
 		want                         = "9f9d68175dabfccd86d9c6801d3dcaa01fe9c4d63f81a7125bf56c3f914d5e89"
 	)
 	seed := dist.Synthetic(n, support, 42)
@@ -153,8 +152,8 @@ func TestIncrementalSnapshotBitsPinned(t *testing.T) {
 			ball++
 		}
 	}
-	if ball <= pinnedBallFloor {
-		t.Fatalf("the key outcome's ball holds %d outcomes, want more than %d", ball, pinnedBallFloor)
+	if ball <= walkBuf {
+		t.Fatalf("the key outcome's ball holds %d outcomes, want more than %d", ball, walkBuf)
 	}
 	for _, workers := range []int{1, 4} {
 		inc := NewIncremental(n, Options{Workers: workers})
@@ -349,6 +348,30 @@ func TestIncrementalRowsMatchBruteForce(t *testing.T) {
 	}
 }
 
+// TestIncrementalRowsSpanStretches: a weight bucket larger than walkBuf is
+// walked in several stretches, each compacted and credited in turn. On a
+// full 12-bit support the weight-6 bucket holds 924 outcomes; every row must
+// still equal a brute-force recount after the full rebuild and after a
+// partial pass that patches.
+func TestIncrementalRowsSpanStretches(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewSource(13))
+	inc := NewIncremental(n, Options{Radius: 4})
+	for x := range 1 << n {
+		inc.Add(bitstr.Bits(x), float64(1+rng.Intn(9)))
+	}
+	if len(inc.words[n/2]) <= walkBuf {
+		t.Fatalf("weight-%d bucket holds %d outcomes, want more than %d", n/2, len(inc.words[n/2]), walkBuf)
+	}
+	for round := range 2 {
+		for i := 200 * round; i > 0; i-- {
+			inc.Add(bitstr.Bits(rng.Intn(1<<n)), float64(rng.Intn(5)))
+		}
+		inc.Snapshot()
+		checkRows(t, inc, round)
+	}
+}
+
 // checkRows compares every slot's rows with a brute-force recount.
 func checkRows(t *testing.T, inc *Incremental, round int) {
 	t.Helper()
@@ -433,6 +456,14 @@ func accumulated(inc *Incremental) *dist.Dist {
 // stream, the incremental snapshot must be measurably cheaper than a full
 // batch reconstruction of the same histogram. The root BenchmarkStreamSnapshot
 // measures the same through the public facade.
+//
+// The incremental and batch rows run on a cluster — every outcome within
+// five flips of a key — where 98.9% of the candidates a walk visits lie
+// within the default radius. The workload row runs the serving benchmark's
+// stream shape instead, where 41.1% do: dist.Synthetic(20, 2000, 42) as
+// integer counts, and per snapshot 128 shots sampled from them, the plain
+// and the ?snapshot=1 ingest of 64 shots each that the stream workload
+// alternates.
 func BenchmarkIncrementalSnapshot(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const n, support, batch = 20, 2000, 64
@@ -471,6 +502,30 @@ func BenchmarkIncrementalSnapshot(b *testing.B) {
 				inc.Add(outs[(i*batch+j)%len(outs)], 1)
 			}
 			Reconstruct(accumulated(inc), Options{})
+		}
+	})
+	b.Run("workload", func(b *testing.B) {
+		seed := dist.Synthetic(n, support, 42)
+		stream := NewIncremental(n, Options{})
+		var outs []bitstr.Bits
+		var cum []int
+		total := 0
+		seed.Range(func(x bitstr.Bits, p float64) {
+			k := int(math.Round(p * 1e5))
+			stream.Add(x, float64(k))
+			total += k
+			outs, cum = append(outs, x), append(cum, total)
+		})
+		stream.Snapshot()
+		rng := rand.New(rand.NewSource(9))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			for range 2 * batch {
+				i, _ := slices.BinarySearch(cum, 1+rng.Intn(total))
+				stream.Add(outs[i], 1)
+			}
+			stream.Snapshot()
 		}
 	})
 }

@@ -150,7 +150,7 @@ func DefaultModel() *Model {
 		},
 		EngineIncremental: {
 			Setup: 1000, PerOutcome: 60,
-			PerCand: 15.3, PerAdmit: 0,
+			PerCand: 10.3, PerAdmit: 0,
 		},
 	}, Shard: DefaultShardCoeffs()}
 }
