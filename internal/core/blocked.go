@@ -40,11 +40,11 @@ func init() {
 // stripes (dist.StripePlan). For a pair (i, j) with rank i < j, only the
 // higher-probability side i can receive filtered credit, so each stripe
 // writes only the A-rows of the ranks it owns — no synchronization needed.
-// Per-stripe CHS partials merge through the asynchronous reduction tree
-// (reduce.go) instead of a global barrier; the DisableFilter ablation
-// credits both sides, so that (rare) path keeps per-node A slabs — pooled in
-// the Scratch like every other buffer — and folds them through the same
-// tree.
+// Each stripe sums its CHS partial into its own leaf of the reduction tree
+// (reduce.go), which one goroutine folds once every stripe has returned; the
+// DisableFilter ablation credits both sides, so that (rare) path keeps
+// per-node A slabs — pooled in the Scratch like every other buffer — and
+// folds them through the same tree.
 //
 // The index, the scan structures, the stripe plan, the tree rows, and the A
 // matrix live in the Scratch, rebuilt in place per call, so a warmed-up
@@ -57,32 +57,17 @@ func (blockedEngine) Score(ctx context.Context, p *Problem, s *Scratch) ([]float
 	N := len(p.Outs)
 	maxD := p.MaxD
 	stride := maxD + 1
-	workers := p.Workers
-	if workers > N {
-		workers = N
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	done := ctx.Done()
 
-	if cap(s.entries) < N {
-		s.entries = make([]dist.Entry, N)
-	}
-	s.entries = s.entries[:N]
-	entries := s.entries
-	for i := range entries {
-		entries[i] = dist.Entry{X: p.Outs[i], P: p.Probs[i]}
-	}
-	ix := s.index(p.NumBits, entries)
+	ix := s.index(p.NumBits, p.Outs, p.Probs)
 	scan := s.blockedScan(ix, maxD, p.DisableFilter)
 	ranked := ix.Ranked()
 
 	// A[r*stride+d] is the admitted neighborhood strength of the rank-r
 	// outcome at distance d. With the filter on, row r is written only by
 	// the stripe that owns rank r; the ablation path uses one pooled slab
-	// per tree node instead and folds them through the reduction tree.
-	S := workers // stripes; already clamped to [1, N]
+	// per tree node instead and folds them like the CHS rows.
+	S := max(min(p.Workers, N), 1) // stripes
 	nodes := 2*S - 1
 	shared := !p.DisableFilter || S == 1
 	var acc []float64
@@ -99,38 +84,44 @@ func (blockedEngine) Score(ctx context.Context, p *Problem, s *Scratch) ([]float
 		scan.pass(done, maxD, p.DisableFilter, treeRows[0], acc, 0, N)
 	} else {
 		plan := s.stripePlan(N, S)
-		latches := s.stripeLatches(S - 1)
 		accShared := acc // captured read-only: keeps acc itself off the heap
-		runStripeTree(S, latches, func(st int) {
+		parallelRange(S, S, func(_, st, _ int) {
 			sp := plan.Stripe(st)
 			rows := accShared
 			if !shared {
 				rows = slabs[S-1+st]
 			}
 			scan.pass(done, maxD, p.DisableFilter, treeRows[S-1+st], rows, sp.Lo, sp.Hi)
-		}, func(parent, left, right int) {
-			addInto(treeRows[parent], treeRows[left], treeRows[right])
-			if !shared {
-				addInto(slabs[parent], slabs[left], slabs[right])
-			}
 		})
+		foldTree(treeRows)
+		if !shared {
+			foldTree(slabs)
+			acc = slabs[0]
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
+	chs, w, scores := s.scoreRanked(ranked, treeRows[0], acc, maxD, p.Scheme)
+	return chs, w, scores, nil
+}
 
+// scoreRanked is the fused pass's weight-and-score epilogue, shared by the
+// blocked engine and CombineStripes. From the folded CHS and the per-rank
+// admitted-strength rows acc it derives the weights and scores each ranked
+// outcome, S(x) = Pr(x) + Σ_d W[d]·A[x][d], writing L(x) = Pr(x)·S(x) at the
+// outcome's flattened position.
+func (s *Scratch) scoreRanked(ranked []dist.IndexEntry, folded, acc []float64, maxD int, scheme WeightScheme) (chs, w, scores []float64) {
+	stride := maxD + 1
 	s.chs = growFloats(s.chs, stride)
-	chs := s.chs
-	copy(chs, treeRows[0])
-	if !shared {
-		acc = slabs[0]
-	}
+	chs = s.chs
+	copy(chs, folded)
 
 	s.w = growFloats(s.w, stride)
-	w := weightsInto(s.w, chs, maxD, p.Scheme)
+	w = weightsInto(s.w, chs, maxD, scheme)
 
-	s.scores = growFloats(s.scores, N)
-	scores := s.scores
+	s.scores = growFloats(s.scores, len(ranked))
+	scores = s.scores
 	for r := range ranked {
 		e := &ranked[r]
 		sc := e.P
@@ -140,7 +131,7 @@ func (blockedEngine) Score(ctx context.Context, p *Problem, s *Scratch) ([]float
 		}
 		scores[e.Ord] = sc * e.P
 	}
-	return chs, w, scores, nil
+	return chs, w, scores
 }
 
 // blockedScan is one reconstruction's candidate generator: the block
@@ -223,11 +214,10 @@ func multiIndexPass(done <-chan struct{}, ix *dist.Index, mi *dist.MultiIndex, m
 
 // nextWithin returns the index of the first word within Hamming distance
 // maxD of x, or len(words) if there is none. It is the multi-index scan's
-// hot loop, kept in a function of its own: under the default GOAMD64
-// baseline each popcount carries a has-POPCNT probe with a call fallback,
-// and the compiler spills every value live across that call. With only a
-// handful of live values here, it holds them all in registers; inside
-// multiIndexPass it would spill them on every candidate.
+// hot loop. The compiler inlines it at both of multiIndexPass's call sites
+// (`go build -gcflags=-m` reports both), so it names the loop rather than
+// keeping it out of line; a //go:noinline would change the code of tight's
+// hottest loop and wants a measurement of its own.
 func nextWithin(x uint64, words []uint64, maxD int) int {
 	for j, y := range words {
 		if bits.OnesCount64(x^y) <= maxD {

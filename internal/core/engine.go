@@ -85,8 +85,8 @@ func canceled(done <-chan struct{}) bool {
 // parallelRange splits [0,n) into one contiguous chunk per worker and blocks
 // until every chunk has been processed. The callback receives the worker
 // index so callers can keep per-worker accumulators without locking. Use it
-// for loops whose per-index cost is uniform; triangular loops need
-// parallelStride.
+// for loops whose per-index cost is uniform; triangular loops run one chunk
+// per stripe of a pair-balanced dist.StripePlan (n = workers = stripes).
 func parallelRange(n, workers int, fn func(worker, lo, hi int)) {
 	if workers < 1 {
 		workers = 1
@@ -114,33 +114,6 @@ func parallelRange(n, workers int, fn func(worker, lo, hi int)) {
 			defer wg.Done()
 			fn(w, lo, hi)
 		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
-// parallelStride assigns indices to workers round-robin — worker w handles
-// every index i with i ≡ w (mod stride) — and blocks until all are done.
-// Interleaving balances triangular loops, where the work attached to index i
-// shrinks linearly in i: contiguous chunking would give the first worker
-// quadratically more pairs than the last.
-func parallelStride(n, workers int, fn func(worker, start, stride int)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, 1)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w, w, workers)
-		}(w)
 	}
 	wg.Wait()
 }

@@ -84,44 +84,36 @@ func exactScoreRows(done <-chan struct{}, p *Problem, w, scores []float64, lo, h
 
 // globalCHS computes CHS[d] = sum over ordered pairs (x,y) with
 // d(x,y) = d <= maxD of P(y). The accumulation over unordered pairs
-// contributes P(x)+P(y) once, halving the pair loop. Rows are dealt to
-// workers round-robin: the triangular inner loop shrinks with i, so strided
-// assignment keeps per-worker pair counts balanced within one row of each
-// other, where contiguous chunks would give the first worker a quadratic
-// share. Per-worker accumulator rows come zeroed from the scratch; a
-// canceled context leaves the sum meaningless — callers check afterwards.
+// contributes P(x)+P(y) once, halving the pair loop. Row i owns its pairs
+// with the rows after it, so the triangular pass splits into the
+// pair-balanced contiguous stripes of a dist.StripePlan; each stripe sums
+// into its own leaf of the reduction tree (reduce.go), folded once every
+// stripe has returned. A canceled context leaves the sum meaningless —
+// callers check afterwards.
 func globalCHS(done <-chan struct{}, outs []bitstr.Bits, probs []float64, maxD, workers int, s *Scratch) []float64 {
 	N := len(outs)
-	if workers > N {
-		workers = N
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	partial := s.chsRows(workers, maxD+1)
-	if workers <= 1 {
-		chsRowsStride(done, outs, probs, maxD, partial[0], 0, 1)
+	S := max(min(workers, N), 1) // stripes
+	rows := s.chsRows(2*S-1, maxD+1)
+	if S == 1 {
+		exactCHSRows(done, outs, probs, maxD, rows[0], 0, N)
 	} else {
-		parallelStride(N, workers, func(w, start, stride int) {
-			chsRowsStride(done, outs, probs, maxD, partial[w], start, stride)
+		plan := s.stripePlan(N, S)
+		parallelRange(S, S, func(_, st, _ int) {
+			sp := plan.Stripe(st)
+			exactCHSRows(done, outs, probs, maxD, rows[S-1+st], sp.Lo, sp.Hi)
 		})
+		foldTree(rows)
 	}
 	s.chs = growFloats(s.chs, maxD+1)
-	chs := s.chs
-	zeroFloats(chs)
-	for _, local := range partial {
-		for d, v := range local {
-			chs[d] += v
-		}
-	}
-	return chs
+	copy(s.chs, rows[0])
+	return s.chs
 }
 
-// chsRowsStride accumulates one worker's share of the triangular CHS pass —
-// rows start, start+stride, ... — into its local accumulator row.
-func chsRowsStride(done <-chan struct{}, outs []bitstr.Bits, probs []float64, maxD int, local []float64, start, stride int) {
+// exactCHSRows accumulates rows [lo, hi) of the triangular CHS pass into
+// one stripe's accumulator row.
+func exactCHSRows(done <-chan struct{}, outs []bitstr.Bits, probs []float64, maxD int, local []float64, lo, hi int) {
 	N := len(outs)
-	for i := start; i < N; i += stride {
+	for i := lo; i < hi; i++ {
 		if canceled(done) {
 			return
 		}

@@ -38,12 +38,13 @@ func clusterDist(n, support int, seed int64) *dist.Dist {
 // usesMultiIndex reports whether the blocked engine scans the support of in
 // at radius maxD with the block multi-index rather than the weight window.
 func usesMultiIndex(in *dist.Dist, maxD int) bool {
-	var entries []dist.Entry
+	var outs []bitstr.Bits
+	var probs []float64
 	in.Range(func(x bitstr.Bits, p float64) {
-		entries = append(entries, dist.Entry{X: x, P: p})
+		outs, probs = append(outs, x), append(probs, p)
 	})
 	var s Scratch
-	return s.blockedScan(s.index(in.NumBits(), entries), maxD, false).mi != nil
+	return s.blockedScan(s.index(in.NumBits(), outs, probs), maxD, false).mi != nil
 }
 
 // relabel applies one of HAMMER's exact symmetries to an outcome: XOR by

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -65,150 +64,6 @@ func TestStripedBitsPinned(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("%s (engine %s): bits SHA-256 %s, pinned %s", tc.name, res.Engine, got, tc.want)
 		}
-	}
-}
-
-// refTreeFold computes the reduction-tree reference: a fresh heap-laid-out
-// rows buffer with the given leaves, folded bottom-up on one goroutine.
-func refTreeFold(leaves [][]float64, stride int) []float64 {
-	S := len(leaves)
-	rows := make([][]float64, 2*S-1)
-	for i := range rows {
-		rows[i] = make([]float64, stride)
-	}
-	for s, leaf := range leaves {
-		copy(rows[S-1+s], leaf)
-	}
-	foldTree(rows)
-	return rows[0]
-}
-
-// TestRunStripeTreeMatchesSequentialFold drives the asynchronous tree with
-// randomized per-stripe delays (so completions arrive out of order under
-// -race) and pins its root bit-identical to the sequential bottom-up fold —
-// the property the wire coordinator's merge relies on: arrival order must
-// not change a single bit.
-func TestRunStripeTreeMatchesSequentialFold(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var scr Scratch
-	for _, S := range []int{1, 2, 3, 4, 5, 8, 13, 16, 33} {
-		for iter := 0; iter < 4; iter++ {
-			stride := 1 + rng.Intn(12)
-			nodes := 2*S - 1
-			rows := scr.chsRows(nodes, stride)
-			leaves := make([][]float64, S)
-			delays := make([]time.Duration, S)
-			for s := range leaves {
-				leaves[s] = make([]float64, stride)
-				for d := range leaves[s] {
-					leaves[s][d] = rng.NormFloat64()
-				}
-				delays[s] = time.Duration(rng.Intn(300)) * time.Microsecond
-			}
-			runStripeTree(S, scr.stripeLatches(S-1), func(st int) {
-				time.Sleep(delays[st])
-				copy(rows[S-1+st], leaves[st])
-			}, func(parent, left, right int) {
-				addInto(rows[parent], rows[left], rows[right])
-			})
-			want := refTreeFold(leaves, stride)
-			for d := range want {
-				if rows[0][d] != want[d] {
-					t.Fatalf("S=%d stride=%d: root[%d] = %v, want %v (async fold diverged from sequential fold)",
-						S, stride, d, rows[0][d], want[d])
-				}
-			}
-		}
-	}
-}
-
-// TestRunStripeTreeReverseCompletion forces the fully adversarial arrival
-// order: gates release stripes last-to-first, so the caller's stripe 0
-// finishes after every other stripe and must fold the entire left spine up
-// to the root itself. Each internal node still gets exactly one folder.
-func TestRunStripeTreeReverseCompletion(t *testing.T) {
-	const S = 8
-	const stride = 5
-	var scr Scratch
-	rows := scr.chsRows(2*S-1, stride)
-	gates := make([]chan struct{}, S)
-	for i := range gates {
-		gates[i] = make(chan struct{})
-	}
-	go func() {
-		for s := S - 1; s >= 0; s-- {
-			time.Sleep(time.Millisecond)
-			close(gates[s])
-		}
-	}()
-	leaves := make([][]float64, S)
-	for s := range leaves {
-		leaves[s] = make([]float64, stride)
-		for d := range leaves[s] {
-			leaves[s][d] = float64(s*stride + d + 1)
-		}
-	}
-	runStripeTree(S, scr.stripeLatches(S-1), func(st int) {
-		<-gates[st]
-		copy(rows[S-1+st], leaves[st])
-	}, func(parent, left, right int) {
-		addInto(rows[parent], rows[left], rows[right])
-	})
-	want := refTreeFold(leaves, stride)
-	for d := range want {
-		if rows[0][d] != want[d] {
-			t.Fatalf("root[%d] = %v, want %v under reverse completion order", d, rows[0][d], want[d])
-		}
-	}
-}
-
-// TestRunStripeTreeCancellationInterleaved interleaves out-of-order stripe
-// completions with caller cancellation: each simulated pass polls the
-// context between chunks exactly like the engine passes do, and a racing
-// goroutine cancels mid-flight. The contract under test is termination —
-// a canceled pass still climbs the tree, so runStripeTree must always
-// return, leaving the caller to notice ctx.Err() and discard the partial
-// root, with no goroutine leaked and no latch left primed for a reused
-// scratch.
-func TestRunStripeTreeCancellationInterleaved(t *testing.T) {
-	const S = 8
-	const stride = 4
-	var scr Scratch
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 60; iter++ {
-		rows := scr.chsRows(2*S-1, stride)
-		ctx, cancel := context.WithCancel(context.Background())
-		delays := make([]time.Duration, S)
-		for s := range delays {
-			delays[s] = time.Duration(rng.Intn(200)) * time.Microsecond
-		}
-		cancelAfter := time.Duration(rng.Intn(300)) * time.Microsecond
-		go func() {
-			time.Sleep(cancelAfter)
-			cancel()
-		}()
-		done := ctx.Done()
-		returned := make(chan struct{})
-		go func() {
-			defer close(returned)
-			runStripeTree(S, scr.stripeLatches(S-1), func(st int) {
-				for chunk := 0; chunk < 4; chunk++ {
-					if canceled(done) {
-						return // partial leaf; the climb still happens
-					}
-					time.Sleep(delays[st] / 4)
-					rows[S-1+st][chunk%stride]++
-				}
-			}, func(parent, left, right int) {
-				addInto(rows[parent], rows[left], rows[right])
-			})
-		}()
-		select {
-		case <-returned:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("iter %d: runStripeTree failed to terminate under mid-flight cancellation", iter)
-		}
-		cancel()
 	}
 }
 

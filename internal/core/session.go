@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/bitstr"
 	"repro/internal/cost"
@@ -14,8 +13,8 @@ import (
 )
 
 // Scratch holds the reusable buffers the built-in engines draw their
-// intermediate state from: the CHS/weight/score vectors, the per-worker CHS
-// accumulator rows, and (for the blocked engine) the index entries, the
+// intermediate state from: the CHS/weight/score vectors, the reduction
+// tree's CHS rows, and (for the blocked engine) the index entries, the
 // popcount-bucketed index itself, its scan structures, and the per-rank
 // neighborhood matrix. The
 // zero value is ready; buffers grow to the high-water mark of the problems
@@ -25,9 +24,9 @@ import (
 type Scratch struct {
 	chs, w, scores []float64
 
-	// Per-worker CHS accumulator rows, carved out of one backing buffer.
-	// Rows are padded to cache-line multiples so workers accumulating into
-	// adjacent rows do not false-share.
+	// The reduction tree's CHS rows (reduce.go), carved out of one backing
+	// buffer. Rows are padded to cache-line multiples so stripes
+	// accumulating into adjacent leaves do not false-share.
 	partial    [][]float64
 	partialBuf []float64
 
@@ -41,18 +40,15 @@ type Scratch struct {
 	mi      *dist.MultiIndex
 	acc     []float64
 
-	// DisableFilter ablation state: per-worker A slabs carved out of one
-	// reused backing buffer (the multi-worker ablation path writes scattered
-	// rows, so workers cannot share the A matrix).
+	// DisableFilter ablation state: one A slab per tree node, carved out of
+	// one reused backing buffer (the multi-stripe ablation path writes
+	// scattered rows, so stripes cannot share the A matrix).
 	slabs   [][]float64
 	slabBuf []float64
 
-	// Stripe-sharded reduction state: the pair-balanced rank partition and
-	// the per-internal-node arrival latches of the reduction tree
-	// (reduce.go). Both are rebuilt in place per call, so a warmed-up
-	// session pays no allocation for either.
-	plan    *dist.StripePlan
-	latches []atomic.Int32
+	// The pair-balanced stripe plan of the multi-stripe scans, rebuilt in
+	// place per call, so a warmed-up session pays no allocation for it.
+	plan *dist.StripePlan
 }
 
 // growFloats returns buf resized to n, reallocating only when capacity is
@@ -70,31 +66,37 @@ func zeroFloats(f []float64) {
 	}
 }
 
-// chsRows returns `workers` zeroed accumulator rows of length stride, backed
-// by one reused buffer with cache-line padding between rows.
-func (s *Scratch) chsRows(workers, stride int) [][]float64 {
+// chsRows returns n zeroed accumulator rows of length stride, backed by one
+// reused buffer with cache-line padding between rows.
+func (s *Scratch) chsRows(n, stride int) [][]float64 {
 	const pad = 16 // floats per 128-byte padding unit
 	rowStride := (stride + pad - 1) / pad * pad
-	need := workers * rowStride
-	s.partialBuf = growFloats(s.partialBuf, need)
+	s.partialBuf = growFloats(s.partialBuf, n*rowStride)
 	zeroFloats(s.partialBuf)
-	if cap(s.partial) < workers {
-		s.partial = make([][]float64, workers)
+	if cap(s.partial) < n {
+		s.partial = make([][]float64, n)
 	}
-	s.partial = s.partial[:workers]
-	for w := 0; w < workers; w++ {
-		s.partial[w] = s.partialBuf[w*rowStride : w*rowStride+stride : w*rowStride+rowStride]
+	s.partial = s.partial[:n]
+	for i := range s.partial {
+		s.partial[i] = s.partialBuf[i*rowStride : i*rowStride+stride : i*rowStride+rowStride]
 	}
 	return s.partial
 }
 
-// index returns the scratch's reusable index, rebuilt in place over the given
-// entries.
-func (s *Scratch) index(n int, entries []dist.Entry) *dist.Index {
+// index returns the scratch's reusable index, rebuilt in place over the
+// parallel outcome and probability slices.
+func (s *Scratch) index(n int, outs []bitstr.Bits, probs []float64) *dist.Index {
+	if cap(s.entries) < len(outs) {
+		s.entries = make([]dist.Entry, len(outs))
+	}
+	s.entries = s.entries[:len(outs)]
+	for i := range s.entries {
+		s.entries[i] = dist.Entry{X: outs[i], P: probs[i]}
+	}
 	if s.ix == nil {
 		s.ix = new(dist.Index)
 	}
-	return s.ix.Reset(n, entries)
+	return s.ix.Reset(n, s.entries)
 }
 
 // packed returns the scratch's reusable packed view, rebuilt in place from

@@ -17,9 +17,9 @@ import (
 // in-process striped engine runs, over the exact same deterministic rank
 // order (both sides rebuild it from the ascending-outcome flattened support).
 // The coordinator then merges partials with Session.CombineStripes, whose
-// fold is the same addInto tree kernel — so a sharded reconstruction differs
-// from single-node only by float summation grouping, which the 1e-12 e2e
-// pins bound.
+// fold (foldTree) and epilogue (scoreRanked) are the in-process engine's —
+// so a sharded reconstruction differs from single-node only by float
+// summation grouping, which the 1e-12 e2e pins bound.
 //
 // The wire path is filtered-only: the DisableFilter ablation scatters
 // credits across ranks outside a stripe's own range, so it cannot be
@@ -103,14 +103,7 @@ func (s *Session) ScoreStripe(ctx context.Context, spec StripeSpec) (StripeParti
 	done := ctx.Done()
 
 	sc := &s.scratch
-	if cap(sc.entries) < N {
-		sc.entries = make([]dist.Entry, N)
-	}
-	sc.entries = sc.entries[:N]
-	for i := range sc.entries {
-		sc.entries[i] = dist.Entry{X: spec.Outs[i], P: spec.Probs[i]}
-	}
-	ix := sc.index(spec.NumBits, sc.entries)
+	ix := sc.index(spec.NumBits, spec.Outs, spec.Probs)
 
 	sc.acc = growFloats(sc.acc, N*stride)
 	rows := sc.acc[spec.Lo*stride : spec.Hi*stride]
@@ -155,14 +148,14 @@ func (s *Session) ShardProblem(in *dist.Dist) (StripeSpec, error) {
 }
 
 // CombineStripes assembles a full reconstruction from stripe partials: the
-// per-distance CHS partials fold bottom-up through the same reduction-tree
-// kernel the in-process engines run (foldTree/addInto — bit-identical to the
-// asynchronous fold for the same leaves), then the weight and scoring
-// epilogue runs exactly as a single-node engine's would. The partials must
-// tile [0, N) contiguously in rank order, each carrying the CHS and rows
-// shape ScoreStripe produced for the same flattened input; in is flattened
-// again here, so coordinator and replicas need never exchange ranks — both
-// derive them from the support.
+// per-distance CHS partials fold bottom-up through the reduction tree the
+// in-process engines run (foldTree — the same bits for the same leaves),
+// each partial's rows are copied into the session's A matrix, and the
+// blocked engine's weight and scoring epilogue (scoreRanked) runs over
+// them. The partials must tile [0, N) contiguously in rank order, each
+// carrying the CHS and rows shape ScoreStripe produced for the same
+// flattened input; in is flattened again here, so coordinator and replicas
+// need never exchange ranks — both derive them from the support.
 //
 // engine labels the Result (the coordinator passes its "sharded:<engine>"
 // tag). The Result is owned by the session, like Reconstruct's.
@@ -206,50 +199,20 @@ func (s *Session) CombineStripes(ctx context.Context, in *dist.Dist, parts []Str
 		return nil, fmt.Errorf("core: stripe partials cover ranks [0, %d), want [0, %d)", lo, N)
 	}
 
-	// Tree-fold the CHS partials: leaves S-1..2S-2 hold the per-stripe
-	// partials, internal nodes fold bottom-up — the same kernel and tree
-	// shape as the in-process asynchronous fold.
+	// Fold the CHS partials through the engines' reduction tree and gather
+	// each partial's rows into the A matrix, then score as the blocked
+	// engine does over the same deterministic rank order.
 	sc := &s.scratch
 	S := len(parts)
 	treeRows := sc.chsRows(2*S-1, stride)
+	sc.acc = growFloats(sc.acc, N*stride)
 	for i := range parts {
 		copy(treeRows[S-1+i], parts[i].CHS)
+		copy(sc.acc[parts[i].Lo*stride:], parts[i].Rows)
 	}
 	foldTree(treeRows)
-	sc.chs = growFloats(sc.chs, stride)
-	chs := sc.chs
-	copy(chs, treeRows[0])
-
-	sc.w = growFloats(sc.w, stride)
-	w := weightsInto(sc.w, chs, maxD, s.opts.Weights)
-
-	// Scoring epilogue over the deterministic rank order: identical to the
-	// engines' epilogue, with each rank's admitted-strength row read from
-	// the partial that owns it.
-	if cap(sc.entries) < N {
-		sc.entries = make([]dist.Entry, N)
-	}
-	sc.entries = sc.entries[:N]
-	for i := range sc.entries {
-		sc.entries[i] = dist.Entry{X: outs[i], P: probs[i]}
-	}
-	ranked := sc.index(n, sc.entries).Ranked()
-	sc.scores = growFloats(sc.scores, N)
-	scores := sc.scores
-	pi := 0
-	for r := range ranked {
-		for r >= parts[pi].Hi {
-			pi++
-		}
-		p := &parts[pi]
-		row := p.Rows[(r-p.Lo)*stride : (r-p.Lo)*stride+stride]
-		e := &ranked[r]
-		v := e.P
-		for d := 0; d <= maxD; d++ {
-			v += w[d] * row[d]
-		}
-		scores[e.Ord] = v * e.P
-	}
+	ranked := sc.index(n, outs, probs).Ranked()
+	chs, w, scores := sc.scoreRanked(ranked, treeRows[0], sc.acc, maxD, s.opts.Weights)
 
 	if engine == "" {
 		engine = EngineBlocked

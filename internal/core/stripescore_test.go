@@ -113,8 +113,8 @@ func TestStripeScoreCombineMatchesSingleNode(t *testing.T) {
 }
 
 // TestStripeScoreMatchesStripedEngineExactly pins something stronger on the
-// no-truncation path: stripe partials combined with the sequential tree fold
-// are bit-identical per distance to the in-process asynchronous tree when
+// no-truncation path: stripe partials combined on the wire path are
+// bit-identical per distance to the in-process striped engine when
 // the stripe count equals the worker count — same plan, same passes, same
 // fold kernel, same tree shape — on the weight-window scan (default radius)
 // and the block multi-index scan (radius 3) alike.
@@ -148,7 +148,7 @@ func TestStripeScoreMatchesStripedEngineExactly(t *testing.T) {
 		}
 		for d := range wantCHS {
 			if res.GlobalCHS[d] != wantCHS[d] {
-				t.Fatalf("radius %d: CHS[%d]: wire fold %v != in-process async fold %v (must be bit-identical)",
+				t.Fatalf("radius %d: CHS[%d]: wire fold %v != in-process fold %v (must be bit-identical)",
 					radius, d, res.GlobalCHS[d], wantCHS[d])
 			}
 		}
