@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -89,6 +90,30 @@ func TestCommittedBenchDefaultModel(t *testing.T) {
 	}
 	if worst > MaxChosenSlowdown {
 		t.Errorf("default-model worst slowdown %.2fx above cap %.2fx", worst, MaxChosenSlowdown)
+	}
+}
+
+// TestDefaultModelMatchesCommittedFit pins DefaultModel's per-pair
+// constants to the fit of the committed reports, to the 0.005 ns costfit
+// prints them at: regenerating BENCH_core.json or BENCH_stream.json without
+// copying costfit's constants into DefaultModel fails here.
+func TestDefaultModelMatchesCommittedFit(t *testing.T) {
+	fitted, _ := loadCommitted(t)
+	for name, c := range DefaultModel().Engines {
+		f := fitted.Engines[name]
+		for _, k := range []struct {
+			field          string
+			def, committed float64
+		}{
+			{"per_pair_full_ns", c.PerPairFull, f.PerPairFull},
+			{"per_candidate_pair_ns", c.PerCand, f.PerCand},
+			{"per_admitted_pair_ns", c.PerAdmit, f.PerAdmit},
+		} {
+			if math.Abs(k.def-k.committed) > 0.005 {
+				t.Errorf("%s %s: DefaultModel holds %.4g, the committed reports fit %.4g",
+					name, k.field, k.def, k.committed)
+			}
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ func ratio(num, den float64) float64 {
 // O(N log N)) plus its scan structure. Blocked's 800 ns per outcome is that
 // build at 2000-4000 outcomes, where the multi-index leaves a radius-2 scan
 // only a few candidates per outcome; charged linearly it overprices blocked
-// on small supports. The model puts the exact↔blocked crossover at 71-116
+// on small supports. The model puts the exact↔blocked crossover at 72-117
 // outcomes, against 48-128 measured at widths 8-20
 // (TestExactBlockedCrossover). Calibrate refines the pair constants on the
 // serving host.
@@ -142,15 +142,15 @@ func DefaultModel() *Model {
 	return &Model{Engines: map[string]Coeffs{
 		EngineExact: {
 			Setup: 500, PerOutcome: 30,
-			PerPairFull: 14.2, PerAdmit: 28.0,
+			PerPairFull: 14.14, PerAdmit: 28.57,
 		},
 		EngineBlocked: {
 			Setup: 4000, PerOutcome: 800,
-			PerCand: 2.3, PerAdmit: 0,
+			PerCand: 2.51, PerAdmit: 0,
 		},
 		EngineIncremental: {
 			Setup: 1000, PerOutcome: 60,
-			PerCand: 10.3, PerAdmit: 0,
+			PerCand: 10.27, PerAdmit: 0,
 		},
 	}, Shard: DefaultShardCoeffs()}
 }
