@@ -17,7 +17,7 @@ import (
 // how much faster a repeated identical reconstruction is served from the LRU
 // cache than by a full reconstruction — as BENCH_cache.json. The acceptance
 // floor tracked in CI is a 10x hit speedup on this 20-bit / 4000-outcome
-// workload. The three rows are measured in turn, three times each, and each
+// workload. The two rows are measured in turn, three times each, and each
 // is the median of its runs (timer.medians).
 const cacheSupport = 4000
 
@@ -28,7 +28,6 @@ type cacheReport struct {
 	Support      int     `json:"support"`
 	HitNs        int64   `json:"cache_hit_ns_per_op"`
 	FullNs       int64   `json:"full_reconstruct_ns_per_op"`
-	KeyNs        int64   `json:"cache_key_ns_per_op"`
 	SpeedupHit   float64 `json:"speedup_hit_vs_full"`
 	ResponseSize int     `json:"response_bytes"`
 	cost.Host
@@ -40,11 +39,11 @@ func runCache() (any, error) {
 
 	// The cached path: one warm entry, every iteration a hit. The histogram
 	// is decoded once, outside the timed loops, as the server decodes a
-	// request body; the key row is the canonical key over the decoded
-	// entries, and a hit is that key plus the LRU get. That is what a hit
-	// pays when its body is not a byte-identical repeat (those find their key
-	// from a SHA-256 of the body instead; BenchmarkCachedReconstructCounts in
-	// cmd/hammerctl times one through the handler).
+	// request body; a hit is the canonical key over the decoded entries plus
+	// the LRU get. That is what a hit pays when its body is not a
+	// byte-identical repeat (those find their key from a SHA-256 of the body
+	// instead; BenchmarkCachedReconstructCounts in cmd/hammerctl times one
+	// through the handler).
 	body, err := json.Marshal(h)
 	if err != nil {
 		return nil, err
@@ -87,27 +86,19 @@ func runCache() (any, error) {
 		return nil
 	}, func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
-			if cache.KeyEntries(es, n, opts) == "" {
-				return errors.New("empty key")
-			}
-		}
-		return nil
-	}, func(b *testing.B) error {
-		for i := 0; i < b.N; i++ {
 			if _, err := r.Reconstruct(ctx, h); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	hit, key, full := rs[0].NsPerOp(), rs[1].NsPerOp(), rs[2].NsPerOp()
+	hit, full := rs[0].NsPerOp(), rs[1].NsPerOp()
 	return &cacheReport{
 		Benchmark:    "cache-hit-vs-full-reconstruction",
 		Bits:         bits,
 		Support:      cacheSupport,
 		HitNs:        hit,
 		FullNs:       full,
-		KeyNs:        key,
 		SpeedupHit:   float64(full) / float64(hit),
 		ResponseSize: len(warmBody),
 		Host:         host(),
