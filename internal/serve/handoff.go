@@ -20,47 +20,26 @@ import (
 // A failed ship leaves the session untouched and live. Unknown ids are
 // ErrNotFound.
 func (m *Manager) Handoff(id string, ship func(raw []byte) error) error {
-	m.mu.Lock()
-	m.sweepLocked()
-	s, ok := m.sessions[id]
-	if ok {
-		s.lastUsed = m.now()
-		s.busy++
-	}
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	defer func() {
-		m.mu.Lock()
-		s.busy--
-		s.lastUsed = m.now()
-		m.mu.Unlock()
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hist := make([]wal.Pair, 0, s.st.Support())
-	s.st.Counts().Range(func(x uint64, k int) {
-		hist = append(hist, wal.Pair{X: x, K: k})
+	return m.DoSession(id, func(s *Session) error {
+		raw, err := wal.EncodeSession(metaFromOptions(s.width, s.opts, s.owner), s.history())
+		if err != nil {
+			return err
+		}
+		if err := ship(raw); err != nil {
+			return err
+		}
+		// The peer owns the session now; Delete tombstones it here (and
+		// prunes the journal log, so a restart cannot resurrect a
+		// duplicate). Holding s.mu while taking the manager lock is safe: no
+		// path holds m.mu while waiting on a session mutex.
+		if err := m.Delete(id); err != nil && !errors.Is(err, ErrNotFound) {
+			return err
+		}
+		if m.metrics != nil {
+			m.metrics.HandedOff.Inc()
+		}
+		return nil
 	})
-	raw, err := wal.EncodeSession(metaFromOptions(s.width, s.opts, s.owner), hist)
-	if err != nil {
-		return err
-	}
-	if err := ship(raw); err != nil {
-		return err
-	}
-	// The peer owns the session now; Delete tombstones it here (and prunes
-	// the journal log, so a restart cannot resurrect a duplicate). Holding
-	// s.mu while taking the manager lock is safe: no path holds m.mu while
-	// waiting on a session mutex.
-	if err := m.Delete(id); err != nil && !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	if m.metrics != nil {
-		m.metrics.HandedOff.Inc()
-	}
-	return nil
 }
 
 // Adopt imports a session a peer handed off: raw must be a complete, valid

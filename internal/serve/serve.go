@@ -176,14 +176,21 @@ func (s *Session) Record(pairs []wal.Pair) error {
 	if !s.log.ShouldCompact(s.st.Support()) {
 		return nil
 	}
+	if err := s.log.Compact(s.history()); err != nil {
+		return fmt.Errorf("%w: %v", ErrJournal, err)
+	}
+	return nil
+}
+
+// history returns the stream's accumulated histogram as journal pairs: the
+// snapshot form a compaction and a handoff both write. The caller holds the
+// session mutex.
+func (s *Session) history() []wal.Pair {
 	hist := make([]wal.Pair, 0, s.st.Support())
 	s.st.Counts().Range(func(x uint64, k int) {
 		hist = append(hist, wal.Pair{X: x, K: k})
 	})
-	if err := s.log.Compact(hist); err != nil {
-		return fmt.Errorf("%w: %v", ErrJournal, err)
-	}
-	return nil
+	return hist
 }
 
 // Manager owns the live sessions. Safe for concurrent use.
