@@ -18,18 +18,14 @@ import (
 // give the same bits over the same leaves.
 
 // foldTree folds a heap-laid-out rows buffer (2S-1 rows, leaves pre-filled)
-// bottom-up into rows[0] on the calling goroutine.
+// bottom-up into rows[0] on the calling goroutine: each internal node is the
+// elementwise sum of its two children.
 func foldTree(rows [][]float64) {
 	for p := len(rows)/2 - 1; p >= 0; p-- {
-		addInto(rows[p], rows[2*p+1], rows[2*p+2])
-	}
-}
-
-// addInto writes the elementwise sum of a and b into dst — the single fold
-// kernel every reduction-tree merge (in-process and wire) runs.
-func addInto(dst, a, b []float64) {
-	for i := range dst {
-		dst[i] = a[i] + b[i]
+		dst, a, b := rows[p], rows[2*p+1], rows[2*p+2]
+		for i := range dst {
+			dst[i] = a[i] + b[i]
+		}
 	}
 }
 
