@@ -132,8 +132,8 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 			}
 		}()
 	}
-	fmt.Fprintf(stdout, "hammerctl: serving on %s (%d workers, engine %s, %s scheduling, %d session slots, %d cache entries)\n",
-		ln.Addr(), srv.sch.Workers(), engineLabel(srv.sch.Options().Engine), srv.sch.Policy(), srv.mgr.MaxSessions(), srv.cache.L1.Capacity())
+	fmt.Fprintf(stdout, "hammerctl: serving on %s (%d workers, engine %s, %s scan kernel, %s scheduling, %d session slots, %d cache entries)\n",
+		ln.Addr(), srv.sch.Workers(), engineLabel(srv.sch.Options().Engine), core.ScanKernel(), srv.sch.Policy(), srv.mgr.MaxSessions(), srv.cache.L1.Capacity())
 	if srv.coord != nil {
 		fmt.Fprintf(stdout, "hammerctl: shard coordinator enabled (%d replicas)\n", srv.coord.NumReplicas())
 	}
@@ -435,6 +435,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"ok":           true,
 		"workers":      s.sch.Workers(),
 		"engine":       engineLabel(s.sch.Options().Engine),
+		"scan_kernel":  core.ScanKernel(),
 		"policy":       s.sch.Policy(),
 		"sessions":     s.mgr.Len(),
 		"max_sessions": s.mgr.MaxSessions(),

@@ -12,6 +12,7 @@ import (
 
 	hammer "repro"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/sched"
 )
 
@@ -52,15 +53,16 @@ func TestServeHealthz(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var h struct {
-		OK      bool   `json:"ok"`
-		Workers int    `json:"workers"`
-		Engine  string `json:"engine"`
+		OK         bool   `json:"ok"`
+		Workers    int    `json:"workers"`
+		Engine     string `json:"engine"`
+		ScanKernel string `json:"scan_kernel"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if !h.OK || h.Workers != 3 || h.Engine != "auto" {
-		t.Errorf("healthz = %+v", h)
+	if !h.OK || h.Workers != 3 || h.Engine != "auto" || h.ScanKernel != core.ScanKernel() {
+		t.Errorf("healthz = %+v, want scan_kernel %q", h, core.ScanKernel())
 	}
 	if code, _ := postJSON(t, ts.URL+"/healthz", "{}"); code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /healthz = %d", code)

@@ -129,8 +129,10 @@ func runShard() (any, error) {
 		return nil, fmt.Errorf("combined stripes diverge from single-node: TVD %g > 1e-12", rep.CombinedVsSingleTVD)
 	}
 
+	// The scan and the merge are timed in turn at their medians, so host
+	// drift between them does not move their ratio.
 	var t timer
-	rep.ScanNsPerOp = t.measure(func(b *testing.B) error {
+	res := t.medians(func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			for _, st := range plan.Stripes() {
 				sp := spec
@@ -141,15 +143,15 @@ func runShard() (any, error) {
 			}
 		}
 		return nil
-	}).NsPerOp()
-	rep.MergeNsPerOp = t.measure(func(b *testing.B) error {
+	}, func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			if _, err := combiner.CombineStripes(ctx, d, parts, core.EngineBlocked); err != nil {
 				return err
 			}
 		}
 		return nil
-	}).NsPerOp()
+	})
+	rep.ScanNsPerOp, rep.MergeNsPerOp = res[0].NsPerOp(), res[1].NsPerOp()
 	rep.MergeOverheadFrac = float64(rep.MergeNsPerOp) / float64(rep.ScanNsPerOp+rep.MergeNsPerOp)
 	return rep, t.err
 }

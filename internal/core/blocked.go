@@ -179,7 +179,10 @@ func (sc blockedScan) pass(done <-chan struct{}, maxD int, disableFilter bool, l
 // admitted pair credits it only in the first block on which the two outcomes
 // agree — a pair may share the buckets of several blocks, or collide in a
 // hashed bucket without agreeing — and applies the filter's tie rule: a
-// candidate of equal probability earns CHS credit only.
+// candidate of equal probability earns CHS credit only. The candidate
+// search runs nextWithin's AVX-512 body where the host has one, in a loop of
+// its own: the Go loop stays inlined, and its registers are not spilled
+// around the assembly's calls.
 func multiIndexPass(done <-chan struct{}, ix *dist.Index, mi *dist.MultiIndex, maxD int, local, rows []float64, lo, hi int) {
 	ranked := ix.Ranked()
 	stride := maxD + 1
@@ -196,28 +199,43 @@ func multiIndexPass(done <-chan struct{}, ix *dist.Index, mi *dist.MultiIndex, m
 		for b := range masks {
 			words, probs := mi.After(b, i)
 			probs = probs[:len(words)]
+			if useAVX512 {
+				for j := nextWithinAVX512(x, words, maxD); j < len(words); j += 1 + nextWithinAVX512(x, words[j+1:], maxD) {
+					creditPair(x^words[j], probs[j], pe, b, masks, local, dst)
+				}
+				continue
+			}
 			for j := nextWithin(x, words, maxD); j < len(words); j += 1 + nextWithin(x, words[j+1:], maxD) {
-				v := x ^ words[j]
-				if firstAgreement(v, masks) != b {
-					continue
-				}
-				d := bits.OnesCount64(v)
-				p := probs[j]
-				local[d] += pe + p
-				if p < pe {
-					dst[d] += p
-				}
+				creditPair(x^words[j], probs[j], pe, b, masks, local, dst)
 			}
 		}
 	}
 }
 
+// creditPair credits a candidate within the radius of the outer outcome,
+// v being their XOR and p the candidate's probability: nothing unless b is
+// the first block on which the two agree, and otherwise the pair's CHS
+// credit and, for a candidate less probable than pe, the outer row's
+// admitted strength.
+func creditPair(v uint64, p, pe float64, b int, masks []uint64, local, dst []float64) {
+	if firstAgreement(v, masks) != b {
+		return
+	}
+	d := bits.OnesCount64(v)
+	local[d] += pe + p
+	if p < pe {
+		dst[d] += p
+	}
+}
+
 // nextWithin returns the index of the first word within Hamming distance
 // maxD of x, or len(words) if there is none. It is the multi-index scan's
-// hot loop. The compiler inlines it at both of multiIndexPass's call sites
-// (`go build -gcflags=-m` reports both), so it names the loop rather than
-// keeping it out of line; a //go:noinline would change the code of tight's
-// hottest loop and wants a measurement of its own.
+// hot loop. On amd64 hosts with AVX-512 VPOPCNTDQ, nextWithinAVX512 runs in
+// its place and returns the same index, eight words at a time; this loop is
+// the body everywhere else and the reference the assembly is tested
+// against. The compiler inlines it at both of multiIndexPass's call sites
+// (`go build -gcflags=-m` reports both). A dispatch inside it would cost it
+// that inlining, so multiIndexPass chooses the body instead.
 func nextWithin(x uint64, words []uint64, maxD int) int {
 	for j, y := range words {
 		if bits.OnesCount64(x^y) <= maxD {

@@ -51,6 +51,13 @@
 // the distance would be mispredicted often; the two passes make the same
 // additions in the same order, so snapshots keep their bits.
 //
+// Blocked's multi-index candidate search and the walk's compaction each
+// have an amd64 assembly body beside their Go loop (kernel_amd64.s),
+// chosen once at init when the CPU and the OS support AVX512F, AVX512VL
+// and AVX512_VPOPCNTDQ. The assembly returns exactly what the Go loop
+// returns, so no output bit depends on the host; ScanKernel names the
+// bodies that run.
+//
 // # Contract
 //
 // The package is request-oriented around Session (session.go):

@@ -35,6 +35,19 @@ const (
 	EngineBucketed = "bucketed"
 )
 
+// ScanKernel names the bodies that check candidates in blocked's
+// multi-index scan and compact a stream walk's candidates on this host:
+// "avx512" where the CPU and the OS support AVX512F, AVX512VL and
+// AVX512_VPOPCNTDQ (amd64 only; probed once, at package init), and
+// "portable", the Go loops, everywhere else. Both return the same results,
+// so the choice never changes an output bit.
+func ScanKernel() string {
+	if useAVX512 {
+		return "avx512"
+	}
+	return "portable"
+}
+
 // Problem is one flattened reconstruction instance handed to an Engine:
 // the unique outcomes in deterministic ascending order, their probabilities,
 // and the resolved scoring options.

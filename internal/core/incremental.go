@@ -314,6 +314,8 @@ func (inc *Incremental) mergeSorted(first int) {
 // walkBuf is how many candidates a walk's compaction pass takes at a time,
 // and so how many hits its buffer holds. A hit is packed as j<<distBits | d:
 // the candidate's index j in its stretch and its distance d, at most 64.
+// compact's assembly body (kernel_amd64.s) writes both constants out as
+// numbers, and relies on walkBuf being a multiple of eight.
 const (
 	walkBuf  = 512
 	distBits = 7
@@ -354,7 +356,12 @@ func (inc *Incremental) walk(c int32, patch bool) {
 		ss := inc.slots[w][:len(ws)]
 		for len(ws) > 0 {
 			k := min(len(ws), walkBuf)
-			n := compact(x, ws[:k], uint(maxD), hits[:])
+			var n int
+			if useAVX512 {
+				n = compactAVX512(x, ws[:k], uint(maxD), hits[:])
+			} else {
+				n = compact(x, ws[:k], uint(maxD), hits[:])
+			}
 			inc.credit(c, ss[:k], hits[:n], patch, &own)
 			ws, ss = ws[k:], ss[k:]
 		}
@@ -373,10 +380,14 @@ func (inc *Incremental) walk(c int32, patch bool) {
 // overwrites the miss before it and no branch depends on the distance. Words
 // may not outnumber walkBuf, so the masked index never wraps.
 //
-// It is kept out of line so that its few live values stay in registers:
-// under the default GOAMD64 baseline each popcount carries a has-POPCNT
-// probe with a call fallback, and inlined into walk the loop would spill the
-// values live across that call on every candidate.
+// On amd64 hosts with AVX-512 VPOPCNTDQ, walk runs compactAVX512 in its
+// place, which returns the same count and the same hits eight words at a
+// time; this loop is the body everywhere else and the reference the
+// assembly is tested against. It is kept out of line so that its few live
+// values stay in registers: under the default GOAMD64 baseline each
+// popcount carries a has-POPCNT probe with a call fallback, and inlined into
+// walk the loop would spill the values live across that call on every
+// candidate.
 //
 //go:noinline
 func compact(x uint64, words []uint64, maxD uint, hits []uint32) int {
@@ -390,6 +401,16 @@ func compact(x uint64, words []uint64, maxD uint, hits []uint32) int {
 		}
 	}
 	return n
+}
+
+// compactAVX512 is compact's AVX-512 body. Its vector stores write eight
+// records at hits[n], n <= j, for words j to j+7, which stays inside
+// hits[:walkBuf] while words fit in it: the reslices panic on a shorter
+// buffer or a longer stretch, so no caller can make it write out of range.
+func compactAVX512(x uint64, words []uint64, maxD uint, hits []uint32) int {
+	hits = hits[:walkBuf:walkBuf]
+	_ = hits[:len(words)]
+	return compactAsm(x, words, maxD, hits)
 }
 
 // credit is a walk's dense pass over one stretch's hits, slots being the

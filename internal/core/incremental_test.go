@@ -131,7 +131,8 @@ func TestIncrementalFullResyncBoundary(t *testing.T) {
 // fullResyncEvery), the rest walk the changed outcomes and patch their
 // neighbours, and the key outcome's ball holds more hits than one walk
 // buffer. Workers 4 runs the full rebuilds in parallel and must give the
-// same bits as Workers 1.
+// same bits as Workers 1, and on an AVX-512 host both run through both
+// bodies of compact.
 func TestIncrementalSnapshotBitsPinned(t *testing.T) {
 	const (
 		n, support, snapshots, shots = 20, 2000, 300, 64
@@ -155,34 +156,36 @@ func TestIncrementalSnapshotBitsPinned(t *testing.T) {
 	if ball <= walkBuf {
 		t.Fatalf("the key outcome's ball holds %d outcomes, want more than %d", ball, walkBuf)
 	}
-	for _, workers := range []int{1, 4} {
-		inc := NewIncremental(n, Options{Workers: workers})
-		seed.Range(func(x bitstr.Bits, p float64) { inc.Add(x, p*1e5) })
-		rng := rand.New(rand.NewSource(9))
-		h := sha256.New()
-		var buf []byte
-		for snap := range snapshots {
-			if snap > 0 {
-				for range shots {
-					i, _ := slices.BinarySearch(cum, rng.Float64()*total)
-					inc.Add(outs[min(i, len(outs)-1)], 1)
+	eachKernel(func(kernel string) {
+		for _, workers := range []int{1, 4} {
+			inc := NewIncremental(n, Options{Workers: workers})
+			seed.Range(func(x bitstr.Bits, p float64) { inc.Add(x, p*1e5) })
+			rng := rand.New(rand.NewSource(9))
+			h := sha256.New()
+			var buf []byte
+			for snap := range snapshots {
+				if snap > 0 {
+					for range shots {
+						i, _ := slices.BinarySearch(cum, rng.Float64()*total)
+						inc.Add(outs[min(i, len(outs)-1)], 1)
+					}
 				}
+				res := inc.Snapshot()
+				buf = buf[:0]
+				res.Out.Range(func(x bitstr.Bits, p float64) {
+					buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
+				})
+				for _, c := range res.GlobalCHS {
+					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
+				}
+				h.Write(buf)
 			}
-			res := inc.Snapshot()
-			buf = buf[:0]
-			res.Out.Range(func(x bitstr.Bits, p float64) {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
-			})
-			for _, c := range res.GlobalCHS {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
+			if got := hex.EncodeToString(h.Sum(nil)); got != want {
+				t.Errorf("%s kernel, Workers %d: snapshot bits SHA-256 %s, pinned %s", kernel, workers, got, want)
 			}
-			h.Write(buf)
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want {
-			t.Errorf("Workers %d: snapshot bits SHA-256 %s, pinned %s", workers, got, want)
-		}
-	}
+	})
 }
 
 // TestIncrementalSnapshotCached: repeated snapshots with no intervening Add

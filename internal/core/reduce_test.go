@@ -21,7 +21,9 @@ import (
 // cover the window scan (5 stripes make a fold more than one level deep),
 // the multi-index scan, the DisableFilter slabs and the batch workload's
 // shape under auto. Exact is pinned at one worker only: its parallel CHS
-// pass may group its sums differently from the sequential one.
+// pass may group its sums differently from the sequential one. The
+// multi-index case runs through both bodies of its candidate search where
+// the host has the AVX-512 one.
 func TestStripedBitsPinned(t *testing.T) {
 	window := dist.Synthetic(20, 4000, 42)
 	ablation := dist.Synthetic(16, 1500, 7)
@@ -44,25 +46,34 @@ func TestStripedBitsPinned(t *testing.T) {
 		t.Fatal("test premise broken: the default radius must take the window scan and radius 3 the multi-index scan")
 	}
 	for _, tc := range cases {
-		sess, err := NewSession(tc.opts)
-		if err != nil {
-			t.Fatal(err)
+		check := func(kernel string) {
+			sess, err := NewSession(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sess.Reconstruct(context.Background(), tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf []byte
+			res.Out.Range(func(x bitstr.Bits, p float64) {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
+			})
+			for _, c := range res.GlobalCHS {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
+			}
+			sum := sha256.Sum256(buf)
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("%s (engine %s, %s kernel): bits SHA-256 %s, pinned %s", tc.name, res.Engine, kernel, got, tc.want)
+			}
 		}
-		res, err := sess.Reconstruct(context.Background(), tc.in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf []byte
-		res.Out.Range(func(x bitstr.Bits, p float64) {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
-		})
-		for _, c := range res.GlobalCHS {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
-		}
-		sum := sha256.Sum256(buf)
-		if got := hex.EncodeToString(sum[:]); got != tc.want {
-			t.Errorf("%s (engine %s): bits SHA-256 %s, pinned %s", tc.name, res.Engine, got, tc.want)
+		// The multi-index case runs nextWithin, so it pins both of its
+		// bodies on an AVX-512 host.
+		if tc.opts.Radius == 3 {
+			eachKernel(check)
+		} else {
+			check(ScanKernel())
 		}
 	}
 }

@@ -131,26 +131,29 @@ func ratio(num, den float64) float64 {
 // these constants and gates their selection accuracy in CI). Setup and
 // PerOutcome are set by hand, since Fit keeps them: flattening for exact,
 // row rescaling for incremental, and for blocked the index build (a sort,
-// O(N log N)) plus its scan structure. Blocked's 800 ns per outcome is that
+// O(N log N)) plus its scan structure. Blocked's 500 ns per outcome is that
 // build at 2000-4000 outcomes, where the multi-index leaves a radius-2 scan
 // only a few candidates per outcome; charged linearly it overprices blocked
-// on small supports. The model puts the exact↔blocked crossover at 72-117
-// outcomes, against 48-128 measured at widths 8-20
-// (TestExactBlockedCrossover). Calibrate refines the pair constants on the
+// on small supports. Both pins bound it: at 600 ns the 2000-outcome radius-2
+// row is predicted at 2.02x its measured time
+// (TestCommittedBlockedPredictions), and at 400 ns the model picks blocked
+// at 48 outcomes, where exact measured faster. The model puts the
+// exact↔blocked crossover at 49-71 outcomes, against 48-128 measured at
+// widths 8-20 (TestExactBlockedCrossover). Calibrate refines the pair constants on the
 // serving host.
 func DefaultModel() *Model {
 	return &Model{Engines: map[string]Coeffs{
 		EngineExact: {
 			Setup: 500, PerOutcome: 30,
-			PerPairFull: 14.14, PerAdmit: 28.57,
+			PerPairFull: 15.26, PerAdmit: 23.92,
 		},
 		EngineBlocked: {
-			Setup: 4000, PerOutcome: 800,
-			PerCand: 2.51, PerAdmit: 0,
+			Setup: 4000, PerOutcome: 500,
+			PerCand: 1.82, PerAdmit: 1.18,
 		},
 		EngineIncremental: {
 			Setup: 1000, PerOutcome: 60,
-			PerCand: 10.27, PerAdmit: 0,
+			PerCand: 7.23, PerAdmit: 0,
 		},
 	}, Shard: DefaultShardCoeffs()}
 }
