@@ -11,7 +11,7 @@ import (
 
 // Reconstructor is the reusable form of RunWithConfig: one validated
 // configuration plus the per-request state — scratch vectors, the
-// popcount-bucketed index, per-worker accumulators, the output distribution —
+// rank-ordered index, per-worker accumulators, the output distribution —
 // that one-shot calls rebuild from scratch every time. After the first call
 // warms the buffers, repeated reconstructions of similarly sized histograms
 // are allocation-free in the core (the string-keyed response map is the only

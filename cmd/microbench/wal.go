@@ -28,8 +28,9 @@ const (
 )
 
 // walReport is the BENCH_wal.json schema. ReplayNs covers one full
-// ReplayBytes pass over the uncompacted log; CompactionRatio is uncompacted
-// bytes over compacted bytes for the same session state.
+// ReplayBytes pass over the uncompacted log, the median of three runs
+// (timer.medians); CompactionRatio is uncompacted bytes over compacted bytes
+// for the same session state.
 type walReport struct {
 	Benchmark            string  `json:"benchmark"`
 	Bits                 int     `json:"bits"`
@@ -101,14 +102,14 @@ func runWAL() (any, error) {
 	}
 
 	var t timer
-	replayNs := t.measure(func(b *testing.B) error {
+	replayNs := t.medians(func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			if r := wal.ReplayBytes(raw); r.Shots != walShots {
 				return fmt.Errorf("replay folded %d shots, want %d", r.Shots, walShots)
 			}
 		}
 		return nil
-	}).NsPerOp()
+	})[0].NsPerOp()
 
 	snap := make([]wal.Pair, 0, len(hist))
 	for x, k := range hist {

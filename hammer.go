@@ -56,7 +56,7 @@ type Config struct {
 	// Engine selects the scoring engine: "auto" (default — the exact loop
 	// for small supports, the blocked engine otherwise), "exact" (the
 	// reference O(N²) loop), or "blocked" (one fused pass over the
-	// popcount-bucketed index, scanning the bit-packed weight window or, at
+	// rank-ordered index, scanning the bit-packed weight window or, at
 	// small radii, the block multi-index — whichever visits fewer pairs).
 	// "bucketed", the retired name of blocked's predecessor, is accepted as
 	// an alias of "blocked". All engines produce the same reconstruction up

@@ -156,14 +156,6 @@ func (d *Dir) Len() int {
 	return n
 }
 
-// Root returns the store's directory ("" on a nil Dir).
-func (d *Dir) Root() string {
-	if d == nil {
-		return ""
-	}
-	return d.root
-}
-
 // Hits returns the monotonic hit count (0 on a nil Dir).
 func (d *Dir) Hits() uint64 {
 	if d == nil {

@@ -96,7 +96,7 @@ func TestDirRejectsMalformedKeys(t *testing.T) {
 		t.Fatal("malformed puts were not counted as errors")
 	}
 	// Nothing escaped the root.
-	entries, err := os.ReadDir(filepath.Dir(d.Root()))
+	entries, err := os.ReadDir(filepath.Dir(d.root))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDirNilSafety(t *testing.T) {
 	if _, ok := d.Get(testKeyStatic); ok {
 		t.Fatal("nil Dir hit")
 	}
-	if d.Len() != 0 || d.Root() != "" || d.Hits() != 0 || d.Misses() != 0 || d.Puts() != 0 || d.Errors() != 0 {
+	if d.Len() != 0 || d.Hits() != 0 || d.Misses() != 0 || d.Puts() != 0 || d.Errors() != 0 {
 		t.Fatal("nil Dir accessors not zero")
 	}
 	d2, err := NewDir("")

@@ -13,7 +13,7 @@ func init() {
 }
 
 // blockedEngine computes Algorithm 1 in one fused triangular pass over
-// unordered pairs of the popcount-bucketed index (dist.Index). Two
+// unordered pairs of the rank-ordered index (dist.Index). Two
 // structural changes make it faster than the exact reference while
 // producing the same reconstruction up to float64 rounding:
 //

@@ -19,7 +19,7 @@
 // Engine (engine.go), selected by name through a registry the engines
 // self-register into (registry.go): "exact" is the reference O(N²) loop
 // matching Algorithm 1 line by line; "blocked" computes the same quantities
-// in one fused triangular pass over the popcount-bucketed index of the dist
+// in one fused triangular pass over the rank-ordered index of the dist
 // package, with a flat inner loop over whichever of two candidate
 // generators visits fewer pairs — the bit-packed weight window
 // (dist.Packed; branchless tiles into distance-indexed banks, each bucket's

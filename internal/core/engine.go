@@ -22,7 +22,7 @@ const (
 	// transcription of Algorithm 1.
 	EngineExact = "exact"
 	// EngineBlocked computes the same quantities in one fused triangular
-	// pass over the popcount-bucketed index, with a flat, closure-free inner
+	// pass over the rank-ordered index, with a flat, closure-free inner
 	// loop over whichever candidate generator visits fewer pairs: the
 	// bit-packed weight window (dist.Packed) or, at small radii, the block
 	// multi-index (dist.MultiIndex).

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,7 +34,7 @@ func goldenDist(n int, seed int64) *dist.Dist {
 	return b.Dist().Normalize()
 }
 
-// indexEngines are the batch engines built on the popcount-bucketed index —
+// indexEngines are the batch engines built on the rank-ordered index —
 // every cross-engine golden pins each of them against the exact reference
 // from one table, so a new engine inherits the whole net by joining the list.
 var indexEngines = []string{EngineBlocked}
@@ -81,39 +83,52 @@ func TestEnginesAgree(t *testing.T) {
 
 // TestEnginesAgreeAcrossOptions sweeps the option surface the engines must
 // agree under: explicit radii, every weight scheme, the filter ablation
-// (which exercises the blocked engine's slab path), and TopM truncation.
-// Every case without TopM, which the oracle does not model, is also pinned
-// to the oracle.
+// (which exercises the blocked engine's slab path), and TopM truncation,
+// once with the M-th and (M+1)-th masses tied, so the tie order decides
+// which of them joins the head. Every case is also pinned to the oracle.
 func TestEnginesAgreeAcrossOptions(t *testing.T) {
 	in := goldenDist(12, 9)
-	hist := histOf(in)
-	cases := []Options{
-		{Radius: 1},
-		{Radius: 3},
-		{Radius: 12},
-		{Weights: UniformWeight},
-		{Weights: ExpDecay, Radius: 5},
-		{DisableFilter: true, Workers: 1},
-		{DisableFilter: true, Workers: 8},
-		{TopM: 40},
-		{TopM: 40, DisableFilter: true, Workers: 4},
+	counts := countHist(12, 300, 9)
+	b := dist.NewBuilder(12)
+	for _, x := range slices.Sorted(maps.Keys(counts)) {
+		b.Add(x, counts[x])
 	}
-	for i, opts := range cases {
+	tied := b.Dist().Normalize()
+	top := tied.TopK(tied.Len())
+	tieM := 40
+	for tieM < len(top) && top[tieM-1].P != top[tieM].P {
+		tieM++
+	}
+	if tieM == len(top) {
+		t.Fatal("test premise broken: no two adjacent ranks past 40 tie")
+	}
+	cases := []struct {
+		in   *dist.Dist
+		opts Options
+	}{
+		{in, Options{Radius: 1}},
+		{in, Options{Radius: 3}},
+		{in, Options{Radius: 12}},
+		{in, Options{Weights: UniformWeight}},
+		{in, Options{Weights: ExpDecay, Radius: 5}},
+		{in, Options{DisableFilter: true, Workers: 1}},
+		{in, Options{DisableFilter: true, Workers: 8}},
+		{in, Options{TopM: 40}},
+		{in, Options{TopM: 40, DisableFilter: true, Workers: 4}},
+		{tied, Options{TopM: tieM}},
+	}
+	for i, c := range cases {
+		opts := c.opts
 		exOpts := opts
 		exOpts.Engine = EngineExact
-		ex := Reconstruct(in, exOpts)
-		var want map[string]float64
-		if opts.TopM == 0 {
-			want = oracleOf(hist, opts)
-			checkOracle(t, fmt.Sprintf("case %d exact", i), want, ex.Out)
-		}
+		ex := Reconstruct(c.in, exOpts)
+		want := oracleOf(histOf(c.in), opts)
+		checkOracle(t, fmt.Sprintf("case %d exact", i), want, ex.Out)
 		for _, engine := range indexEngines {
 			ixOpts := opts
 			ixOpts.Engine = engine
-			got := Reconstruct(in, ixOpts)
-			if opts.TopM == 0 {
-				checkOracle(t, fmt.Sprintf("case %d %s", i, engine), want, got.Out)
-			}
+			got := Reconstruct(c.in, ixOpts)
+			checkOracle(t, fmt.Sprintf("case %d %s", i, engine), want, got.Out)
 			if d := dist.TVD(ex.Out, got.Out); d > 1e-12 {
 				t.Fatalf("case %d (%+v) %s: engine TVD %v", i, opts, engine, d)
 			}

@@ -207,11 +207,7 @@ func TestBlockedHashedBuckets(t *testing.T) {
 // collidedPairs counts the pairs within the radius that share a block's
 // bucket without agreeing on that block.
 func collidedPairs(in *dist.Dist, maxD int) int {
-	var entries []dist.Entry
-	in.Range(func(x bitstr.Bits, p float64) {
-		entries = append(entries, dist.Entry{X: x, P: p})
-	})
-	ix := dist.NewIndexOf(in.NumBits(), entries)
+	ix := dist.NewIndex(in)
 	var mi dist.MultiIndex
 	mi.Reset(ix, maxD, math.MaxInt64)
 	count := 0

@@ -27,8 +27,13 @@ import (
 //   - w[d] is 1/CHS[d] (0 where CHS[d] = 0), 1, or 2^-d by scheme.
 //   - L(x) = Pr(x)·(Pr(x) + Σ w[d(x,y)]·Pr(y)) over y ≠ x within the
 //     radius with Pr(y) < Pr(x); without the filter, over every such y.
+//   - topM above 0 and below the support truncates (Options.TopM): the
+//     outcomes ranked by descending Pr, ties by ascending key, split into
+//     the topM head and the tail. CHS and L sum over head pairs only, at
+//     the masses normalized over every outcome, and a tail outcome scores
+//     L(x) = Pr(x)².
 //   - The result is L normalized.
-func oracle(hist map[string]float64, radius int, scheme WeightScheme, filter bool) map[string]float64 {
+func oracle(hist map[string]float64, radius int, scheme WeightScheme, filter bool, topM int) map[string]float64 {
 	keys := make([]string, 0, len(hist))
 	for k := range hist {
 		keys = append(keys, k)
@@ -50,6 +55,24 @@ func oracle(hist map[string]float64, radius int, scheme WeightScheme, filter boo
 		}
 	}
 	r = min(r, n)
+	head := make([]bool, len(keys))
+	byMass := make([]int, len(keys))
+	for i := range byMass {
+		byMass[i] = i
+	}
+	sort.Slice(byMass, func(a, b int) bool {
+		i, j := byMass[a], byMass[b]
+		if pr[i] != pr[j] {
+			return pr[i] > pr[j]
+		}
+		return keys[i] < keys[j]
+	})
+	if topM <= 0 || topM > len(keys) {
+		topM = len(keys)
+	}
+	for _, i := range byMass[:topM] {
+		head[i] = true
+	}
 	distance := func(a, b string) int {
 		d := 0
 		for i := range len(a) {
@@ -62,9 +85,12 @@ func oracle(hist map[string]float64, radius int, scheme WeightScheme, filter boo
 
 	chs := make([]float64, r+1)
 	for i, x := range keys {
+		if !head[i] {
+			continue
+		}
 		chs[0] += pr[i]
 		for j, y := range keys {
-			if d := distance(x, y); i != j && d <= r {
+			if d := distance(x, y); i != j && head[j] && d <= r {
 				chs[d] += pr[j]
 			}
 		}
@@ -88,7 +114,7 @@ func oracle(hist map[string]float64, radius int, scheme WeightScheme, filter boo
 	for i, x := range keys {
 		s := pr[i]
 		for j, y := range keys {
-			if d := distance(x, y); i != j && d <= r && (!filter || pr[j] < pr[i]) {
+			if d := distance(x, y); head[i] && i != j && head[j] && d <= r && (!filter || pr[j] < pr[i]) {
 				s += w[d] * pr[j]
 			}
 		}
@@ -111,7 +137,7 @@ func histOf(d *dist.Dist) map[string]float64 {
 
 // oracleOf is the oracle's reconstruction of hist under opts.
 func oracleOf(hist map[string]float64, opts Options) map[string]float64 {
-	return oracle(hist, opts.Radius, opts.Weights, !opts.DisableFilter)
+	return oracle(hist, opts.Radius, opts.Weights, !opts.DisableFilter, opts.TopM)
 }
 
 // checkOracle fails unless got has want's support and every mass within
@@ -133,7 +159,7 @@ func checkOracle(t testing.TB, label string, want map[string]float64, got *dist.
 // TestOracleByHand pins the oracle itself to TestAlgorithm1ByHand's worked
 // example, in raw counts: 50/30/20 normalize to that example's masses.
 func TestOracleByHand(t *testing.T) {
-	got := oracle(map[string]float64{"1111": 50, "1110": 30, "0011": 20}, 0, InverseCHS, true)
+	got := oracle(map[string]float64{"1111": 50, "1110": 30, "0011": 20}, 0, InverseCHS, true, 0)
 	for k, want := range map[string]float64{"1111": 0.4375 / 0.5675, "1110": 0.09 / 0.5675, "0011": 0.04 / 0.5675} {
 		if !almostEq(got[k], want, 1e-15) {
 			t.Errorf("%s: %v, want %v", k, got[k], want)

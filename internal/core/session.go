@@ -15,7 +15,7 @@ import (
 // Scratch holds the reusable buffers the built-in engines draw their
 // intermediate state from: the CHS/weight/score vectors, the reduction
 // tree's CHS rows, and (for the blocked engine) the index entries, the
-// popcount-bucketed index itself, its scan structures, and the per-rank
+// rank-ordered index itself, its scan structures, and the per-rank
 // neighborhood matrix. The
 // zero value is ready; buffers grow to the high-water mark of the problems
 // scored through it and are reused thereafter, so a warmed-up Scratch makes
@@ -31,7 +31,7 @@ type Scratch struct {
 	partialBuf []float64
 
 	// Blocked engine state: the flattened index entries, the reusable
-	// popcount-bucketed index, the two candidate generators over it (the
+	// rank-ordered index, the two candidate generators over it (the
 	// packed weight-window view and the block multi-index), and the per-rank
 	// admitted-strength matrix.
 	entries []dist.Entry

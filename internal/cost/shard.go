@@ -60,10 +60,10 @@ func (m *Model) shardCoeffs() ShardCoeffs {
 	return DefaultShardCoeffs()
 }
 
-// StripeCapable reports whether the engine's pairwise pass can be
+// stripeCapable reports whether the engine's pairwise pass can be
 // partitioned into rank stripes — the blocked engine. Exact has no fused
 // pass to stripe and incremental is streaming-only.
-func StripeCapable(engine string) bool {
+func stripeCapable(engine string) bool {
 	return engine == EngineBlocked
 }
 
@@ -75,7 +75,7 @@ func StripeCapable(engine string) bool {
 // one stripe still pays one stripe's coordination, so a single-replica
 // "shard" correctly prices worse than Predict's local run.
 func (m *Model) PredictSharded(engine string, w Workload, stripes int) (float64, bool) {
-	if m == nil || stripes < 1 || !StripeCapable(engine) {
+	if m == nil || stripes < 1 || !stripeCapable(engine) {
 		return 0, false
 	}
 	c, ok := m.Engines[engine]
@@ -123,7 +123,7 @@ func (m *Model) PredictShardedDuration(engine string, w Workload, stripes int) (
 // the scan. The shard coordinator turns this into per-stripe deadline
 // budgets.
 func (m *Model) PredictStripe(engine string, w Workload, pairs int64) (float64, bool) {
-	if m == nil || !StripeCapable(engine) {
+	if m == nil || !stripeCapable(engine) {
 		return 0, false
 	}
 	c, ok := m.Engines[engine]

@@ -1,7 +1,7 @@
 // Package dist is the distribution layer of the HAMMER reproduction: the
 // sparse and dense probability-histogram types every other layer builds on,
-// plus the popcount-bucketed index (index.go) that accelerates the
-// Hamming-distance queries of the reconstruction engines.
+// plus the index structures (index.go, packed.go, multiindex.go) that the
+// reconstruction engines' pairwise scans walk.
 //
 // Three representations cover the pipeline end to end:
 //
@@ -20,28 +20,30 @@
 //
 // On top of those sit the index structures the engines query:
 //
-//   - Index — the immutable popcount-bucketed view of a Dist: outcomes
-//     grouped by Hamming weight, each bucket ordered by descending
-//     probability. |popcount(x)−popcount(y)| ≤ d(x,y), so a radius-d ball
-//     query inspects only the 2d+1 buckets around the query's weight. It is
-//     built in O(N): its entries arrive in ascending outcome order, so a
-//     stable radix sort on a descending-probability key ranks them, ties by
-//     ascending outcome, with no comparator.
-//   - Packed — the bit-packed structure-of-arrays view of an Index for the
+//   - Index — the rank order of a Dist: its outcomes by descending
+//     probability, ties by ascending outcome, each with its Hamming weight
+//     and its position in the Dist, plus the bounds of the weight buckets
+//     (how many outcomes hold each weight). It is built in O(N): its
+//     entries arrive in ascending outcome order, so a stable radix sort on
+//     a descending-probability key ranks them with no comparator. It holds
+//     32 bytes per outcome.
+//   - Packed — the one weight-bucketed layout, built from an Index for the
 //     blocked engine's flat scans: one contiguous []uint64 of outcome words
 //     in bucket-major order (ascending weight, within-bucket ascending
-//     rank), with probabilities and ranks in parallel arrays and per-weight
-//     bucket offsets. Because within-bucket order is ascending rank, the
-//     triangular "ranks after r" suffix of any bucket is one contiguous
-//     span found by a single binary search (SuffixAfter).
+//     rank), with probabilities and ranks in parallel arrays and the
+//     index's bucket bounds. |popcount(x)−popcount(y)| ≤ d(x,y), so a
+//     radius-d scan around x reads only the 2d+1 buckets around x's
+//     weight. Because within-bucket order is ascending rank, the triangular
+//     "ranks after r" suffix of any bucket is one contiguous span found by
+//     a single binary search (SuffixAfter). It holds 20 bytes per outcome.
 //   - MultiIndex — the blocked engine's small-radius alternative to the
 //     weight window: at radius r the bits split into r+1 contiguous blocks
 //     (a pair within distance r agrees on at least one), and each block
 //     holds the ranked outcomes counting-sorted by (block key, rank), so a
 //     row's candidates in a block are the entries after it in its bucket —
 //     one contiguous span. Index.WindowPairs and MultiIndex.Reset count the
-//     candidate pairs of either scan exactly, from bucket sizes, before any
-//     scan structure is built.
+//     candidate pairs of either scan exactly, from bucket sizes, before
+//     either layout is built.
 //
 // The wire form of a histogram — a JSON object of bitstring → mass — is
 // decided here too, in one module (histogram.go, json.go):
@@ -76,17 +78,17 @@
 // # Contract
 //
 //   - Goroutine safety: no type in this package is safe for concurrent
-//     mutation. Concurrent read-only access (Range, ball queries on a built
-//     Index) is safe; the engines rely on exactly that in their parallel
-//     scans.
+//     mutation. Concurrent read-only access (Range, and reads of a built
+//     Index, Packed or MultiIndex) is safe; the engines rely on exactly that
+//     in their parallel scans.
 //   - Determinism: all iteration orders are deterministic — Dist and Counts
-//     range in ascending outcome order, Index buckets in (descending
-//     probability, ascending outcome) order — so every experiment in the
-//     repository reproduces bit-for-bit from its seed. FromHistogram and
-//     FromEntries accumulate mass in ascending outcome order, and TVD adds
-//     its terms in a fixed order, for the same reason. A Builder's total is
-//     summed in call order, so a caller that builds from a map visits the
-//     map in ascending outcome order.
+//     range in ascending outcome order, an Index's ranked entries and each
+//     Packed bucket in (descending probability, ascending outcome) order —
+//     so every experiment in the repository reproduces bit-for-bit from its
+//     seed. FromHistogram and FromEntries accumulate mass in ascending
+//     outcome order, and TVD adds its terms in a fixed order, for the same
+//     reason. A Builder's total is summed in call order, so a caller that
+//     builds from a map visits the map in ascending outcome order.
 //   - Reuse: Dist.Reset takes over entries its caller reuses, and
 //     Index.Reset, Packed.Reset and MultiIndex.Reset rebuild in place
 //     without shedding capacity; the request-oriented core's 0 allocs/op

@@ -1,40 +1,36 @@
-// The popcount-bucketed index: Hamming distance obeys a triangle inequality
-// on Hamming weight, |popcount(x) - popcount(y)| <= distance(x, y), so a
-// radius-d neighborhood query over a distribution only needs to inspect the
-// 2d+1 weight buckets around popcount(x). The reconstruction engines and the
-// hamming analysis package share this structure for every pairwise scan.
+// The rank order of a distribution: its outcomes sorted by descending
+// probability, each with its Hamming weight, and the bounds of the weight
+// buckets that the weight-bucketed layout (Packed) and the engines' pair
+// counts read. The ranking is an O(N) radix sort.
 package dist
 
 import (
 	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/bitstr"
 )
 
-// IndexEntry is one indexed outcome. Rank is its position in the global
-// descending-probability order (ties broken by ascending outcome); Ord is
-// its position in the ascending-outcome order (the order Dist.Range visits);
-// W is its Hamming weight (popcount).
+// IndexEntry is one indexed outcome. Its position in Index.Ranked is its
+// rank in the global descending-probability order (ties broken by ascending
+// outcome); Ord is its position in the ascending-outcome order (the order
+// Dist.Range visits); W is its Hamming weight (popcount).
 type IndexEntry struct {
-	X    bitstr.Bits
-	P    float64
-	W    int
-	Rank int
-	Ord  int
+	X   bitstr.Bits
+	P   float64
+	W   int
+	Ord int
 }
 
-// Index is a popcount-bucketed view of a sparse distribution. Entries are
-// available in two deterministic orders: globally by descending probability
-// (Ranked), and per Hamming-weight bucket, each bucket again in descending
-// probability. Bucket b holds exactly the outcomes with popcount b, so a
-// query at Hamming radius d from x may skip every bucket outside
-// [popcount(x)-d, popcount(x)+d].
+// Index is the rank order of a sparse distribution: every outcome in
+// descending probability (Ranked), plus how many outcomes hold each Hamming
+// weight, kept as the bounds of the weight buckets Packed lays out.
 type Index struct {
-	n       int
-	ranked  []IndexEntry
-	buckets [][]IndexEntry // by popcount 0..n, each ascending Rank
+	n      int
+	ranked []IndexEntry
+	// start[w] .. start[w+1] delimit weight w's outcomes in a bucket-major
+	// layout (len n+2): start[w] counts the outcomes lighter than w.
+	start []int32
 	// Reset's radix-sort scratch: each entry's rank key, and entry
 	// positions in the order sorted so far (order) and being written (tmp).
 	keys       []uint64
@@ -44,27 +40,19 @@ type Index struct {
 // NewIndex builds the index of a sparse distribution in O(N): a radix sort
 // ranks it.
 func NewIndex(d *Dist) *Index {
-	return NewIndexOf(d.n, d.es)
+	return new(Index).Reset(d.n, d.es)
 }
 
-// NewIndexOf builds the index of an explicit outcome set over an n-bit
-// space. The entries must be in ascending outcome order without duplicates
-// (Dist.TopK output re-sorted, or Dist.Range accumulation, both qualify);
-// their masses need not be normalized.
-func NewIndexOf(n int, entries []Entry) *Index {
-	return new(Index).Reset(n, entries)
-}
-
-// Reset rebuilds the index in place over a new outcome set, reusing the
-// ranked slice, the per-weight bucket backing arrays and the sort scratch of
-// previous builds so a session reconstructing repeatedly is allocation-free
-// after warm-up. The entry contract is the same as NewIndexOf's; the
-// receiver is returned for chaining. Masses may be any float64 but NaN, which
-// CompareByProb does not order and Reset does not rank. The rebuilt index is
-// bit-identical to a fresh NewIndexOf build, and its ranks follow
-// CompareByProb: a stable radix sort on a descending-mass key keeps the
-// entries' ascending-outcome order within each run of equal masses, and
-// buckets are refilled in ascending-rank order.
+// Reset rebuilds the index in place over an explicit outcome set over an
+// n-bit space, reusing the ranked slice, the bucket bounds and the sort
+// scratch of previous builds so a session reconstructing repeatedly is
+// allocation-free after warm-up. The entries must be in ascending outcome
+// order without duplicates (a Dist's entries, or a TopM head re-sorted by
+// outcome, both qualify); their masses need not be normalized, and may be
+// any float64 but NaN, which CompareByProb does not order and Reset does not
+// rank. The receiver is returned for chaining. Ranks follow CompareByProb: a
+// stable radix sort on a descending-mass key keeps the entries'
+// ascending-outcome order within each run of equal masses.
 func (ix *Index) Reset(n int, entries []Entry) *Index {
 	ix.n = n
 	if cap(ix.ranked) < len(entries) {
@@ -72,23 +60,19 @@ func (ix *Index) Reset(n int, entries []Entry) *Index {
 	} else {
 		ix.ranked = ix.ranked[:len(entries)]
 	}
+	if cap(ix.start) < n+2 {
+		ix.start = make([]int32, n+2)
+	}
+	ix.start = ix.start[:n+2]
+	clear(ix.start)
 	for r, i := range ix.rank(entries) {
 		e := entries[i]
-		ix.ranked[r] = IndexEntry{X: e.X, P: e.P, W: bits.OnesCount64(e.X), Rank: r, Ord: int(i)}
+		w := bits.OnesCount64(e.X)
+		ix.start[w+1]++
+		ix.ranked[r] = IndexEntry{X: e.X, P: e.P, W: w, Ord: int(i)}
 	}
-	if cap(ix.buckets) < n+1 {
-		buckets := make([][]IndexEntry, n+1)
-		copy(buckets, ix.buckets) // keep the capacity of previously grown buckets
-		ix.buckets = buckets
-	} else {
-		ix.buckets = ix.buckets[:n+1]
-	}
-	for w := range ix.buckets {
-		ix.buckets[w] = ix.buckets[w][:0]
-	}
-	for i := range ix.ranked {
-		w := ix.ranked[i].W
-		ix.buckets[w] = append(ix.buckets[w], ix.ranked[i])
+	for w := 1; w < len(ix.start); w++ {
+		ix.start[w] += ix.start[w-1]
 	}
 	return ix
 }
@@ -170,80 +154,3 @@ func (ix *Index) Len() int { return len(ix.ranked) }
 // Ranked returns all entries in descending-probability order (ties by
 // ascending outcome). The slice is shared; callers must not mutate it.
 func (ix *Index) Ranked() []IndexEntry { return ix.ranked }
-
-// Bucket returns the entries of Hamming weight w in descending-probability
-// order. The slice is shared; callers must not mutate it.
-func (ix *Index) Bucket(w int) []IndexEntry {
-	if w < 0 || w > ix.n {
-		return nil
-	}
-	return ix.buckets[w]
-}
-
-// After returns the suffix of bucket w holding entries of strictly lower
-// rank quality — global Rank greater than the given rank. Because buckets
-// are stored in ascending-rank order, the suffix is found by binary search.
-func (ix *Index) After(w, rank int) []IndexEntry {
-	b := ix.Bucket(w)
-	lo := sort.Search(len(b), func(i int) bool { return b[i].Rank > rank })
-	return b[lo:]
-}
-
-// RangeBall calls fn for every indexed entry within Hamming distance maxD of
-// x, including x itself if indexed. Buckets outside the weight window are
-// skipped wholesale; entries inside it are confirmed with an exact distance
-// check. Iteration is deterministic: buckets in ascending weight, entries in
-// descending probability.
-func (ix *Index) RangeBall(x bitstr.Bits, maxD int, fn func(e IndexEntry, d int)) {
-	wx := bits.OnesCount64(x)
-	lo, hi := wx-maxD, wx+maxD
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > ix.n {
-		hi = ix.n
-	}
-	for w := lo; w <= hi; w++ {
-		for _, e := range ix.buckets[w] {
-			if d := bitstr.Distance(x, e.X); d <= maxD {
-				fn(e, d)
-			}
-		}
-	}
-}
-
-// RangePairsAfter calls fn for every indexed entry f within Hamming distance
-// maxD of e whose global Rank exceeds e's — the triangular pair enumeration:
-// visiting every entry once and calling RangePairsAfter on it yields each
-// unordered pair of distinct outcomes exactly once, at the member with the
-// higher probability (ties at the smaller outcome). Buckets outside e's
-// weight window are skipped wholesale; candidates inside it are confirmed
-// with an exact distance check.
-func (ix *Index) RangePairsAfter(e IndexEntry, maxD int, fn func(f IndexEntry, d int)) {
-	lo, hi := e.W-maxD, e.W+maxD
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > ix.n {
-		hi = ix.n
-	}
-	for w := lo; w <= hi; w++ {
-		for _, f := range ix.After(w, e.Rank) {
-			if d := bitstr.Distance(e.X, f.X); d <= maxD {
-				fn(f, d)
-			}
-		}
-	}
-}
-
-// CHS computes the Cumulative Hamming Strength vector of x against the
-// indexed distribution: entry k holds the total probability at Hamming
-// distance exactly k from x, for k in [0, maxD], visiting only the weight
-// buckets the triangle inequality admits.
-func (ix *Index) CHS(x bitstr.Bits, maxD int) []float64 {
-	v := make([]float64, maxD+1)
-	ix.RangeBall(x, maxD, func(e IndexEntry, d int) {
-		v[d] += e.P
-	})
-	return v
-}

@@ -163,14 +163,14 @@ func (mi *MultiIndex) After(b, i int) (words []uint64, probs []float64) {
 // WindowPairs returns the exact number of candidate pairs a weight-window
 // scan at the given radius visits: the unordered pairs of distinct outcomes
 // whose Hamming weights differ by at most radius. It takes O(n·radius) from
-// the bucket sizes, before any scan structure is built.
+// the index's bucket bounds, before any scan structure is built.
 func (ix *Index) WindowPairs(radius int) int64 {
 	var total int64
 	for w := 0; w <= ix.n; w++ {
-		c := int64(len(ix.buckets[w]))
+		c := int64(ix.start[w+1] - ix.start[w])
 		total += c * (c - 1) / 2
 		for v := w + 1; v <= ix.n && v <= w+radius; v++ {
-			total += c * int64(len(ix.buckets[v]))
+			total += c * int64(ix.start[v+1]-ix.start[v])
 		}
 	}
 	return total

@@ -1,11 +1,11 @@
 package dist
 
-// Packed is the structure-of-arrays companion of Index, built for the flat
-// scans of the blocked reconstruction engine. Where Index stores []IndexEntry
-// (40-byte structs walked through closure callbacks), Packed lays the same
-// outcome set out as three parallel primitive arrays in bucket-major order —
-// ascending Hamming weight, and within each weight bucket ascending global
-// rank (descending probability, exactly the order Index.Bucket stores) — so a
+import "repro/internal/bitstr"
+
+// Packed is the bucket-major layout of an Index, built for the flat scans of
+// the blocked reconstruction engine. It lays the ranked outcomes out as three
+// parallel primitive arrays — ascending Hamming weight, and within each
+// weight bucket ascending global rank (descending probability) — so a
 // radius-d candidate scan is a contiguous streamed read of 8-byte words the
 // compiler can batch popcounts over:
 //
@@ -14,9 +14,12 @@ package dist
 //	ranks: [  parallel global ranks, same order     ]
 //	start: start[w] .. start[w+1] delimit bucket w  (len n+2)
 //
-// Because ranks ascend within a bucket, the triangular "entries ranked after
-// r" suffix of any bucket is found by one binary search, and the suffix is
-// contiguous in all three arrays.
+// Hamming distance obeys a triangle inequality on Hamming weight,
+// |popcount(x) − popcount(y)| ≤ d(x, y), so a radius-d scan around x reads
+// only the 2d+1 buckets around popcount(x). Because ranks ascend within a
+// bucket, the triangular "entries ranked after r" suffix of any bucket is
+// found by one binary search, and the suffix is contiguous in all three
+// arrays. An outcome takes 20 bytes here, beside its 32-byte index entry.
 //
 // Like Index, a Packed is rebuilt in place (Reset) without shedding capacity,
 // so a warmed-up reconstruction session repacks per call without allocating.
@@ -30,23 +33,16 @@ type Packed struct {
 	start []int32
 }
 
-// NewPacked builds the packed view of an index. Prefer (*Packed).Reset for
-// repeated builds.
-func NewPacked(ix *Index) *Packed {
-	return new(Packed).Reset(ix)
-}
-
 // Reset rebuilds the packed view in place from an index, reusing the backing
-// arrays of previous builds. The receiver is returned for chaining. Entry
-// order is deterministic: the concatenation of the index's weight buckets in
-// ascending weight, each in the bucket's own (ascending rank) order.
+// arrays of previous builds. The receiver is returned for chaining. It
+// scatters the index's ranked entries in rank order, each to the next free
+// slot of its weight bucket, so every bucket comes out rank-ascending.
 //
 // Ranks are stored as int32: a support large enough to overflow one could not
-// hold its 40-byte index entries in addressable memory in the first place.
+// hold its 32-byte index entries in addressable memory in the first place.
 func (pk *Packed) Reset(ix *Index) *Packed {
-	n := ix.NumBits()
 	N := ix.Len()
-	pk.n = n
+	pk.n = ix.n
 	if cap(pk.words) < N {
 		pk.words = make([]uint64, N)
 		pk.probs = make([]float64, N)
@@ -55,22 +51,17 @@ func (pk *Packed) Reset(ix *Index) *Packed {
 	pk.words = pk.words[:N]
 	pk.probs = pk.probs[:N]
 	pk.ranks = pk.ranks[:N]
-	if cap(pk.start) < n+2 {
-		pk.start = make([]int32, n+2)
+	pk.start = append(pk.start[:0], ix.start...)
+	var next [bitstr.MaxBits + 1]int32 // each bucket's next free slot
+	copy(next[:], ix.start)
+	for r := range ix.ranked {
+		e := &ix.ranked[r]
+		slot := next[e.W]
+		next[e.W]++
+		pk.words[slot] = e.X
+		pk.probs[slot] = e.P
+		pk.ranks[slot] = int32(r)
 	}
-	pk.start = pk.start[:n+2]
-	pos := 0
-	for w := 0; w <= n; w++ {
-		pk.start[w] = int32(pos)
-		for i := range ix.buckets[w] {
-			e := &ix.buckets[w][i]
-			pk.words[pos] = e.X
-			pk.probs[pos] = e.P
-			pk.ranks[pos] = int32(e.Rank)
-			pos++
-		}
-	}
-	pk.start[n+1] = int32(pos)
 	return pk
 }
 

@@ -11,17 +11,21 @@ import (
 func TestPackedMirrorsIndex(t *testing.T) {
 	d := randomDist(t, 10, 300, 33)
 	ix := NewIndex(d)
-	pk := NewPacked(ix)
+	pk := new(Packed).Reset(ix)
 	if pk.Len() != ix.Len() || pk.NumBits() != ix.NumBits() {
 		t.Fatalf("packed shape %d/%d vs index %d/%d", pk.Len(), pk.NumBits(), ix.Len(), ix.NumBits())
 	}
 	words, probs, ranks := pk.Words(), pk.Probs(), pk.Ranks()
 	ranked := ix.Ranked()
+	weights := make([]int, pk.NumBits()+1)
+	for _, e := range ranked {
+		weights[e.W]++
+	}
 	total := 0
 	for w := 0; w <= pk.NumBits(); w++ {
 		lo, hi := pk.Bucket(w)
-		if hi-lo != len(ix.Bucket(w)) {
-			t.Fatalf("bucket %d: packed span %d, index %d", w, hi-lo, len(ix.Bucket(w)))
+		if hi-lo != weights[w] {
+			t.Fatalf("bucket %d: packed span %d, %d ranked entries of its weight", w, hi-lo, weights[w])
 		}
 		prev := int32(-1)
 		for k := lo; k < hi; k++ {
@@ -51,24 +55,32 @@ func TestPackedMirrorsIndex(t *testing.T) {
 	}
 }
 
-// TestPackedSuffixAfter pins the binary search against the index's After on
-// every (bucket, rank) combination of a random distribution.
+// TestPackedSuffixAfter pins the binary search against a brute-force filter
+// of the ranked entries on every (bucket, rank) combination of a random
+// distribution: the suffix holds exactly the entries of the bucket's weight
+// ranked after the given rank, in rank order.
 func TestPackedSuffixAfter(t *testing.T) {
 	d := randomDist(t, 8, 120, 7)
 	ix := NewIndex(d)
-	pk := NewPacked(ix)
+	pk := new(Packed).Reset(ix)
+	ranked := ix.Ranked()
 	for w := 0; w <= pk.NumBits(); w++ {
 		_, hi := pk.Bucket(w)
 		for rank := -1; rank <= ix.Len(); rank++ {
 			k := pk.SuffixAfter(w, rank)
-			want := ix.After(w, rank)
-			if hi-k != len(want) {
-				t.Fatalf("bucket %d rank %d: suffix length %d, After %d", w, rank, hi-k, len(want))
+			var want []int
+			for r := max(rank+1, 0); r < len(ranked); r++ {
+				if ranked[r].W == w {
+					want = append(want, r)
+				}
 			}
-			for i, e := range want {
-				if pk.Words()[k+i] != e.X || pk.Ranks()[k+i] != int32(e.Rank) {
+			if hi-k != len(want) {
+				t.Fatalf("bucket %d rank %d: suffix length %d, want %d", w, rank, hi-k, len(want))
+			}
+			for i, r := range want {
+				if pk.Words()[k+i] != ranked[r].X || pk.Ranks()[k+i] != int32(r) {
 					t.Fatalf("bucket %d rank %d: suffix[%d] = (%b, %d), want (%b, %d)",
-						w, rank, i, pk.Words()[k+i], pk.Ranks()[k+i], e.X, e.Rank)
+						w, rank, i, pk.Words()[k+i], pk.Ranks()[k+i], ranked[r].X, r)
 				}
 			}
 		}
@@ -92,7 +104,7 @@ func TestPackedResetReuse(t *testing.T) {
 		})
 		ix.Reset(shape.n, entries)
 		pk.Reset(ix)
-		fresh := NewPacked(ix)
+		fresh := new(Packed).Reset(ix)
 		if pk.Len() != fresh.Len() {
 			t.Fatalf("trial %d: reset len %d, fresh %d", trial, pk.Len(), fresh.Len())
 		}

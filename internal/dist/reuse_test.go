@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,8 +55,8 @@ func TestDistResetRefillAllocationFree(t *testing.T) {
 }
 
 // TestIndexResetMatchesFreshBuild: rebuilding an index in place over new
-// entries must produce exactly the structure a fresh NewIndexOf build does,
-// across changing widths and supports.
+// entries must produce exactly the structure a fresh build does, across
+// changing widths and supports.
 func TestIndexResetMatchesFreshBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ix := new(Index)
@@ -78,7 +79,7 @@ func TestIndexResetMatchesFreshBuild(t *testing.T) {
 		}
 		sortEntriesAsc(entries)
 		ix.Reset(n, entries)
-		fresh := NewIndexOf(n, entries)
+		fresh := new(Index).Reset(n, entries)
 		if ix.NumBits() != fresh.NumBits() || ix.Len() != fresh.Len() {
 			t.Fatalf("trial %d: shape %d/%d vs %d/%d", trial, ix.NumBits(), ix.Len(), fresh.NumBits(), fresh.Len())
 		}
@@ -88,16 +89,8 @@ func TestIndexResetMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("trial %d: ranked[%d] %+v vs %+v", trial, i, a[i], b[i])
 			}
 		}
-		for w := 0; w <= n; w++ {
-			ba, bb := ix.Bucket(w), fresh.Bucket(w)
-			if len(ba) != len(bb) {
-				t.Fatalf("trial %d: bucket %d size %d vs %d", trial, w, len(ba), len(bb))
-			}
-			for i := range ba {
-				if ba[i] != bb[i] {
-					t.Fatalf("trial %d: bucket %d entry %d differs", trial, w, i)
-				}
-			}
+		if !slices.Equal(ix.start, fresh.start) {
+			t.Fatalf("trial %d: bucket bounds %v vs %v", trial, ix.start, fresh.start)
 		}
 	}
 }
@@ -107,7 +100,7 @@ func TestIndexResetReusesMemory(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		entries = append(entries, Entry{X: bitstr.Bits(i), P: float64(300 - i)})
 	}
-	ix := NewIndexOf(12, entries)
+	ix := new(Index).Reset(12, entries)
 	avg := testing.AllocsPerRun(20, func() {
 		ix.Reset(12, entries)
 	})

@@ -24,7 +24,6 @@ type Stripe struct {
 // plans with NewStripePlan or rebuild in place with Reset (allocation-free
 // after warm-up, like the other reusable dist structures).
 type StripePlan struct {
-	n       int
 	stripes []Stripe
 }
 
@@ -81,7 +80,6 @@ func (p *StripePlan) Reset(n, k int) *StripePlan {
 	if k > n {
 		k = max(n, 1)
 	}
-	p.n = n
 	if cap(p.stripes) < k {
 		p.stripes = make([]Stripe, k)
 	}
@@ -111,9 +109,6 @@ func (p *StripePlan) Reset(n, k int) *StripePlan {
 	}
 	return p
 }
-
-// NumRanks returns the number of ranked outcomes the plan partitions.
-func (p *StripePlan) NumRanks() int { return p.n }
 
 // Len returns the number of stripes.
 func (p *StripePlan) Len() int { return len(p.stripes) }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dist"
 	"repro/internal/hamming"
 	"repro/internal/metrics"
 	"repro/internal/noise"
@@ -52,11 +51,9 @@ func Fig7(cfg Config) *Fig7Result {
 			break
 		}
 	}
-	// Three analyses of the same distribution share one popcount index.
-	ix := dist.NewIndex(in)
-	res.CHSCorrect = ix.CHS(key, rec.Radius)
-	res.CHSTopInc = ix.CHS(res.TopIncorrect, rec.Radius)
-	res.CHSAverage = hamming.AverageCHSIndexed(ix, rec.Radius)
+	res.CHSCorrect = hamming.CHS(in, key, rec.Radius)
+	res.CHSTopInc = hamming.CHS(in, res.TopIncorrect, rec.Radius)
+	res.CHSAverage = hamming.AverageCHS(in, rec.Radius)
 	res.PBeforeKey, res.PBeforeTop = in.Prob(key), in.Prob(res.TopIncorrect)
 	res.PAfterKey, res.PAfterTop = rec.Out.Prob(key), rec.Out.Prob(res.TopIncorrect)
 	res.GapBefore = res.PBeforeKey / res.PBeforeTop

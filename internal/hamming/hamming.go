@@ -3,13 +3,13 @@
 // Expected Hamming Distance (EHD), and the Cumulative Hamming Strength (CHS)
 // vectors used by the reconstruction algorithm.
 //
-// The quadratic accumulations (AverageCHS, GlobalCHS) and the per-outcome
-// minimum-distance scans (NewSpectrum, EHD) run through the popcount-
-// bucketed dist.Index: weight buckets outside the query radius are skipped
-// wholesale, and |popcount(x)-popcount(c)| lower-bounds each candidate
-// distance so most exact popcounts never execute. Callers analyzing one
-// distribution several ways should build the index once and use the
-// *Indexed variants.
+// Each analysis has one form, over a dist.Dist. The per-outcome
+// minimum-distance scans (NewSpectrum, EHD) walk the outcomes once against
+// the correct set, skipping every correct outcome whose weight difference
+// |popcount(x) − popcount(c)| already rules it out. The CHS vectors (CHS,
+// AverageCHS) are plain loops over the outcomes: they serve figures and
+// reports, while the pruned pairwise scans of reconstruction live in
+// internal/core.
 package hamming
 
 import (
@@ -30,8 +30,7 @@ type Spectrum struct {
 
 // NewSpectrum buckets every outcome of d by its minimum Hamming distance to
 // the set of correct outcomes. The correct set must be non-empty. The scan is
-// linear with the weight-difference lower bound computed inline; callers that
-// already hold an index should use NewSpectrumIndexed.
+// linear, with the weight-difference lower bound computed inline.
 func NewSpectrum(d *dist.Dist, correct []bitstr.Bits) *Spectrum {
 	n := d.NumBits()
 	s := &Spectrum{
@@ -41,28 +40,10 @@ func NewSpectrum(d *dist.Dist, correct []bitstr.Bits) *Spectrum {
 	}
 	cw := correctWeights(correct)
 	d.Range(func(x bitstr.Bits, p float64) {
-		k := minDistanceWeighted(x, bitstr.Weight(x), correct, cw, n)
+		k := minDistanceWeighted(x, correct, cw, n)
 		s.Bins[k] += p
 		s.Counts[k]++
 	})
-	return s
-}
-
-// NewSpectrumIndexed is NewSpectrum over a prebuilt index, letting callers
-// amortize the index across several analyses of the same distribution.
-func NewSpectrumIndexed(ix *dist.Index, correct []bitstr.Bits) *Spectrum {
-	n := ix.NumBits()
-	s := &Spectrum{
-		NumBits: n,
-		Bins:    make([]float64, n+1),
-		Counts:  make([]int, n+1),
-	}
-	cw := correctWeights(correct)
-	for _, e := range ix.Ranked() {
-		k := minDistanceWeighted(e.X, e.W, correct, cw, n)
-		s.Bins[k] += e.P
-		s.Counts[k]++
-	}
 	return s
 }
 
@@ -79,11 +60,12 @@ func correctWeights(correct []bitstr.Bits) []int {
 	return cw
 }
 
-// minDistanceWeighted returns the minimum Hamming distance from x (of known
-// Hamming weight wx) to the correct set, skipping candidates whose weight
-// already differs by at least the best distance found so far (the same
-// triangle inequality the blocked reconstruction engine's weight window prunes with).
-func minDistanceWeighted(x bitstr.Bits, wx int, correct []bitstr.Bits, cw []int, n int) int {
+// minDistanceWeighted returns the minimum Hamming distance from x to the
+// correct set, skipping candidates whose weight already differs by at least
+// the best distance found so far (the same triangle inequality the blocked
+// reconstruction engine's weight window prunes with).
+func minDistanceWeighted(x bitstr.Bits, correct []bitstr.Bits, cw []int, n int) int {
+	wx := bitstr.Weight(x)
 	best := n + 1
 	for i, c := range correct {
 		lb := wx - cw[i]
@@ -113,13 +95,6 @@ func (s *Spectrum) BinAverage(k int) float64 {
 	return s.Bins[k] / float64(s.Counts[k])
 }
 
-// UniformBinMass returns the probability mass a uniform-error model places in
-// bin k: C(n,k) / 2^n. This is the dotted reference line in the paper's
-// spectrum plots.
-func UniformBinMass(n, k int) float64 {
-	return float64(bitstr.CountAtDistance(n, k)) / float64(uint64(1)<<uint(n))
-}
-
 // EHD computes the Expected Hamming Distance (§3.3): the probability-weighted
 // average of the minimum Hamming distance from each outcome to the correct
 // set. EHD is 0 for a noise-free distribution and approaches n/2 for a
@@ -129,19 +104,8 @@ func EHD(d *dist.Dist, correct []bitstr.Bits) float64 {
 	n := d.NumBits()
 	var e float64
 	d.Range(func(x bitstr.Bits, p float64) {
-		e += p * float64(minDistanceWeighted(x, bitstr.Weight(x), correct, cw, n))
+		e += p * float64(minDistanceWeighted(x, correct, cw, n))
 	})
-	return e
-}
-
-// EHDIndexed is EHD over a prebuilt index, reusing its stored weights.
-func EHDIndexed(ix *dist.Index, correct []bitstr.Bits) float64 {
-	cw := correctWeights(correct)
-	n := ix.NumBits()
-	var e float64
-	for _, entry := range ix.Ranked() {
-		e += entry.P * float64(minDistanceWeighted(entry.X, entry.W, correct, cw, n))
-	}
 	return e
 }
 
@@ -170,74 +134,23 @@ func CHS(d *dist.Dist, x bitstr.Bits, maxD int) []float64 {
 
 // AverageCHS computes the probability-weighted average CHS across every
 // outcome in the distribution; this is the "average of all outcomes" curve
-// in Fig. 7b and the basis for HAMMER's per-distance weights. Pairs outside
-// the weight window are pruned through the popcount buckets, so the cost
-// drops well below the naive O(N²) for small radii.
+// in Fig. 7b and the basis for HAMMER's per-distance weights: entry k holds
+// the sum of Pr(x)·Pr(y) over ordered pairs (x, y) at Hamming distance
+// exactly k, for k in [0, maxD].
 func AverageCHS(d *dist.Dist, maxD int) []float64 {
-	return AverageCHSIndexed(dist.NewIndex(d), maxD)
-}
-
-// AverageCHSIndexed is AverageCHS over a prebuilt index.
-func AverageCHSIndexed(ix *dist.Index, maxD int) []float64 {
 	if maxD < 0 {
 		panic(fmt.Sprintf("hamming: negative CHS radius %d", maxD))
 	}
 	avg := make([]float64, maxD+1)
-	for _, e := range ix.Ranked() {
-		px := e.P
-		ix.RangeBall(e.X, maxD, func(f dist.IndexEntry, k int) {
-			avg[k] += px * f.P
-		})
-	}
-	return avg
-}
-
-// GlobalCHS computes the unweighted pairwise accumulation used verbatim in
-// Algorithm 1 of the paper's appendix: CHS[k] = sum over ordered pairs (x,y)
-// with Hamming distance k < len of P(y). It differs from AverageCHS by not
-// weighting the outer outcome by its probability.
-func GlobalCHS(d *dist.Dist, maxD int) []float64 {
-	return GlobalCHSIndexed(dist.NewIndex(d), maxD)
-}
-
-// GlobalCHSIndexed is GlobalCHS over a prebuilt index. Each unordered pair
-// is visited once through the bucket suffixes and contributes both of its
-// ordered directions, P(x)+P(y); the self pair contributes P(x) at k = 0.
-func GlobalCHSIndexed(ix *dist.Index, maxD int) []float64 {
-	if maxD < 0 {
-		panic(fmt.Sprintf("hamming: negative CHS radius %d", maxD))
-	}
-	g := make([]float64, maxD+1)
-	for _, e := range ix.Ranked() {
-		g[0] += e.P
-		ix.RangePairsAfter(e, maxD, func(f dist.IndexEntry, k int) {
-			g[k] += e.P + f.P
-		})
-	}
-	return g
-}
-
-// Edge is a Hamming-graph edge between two observed outcomes (Fig. 6).
-type Edge struct {
-	X, Y bitstr.Bits
-	D    int
-}
-
-// Graph lists the Hamming-graph edges between all pairs of observed outcomes
-// with distance at most maxD, the representation of Fig. 6(b-c). Outcomes are
-// visited in deterministic ascending order and each unordered pair appears
-// once with X < Y.
-func Graph(d *dist.Dist, maxD int) []Edge {
-	outs := d.Outcomes()
-	var edges []Edge
-	for i, x := range outs {
-		for _, y := range outs[i+1:] {
-			if k := bitstr.Distance(x, y); k <= maxD {
-				edges = append(edges, Edge{X: x, Y: y, D: k})
+	es := d.Entries()
+	for _, x := range es {
+		for _, y := range es {
+			if k := bitstr.Distance(x.X, y.X); k <= maxD {
+				avg[k] += x.P * y.P
 			}
 		}
 	}
-	return edges
+	return avg
 }
 
 // MarginalFlipRates estimates, for each bit position, the probability that

@@ -77,18 +77,6 @@ func TestBinAverage(t *testing.T) {
 	}
 }
 
-func TestUniformBinMassSums(t *testing.T) {
-	for n := 1; n <= 12; n++ {
-		var total float64
-		for k := 0; k <= n; k++ {
-			total += UniformBinMass(n, k)
-		}
-		if !almostEq(total, 1, 1e-9) {
-			t.Errorf("n=%d uniform bin mass sums to %v", n, total)
-		}
-	}
-}
-
 func TestEHD(t *testing.T) {
 	d := paperExample()
 	correct := []bitstr.Bits{bitstr.MustParse("111")}
@@ -175,45 +163,9 @@ func TestAverageCHSMass(t *testing.T) {
 	}
 }
 
-func TestGlobalCHSMatchesHandComputation(t *testing.T) {
-	// Tiny 2-outcome distribution: x=00 (0.75), y=11 (0.25).
-	b := dist.NewBuilder(2)
-	b.Set(0b00, 0.75)
-	b.Set(0b11, 0.25)
-	d := b.Dist()
-	g := GlobalCHS(d, 2)
-	// d=0: P(00)+P(11) = 1. d=2: from 00 see 11 (0.25), from 11 see 00 (0.75) => 1.
-	if !almostEq(g[0], 1, 1e-12) || !almostEq(g[1], 0, 1e-12) || !almostEq(g[2], 1, 1e-12) {
-		t.Errorf("GlobalCHS = %v", g)
-	}
-}
-
-func TestGraph(t *testing.T) {
-	d := paperExample()
-	edges := Graph(d, 1)
-	// Verify every edge has the claimed distance and X < Y ordering.
-	for _, e := range edges {
-		if bitstr.Distance(e.X, e.Y) != e.D || e.D > 1 {
-			t.Errorf("bad edge %+v", e)
-		}
-		if e.X >= e.Y {
-			t.Errorf("edge ordering violated: %+v", e)
-		}
-	}
-	// For Fig. 6(b): outcomes {001,010,011,101,110,111}; distance-1 pairs:
-	// 001-011, 001-101, 010-011, 010-110, 011-111, 101-111, 110-111 = 7 edges.
-	if len(edges) != 7 {
-		t.Errorf("got %d distance-1 edges, want 7", len(edges))
-	}
-	all := Graph(d, 3)
-	if len(all) != 6*5/2 {
-		t.Errorf("full graph has %d edges, want 15", len(all))
-	}
-}
-
-func TestIndexedVariantsMatchDirect(t *testing.T) {
-	// One shared index must serve EHD, Spectrum, AverageCHS, and GlobalCHS
-	// with results identical to the one-shot forms.
+// TestAverageCHSMatchesWeightedCHS: the average CHS is the mean of every
+// outcome's own CHS vector weighted by its probability, at every radius.
+func TestAverageCHSMatchesWeightedCHS(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 10
 	bld := dist.NewBuilder(n)
@@ -221,50 +173,17 @@ func TestIndexedVariantsMatchDirect(t *testing.T) {
 		bld.Add(bitstr.Bits(rng.Intn(1<<n)), rng.Float64())
 	}
 	d := bld.Dist().Normalize()
-	correct := []bitstr.Bits{bitstr.Bits(rng.Intn(1 << n)), bitstr.Bits(rng.Intn(1 << n))}
-	ix := dist.NewIndex(d)
-
-	// The direct forms scan in ascending-outcome order, the indexed forms in
-	// rank order, so float accumulation may differ in the last ulp.
-	if a, b := EHD(d, correct), EHDIndexed(ix, correct); !almostEq(a, b, 1e-12) {
-		t.Fatalf("EHD %v vs indexed %v", a, b)
-	}
-	s, si := NewSpectrum(d, correct), NewSpectrumIndexed(ix, correct)
-	for k := range s.Bins {
-		if !almostEq(s.Bins[k], si.Bins[k], 1e-12) || s.Counts[k] != si.Counts[k] {
-			t.Fatalf("spectrum bin %d: %v/%d vs %v/%d", k, s.Bins[k], s.Counts[k], si.Bins[k], si.Counts[k])
-		}
-	}
-	// The indexed accumulations are checked against inline brute-force
-	// double scans (the pre-index semantics), not against the delegating
-	// wrappers, so a pruning bug cannot cancel out of both sides.
 	for _, maxD := range []int{0, 2, 5, n} {
-		wantAvg := make([]float64, maxD+1)
+		want := make([]float64, maxD+1)
 		d.Range(func(x bitstr.Bits, px float64) {
-			d.Range(func(y bitstr.Bits, py float64) {
-				if k := bitstr.Distance(x, y); k <= maxD {
-					wantAvg[k] += px * py
-				}
-			})
-		})
-		got := AverageCHSIndexed(ix, maxD)
-		for k := range wantAvg {
-			if !almostEq(got[k], wantAvg[k], 1e-12) {
-				t.Fatalf("AverageCHS maxD=%d k=%d: %v, brute force %v", maxD, k, got[k], wantAvg[k])
+			for k, v := range CHS(d, x, maxD) {
+				want[k] += px * v
 			}
-		}
-		wantG := make([]float64, maxD+1)
-		d.Range(func(x bitstr.Bits, _ float64) {
-			d.Range(func(y bitstr.Bits, py float64) {
-				if k := bitstr.Distance(x, y); k <= maxD {
-					wantG[k] += py
-				}
-			})
 		})
-		gi := GlobalCHSIndexed(ix, maxD)
-		for k := range wantG {
-			if !almostEq(gi[k], wantG[k], 1e-12) {
-				t.Fatalf("GlobalCHS maxD=%d k=%d: %v, brute force %v", maxD, k, gi[k], wantG[k])
+		got := AverageCHS(d, maxD)
+		for k := range want {
+			if !almostEq(got[k], want[k], 1e-12) {
+				t.Fatalf("maxD=%d k=%d: %v, weighted CHS %v", maxD, k, got[k], want[k])
 			}
 		}
 	}

@@ -55,8 +55,8 @@ func TestHandoffAdoptRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Owner() != "alice" {
-		t.Errorf("owner %q survived handoff", sess.Owner())
+	if sess.owner != "alice" {
+		t.Errorf("owner %q survived handoff", sess.owner)
 	}
 	got := histOf(t, dst, "sess")
 	if len(got) != len(want) {

@@ -44,8 +44,6 @@ type Limiter struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
-
-	rejects uint64
 }
 
 // NewLimiter returns a per-client token-bucket limiter. A non-positive RPS
@@ -98,7 +96,6 @@ func (l *Limiter) Allow(client string) (ok bool, retryAfter time.Duration) {
 		b.tokens--
 		return true, 0
 	}
-	l.rejects++
 	// Time until the deficit refills to one whole token.
 	return false, time.Duration((1 - b.tokens) / l.rps * float64(time.Second))
 }
@@ -117,26 +114,4 @@ func (l *Limiter) evictOldestLocked() {
 		}
 	}
 	delete(l.buckets, oldestKey)
-}
-
-// Rejects returns the monotonic count of Allow calls that returned false
-// (0 on a nil Limiter).
-func (l *Limiter) Rejects() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rejects
-}
-
-// Clients returns the current bucket count, for tests and sizing gauges
-// (0 on a nil Limiter).
-func (l *Limiter) Clients() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
 }

@@ -151,9 +151,6 @@ type Session struct {
 // ID returns the session's name.
 func (s *Session) ID() string { return s.id }
 
-// Owner returns the owning client id ("" for anonymous sessions).
-func (s *Session) Owner() string { return s.owner }
-
 // Stream returns the session's stream. Only valid inside Manager.DoSession,
 // which holds the session's mutex; the stream must not be retained past the
 // callback's return.
@@ -226,9 +223,6 @@ func NewManager(cfg Config) *Manager {
 		sessions:  make(map[string]*Session),
 	}
 }
-
-// Durable reports whether sessions are journaled.
-func (m *Manager) Durable() bool { return m.journal != nil }
 
 // Instrument attaches the optional lifecycle counters (nil fields are safe;
 // a nil *Metrics disables instrumentation). Call it after NewManager and

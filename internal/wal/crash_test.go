@@ -100,7 +100,7 @@ func TestCrashReplayProperty(t *testing.T) {
 			// rewrites the file, so the map is rebuilt from the new layout
 			// (create + snapshot) whenever it fires.
 			cum := map[uint64]int{}
-			prefixAt := map[int64]int{0: 0, l.Offset(): 0}
+			prefixAt := map[int64]int{0: 0, l.off: 0}
 			compactions := 0
 			for i, batch := range batches {
 				if err := l.Append(batch); err != nil {
@@ -109,7 +109,7 @@ func TestCrashReplayProperty(t *testing.T) {
 				for _, p := range batch {
 					cum[p.X] += p.K
 				}
-				prefixAt[l.Offset()] = i + 1
+				prefixAt[l.off] = i + 1
 				if l.ShouldCompact(len(cum)) {
 					hist := make([]Pair, 0, len(cum))
 					for x, k := range cum {

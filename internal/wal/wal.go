@@ -439,15 +439,6 @@ func (l *Log) ID() string { return l.id }
 // Meta returns the log's create record.
 func (l *Log) Meta() SessionMeta { return l.meta }
 
-// Offset returns the log's current size in bytes — the byte every valid
-// record so far ends at. The crash-replay tests truncate at and between
-// these boundaries.
-func (l *Log) Offset() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.off
-}
-
 // Close releases the file handle. Appends after Close fail.
 func (l *Log) Close() error {
 	l.mu.Lock()

@@ -118,7 +118,7 @@ func TestAppendValidation(t *testing.T) {
 		t.Errorf("empty batch: %v", err)
 	}
 	// A rejected batch must not have written anything.
-	if off := l.Offset(); off == 0 {
+	if off := l.off; off == 0 {
 		t.Fatal("create record missing")
 	} else {
 		rep := replayPath(t, l.path)
@@ -170,7 +170,7 @@ func TestCompactionBoundsLogSize(t *testing.T) {
 	// Bounded by support, not shots: 4 outcomes snapshot to well under a
 	// hundred bytes; with factor 2 and floor 16 the live log holds at most
 	// ~16 pair records past the last fold.
-	if off := l.Offset(); off > 2048 {
+	if off := l.off; off > 2048 {
 		t.Fatalf("log size %d bytes after 4000 appends of support 4", off)
 	}
 	s.Close()
@@ -240,7 +240,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	if err := l.Append([]Pair{{X: 1, K: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	good := l.Offset()
+	good := l.off
 	s.Close()
 	// Simulate a crash mid-append: half a record of garbage at the tail.
 	f, err := os.OpenFile(filepath.Join(s.Dir(), "torn.wal"), os.O_WRONLY|os.O_APPEND, 0)

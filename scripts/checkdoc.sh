@@ -2,7 +2,8 @@
 # checkdoc.sh — fail if any exported top-level symbol in a gated package
 # lacks a doc comment. Gated: the root hammer package (the public API
 # documented in README/docs) plus the spine packages whose doc.go contracts
-# the architecture docs lean on (internal/obs, internal/cache, internal/wal).
+# the architecture docs lean on (internal/obs, internal/cache, internal/wal,
+# internal/dist) and the analysis package internal/hamming.
 # A deliberately small grep-shaped gate: it inspects top-level
 # `func`/`type`/`var`/`const` declarations (including members of grouped
 # `var (`/`const (`/`type (` blocks) beginning with an exported identifier
@@ -10,7 +11,7 @@
 # root.
 set -eu
 status=0
-for f in ./*.go ./internal/obs/*.go ./internal/cache/*.go ./internal/wal/*.go; do
+for f in ./*.go ./internal/obs/*.go ./internal/cache/*.go ./internal/wal/*.go ./internal/dist/*.go ./internal/hamming/*.go; do
     case "$f" in
     *_test.go) continue ;;
     esac
