@@ -81,27 +81,17 @@ func SessionOptions(cfg Config) (core.Options, error) {
 	return opts, nil
 }
 
-// NewScheduler builds the bounded-concurrency scheduler the serving layers
-// share (hammer.RunBatch, hammerctl serve): cfg maps onto per-request options
-// through SessionOptions (each request pinned single-threaded), and workers
-// is the shared request-level budget (0 = all CPUs). It exists so in-module
-// servers embed the scheduler without re-deriving the option mapping.
+// NewScheduler builds the bounded-concurrency scheduler RunBatch runs on:
+// cfg maps onto per-request options through SessionOptions (each request
+// pinned single-threaded), and workers is the shared request-level budget
+// (0 = all CPUs), granted in arrival order. It exists so in-module callers
+// embed the scheduler without re-deriving the option mapping.
 func NewScheduler(cfg Config, workers int) (*sched.Scheduler, error) {
-	return NewSchedulerPolicy(cfg, workers, "")
-}
-
-// NewSchedulerPolicy is NewScheduler with an explicit queue policy:
-// sched.PolicyFIFO (also selected by "") grants worker slots in arrival
-// order, sched.PolicySPJF by shortest model-predicted runtime — the ordering
-// that cuts mean latency on mixed workloads by keeping small requests from
-// queueing behind large ones. Deadline admission (sched.Request.Deadline)
-// works under either policy.
-func NewSchedulerPolicy(cfg Config, workers int, policy string) (*sched.Scheduler, error) {
 	opts, err := SessionOptions(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s, err := sched.New(sched.Config{Workers: workers, Opts: opts, Policy: policy})
+	s, err := sched.New(sched.Config{Workers: workers, Opts: opts})
 	if err != nil {
 		return nil, fmt.Errorf("hammer: %w", err)
 	}

@@ -245,14 +245,18 @@ type serverConfig struct {
 // newServer builds the scheduler, session manager, result-cache chain,
 // metrics, and the optional journal, shard coordinator, and rate limiter the
 // handlers share. The option mapping is the facade's own
-// (hammer.NewScheduler / hammer.SessionOptions), so serve honors every
-// Config knob the library does. With a data directory it also replays the
-// journal, so the returned server already holds every session a previous
-// process journaled (minus deleted/evicted ones, whose logs were pruned).
+// (hammer.SessionOptions), so serve honors every Config knob the library
+// does. With a data directory it also replays the journal, so the returned
+// server already holds every session a previous process journaled (minus
+// deleted/evicted ones, whose logs were pruned).
 // The caller owns srv.Close; on error, newServer has closed the journal
 // itself.
 func newServer(c serverConfig) (_ *server, err error) {
-	sch, err := hammer.NewSchedulerPolicy(c.Config, c.Config.Workers, c.Sched)
+	opts, err := hammer.SessionOptions(c.Config)
+	if err != nil {
+		return nil, err
+	}
+	sch, err := sched.New(sched.Config{Workers: c.Config.Workers, Opts: opts, Policy: c.Sched})
 	if err != nil {
 		return nil, err
 	}
@@ -563,24 +567,26 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 // failure comes with its HTTP status; a rendering failure is the returned
 // body's err instead.
 func (s *server) reconstruct(r *http.Request, rr *reconstructRequest, opts *core.Options, eff core.Options) (rendered, int, error) {
+	deadline := rr.schedDeadline(time.Now())
 	in, err := dist.FromEntries(rr.width, rr.entries)
 	if err != nil {
 		return rendered{}, http.StatusBadRequest, err
 	}
 	if s.coord != nil && s.coord.ShouldShard(eff, in.Len(), in.NumBits()) {
-		out, err := s.reconstructSharded(r.Context(), eff, in, rr.schedDeadline())
+		out, err := s.reconstructSharded(r.Context(), eff, in, deadline)
 		switch {
 		case err == nil:
 			return out, 0, nil
 		case statusFor(r, err) != http.StatusBadRequest:
-			// Deadline admission rejections (504/429) and client
-			// cancellation (499) end the request; any other coordinator
-			// failure degrades to the single-node path below.
+			// Deadline admission rejections (504/429), a deadline that
+			// ran out mid-scan (504) and client cancellation (499) end the
+			// request; any other coordinator failure degrades to the
+			// single-node path below.
 			return rendered{}, statusFor(r, err), err
 		}
 	}
 	var out rendered
-	err = s.sch.Reconstruct(r.Context(), sched.Request{In: in, Opts: opts, Deadline: rr.schedDeadline()}, func(res *core.Result) error {
+	err = s.sch.Reconstruct(r.Context(), sched.Request{In: in, Opts: opts, Deadline: deadline}, func(res *core.Result) error {
 		out = renderReconstruct(res)
 		return nil
 	})
@@ -629,10 +635,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, -1, err)
 		return
 	}
-	// Each member renders inside its consume callback, while the session
-	// that owns the result is still held; the body is assembled in order
-	// once all are done. A member that failed to decode fails when the
-	// batch reaches it, as any other member error does.
+	// Every member's deadline counts from here, so time spent waiting
+	// behind the batch's other members counts against it. Each member
+	// renders inside its consume callback, while the session that owns the
+	// result is still held; the body is assembled in order once all are
+	// done. A member that failed to decode fails when the batch reaches it,
+	// as any other member error does.
+	decoded := time.Now()
 	members := make([]rendered, len(reqs))
 	err = s.sch.Batch(r.Context(), len(reqs),
 		func(i int) (sched.Request, error) {
@@ -645,7 +654,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return sched.Request{}, err
 			}
 			d, err := dist.FromEntries(rr.width, rr.entries)
-			return sched.Request{In: d, Opts: opts, Deadline: rr.schedDeadline()}, err
+			return sched.Request{In: d, Opts: opts, Deadline: rr.schedDeadline(decoded)}, err
 		},
 		func(i int, res *core.Result) error {
 			members[i] = appendResult(nil, 2, res)
@@ -775,12 +784,13 @@ type reconstructRequest struct {
 }
 
 // schedDeadline maps the wire budget onto the scheduler's absolute form,
-// anchored at decode time so queueing counts against the client's budget.
-func (rr *reconstructRequest) schedDeadline() time.Time {
+// counted from the moment the request was decoded, so queueing counts
+// against the client's budget.
+func (rr *reconstructRequest) schedDeadline(decoded time.Time) time.Time {
 	if rr.deadline <= 0 {
 		return time.Time{}
 	}
-	return time.Now().Add(rr.deadline)
+	return decoded.Add(rr.deadline)
 }
 
 // decodeReconstruct decodes and validates one reconstruction request: a bare
@@ -925,10 +935,12 @@ func decodeHistogram(body []byte) (map[string]float64, error) {
 // rejections split by kind — 504 when the predicted runtime alone exceeds
 // the budget (no amount of retrying helps at this deadline) versus 429 when
 // the request was feasible but the queue ate the budget (retry-able once
-// load drops) — client cancellation propagates as 499 (nginx's
-// client-closed-request — the client is gone either way), and everything
-// else is a bad request, since the scheduler's configuration was validated
-// at startup and the remaining failures are input-shaped.
+// load drops) — a budget that ran out during an admitted reconstruction is
+// a 504 too while the client is still connected, client cancellation
+// propagates as 499 (nginx's client-closed-request — the client is gone
+// either way), and everything else is a bad request, since the scheduler's
+// configuration was validated at startup and the remaining failures are
+// input-shaped.
 func statusFor(r *http.Request, err error) int {
 	var de *sched.DeadlineError
 	if errors.As(err, &de) {
@@ -937,7 +949,11 @@ func statusFor(r *http.Request, err error) int {
 		}
 		return http.StatusTooManyRequests
 	}
-	if errors.Is(err, context.Canceled) && r.Context().Err() != nil {
+	connected := r.Context().Err() == nil
+	switch {
+	case connected && errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case !connected && errors.Is(err, context.Canceled):
 		return 499
 	}
 	return http.StatusBadRequest

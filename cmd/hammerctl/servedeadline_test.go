@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -51,10 +53,12 @@ func infeasibleBody(t *testing.T) string {
 // TestServeDeadlineInfeasible pins the 504 contract: a request whose
 // predicted runtime alone exceeds its deadline_ms budget is rejected up
 // front with the infeasible message, and the rejection is counted in
-// /metrics by reason.
+// /metrics by reason. A /v1/batch member is admitted the same way, and its
+// 504 carries its index.
 func TestServeDeadlineInfeasible(t *testing.T) {
 	ts := newTestServer(t, hammer.Config{}, 2)
-	code, body := postJSON(t, ts.URL+"/v1/reconstruct", infeasibleBody(t))
+	infeasible := infeasibleBody(t)
+	code, body := postJSON(t, ts.URL+"/v1/reconstruct", infeasible)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %.200s", code, body)
 	}
@@ -65,14 +69,78 @@ func TestServeDeadlineInfeasible(t *testing.T) {
 	if !strings.Contains(er.Error, "infeasible") {
 		t.Errorf("error %q lacks the infeasible marker", er.Error)
 	}
+	code, body = postJSON(t, ts.URL+"/v1/batch",
+		`{"requests": [{"1010": 5, "1000": 2}, `+infeasible+`]}`)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("batch status %d, want 504: %.200s", code, body)
+	}
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Index != 1 || !strings.Contains(er.Error, "infeasible") {
+		t.Errorf("batch error %+v, want the infeasible member at index 1", er)
+	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	text := readAll(t, resp)
-	if want := `hammer_deadline_rejected_total{reason="infeasible"} 1`; !strings.Contains(text, want) {
+	if want := `hammer_deadline_rejected_total{reason="infeasible"} 2`; !strings.Contains(text, want) {
 		t.Errorf("metrics missing %q", want)
+	}
+}
+
+// TestServeDeadlineRunsOut pins the 504 for a budget that runs out during an
+// admitted reconstruction. Every one of the 4,000 outcomes lies 1–4 random
+// bit flips from one 20-bit key. At radius 3 the cost model prices the
+// request as if its pairs were uniform, while on this shape the scan visits
+// nearly every pair and takes several times the prediction. With deadline_ms
+// at twice the prediction the request is admitted, then runs out mid-scan:
+// a deadline miss, not bad input.
+func TestServeDeadlineRunsOut(t *testing.T) {
+	const n, support = 20, 4000
+	opts, err := hammer.SessionOptions(hammer.Config{Radius: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, predicted, ok := core.PredictCost(opts, support, n)
+	if !ok {
+		t.Fatal("no prediction for the blocked engine")
+	}
+	budget := (2*predicted + time.Millisecond - 1) / time.Millisecond
+	rng := rand.New(rand.NewSource(7))
+	key := rng.Intn(1 << n)
+	seen := map[int]bool{}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, `{"deadline_ms": %d, "config": {"radius": 3}, "counts": {`, budget)
+	for len(seen) < support {
+		x, flips := key, 1+rng.Intn(4)
+		for f := 0; f < flips; f++ {
+			x ^= 1 << rng.Intn(n)
+		}
+		if seen[x] {
+			continue
+		}
+		if len(seen) > 0 {
+			sb.WriteByte(',')
+		}
+		seen[x] = true
+		fmt.Fprintf(&sb, `"%0*b": %d`, n, x, 1+int(4096*math.Pow(0.25, float64(flips))*(0.5+rng.Float64())))
+	}
+	sb.WriteString("}}")
+
+	ts := newTestServer(t, hammer.Config{}, 1)
+	code, body := postJSON(t, ts.URL+"/v1/reconstruct", sb.String())
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504 (budget %d ms, %v predicted): %.200s", code, budget, predicted, body)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(er.Error, "deadline ran out during the reconstruction") {
+		t.Errorf("error %q does not say the deadline ran out mid-run", er.Error)
 	}
 }
 

@@ -38,7 +38,9 @@ func splitReplicas(v string) []string {
 
 // localStripe is the coordinator's fallback executor: score the stripe on a
 // pooled session and deep-copy the partial off its scratch before releasing
-// it (concurrent fallbacks each pull their own session).
+// it. The coordinator runs one request's fallbacks one after another inside
+// that request's worker slot; concurrent requests each pull their own
+// session.
 func (s *server) localStripe(ctx context.Context, spec core.StripeSpec) (core.StripePartial, error) {
 	sess := s.stripeSessions.Get().(*core.Session)
 	defer s.stripeSessions.Put(sess)

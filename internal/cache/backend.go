@@ -75,9 +75,6 @@ func ValidKey(key string) bool {
 	return true
 }
 
-// validKey is ValidKey under its original package-internal name.
-func validKey(key string) bool { return ValidKey(key) }
-
 // path returns the sharded file path for a valid key.
 func (d *Dir) path(key string) string {
 	return filepath.Join(d.root, key[:2], key)
@@ -89,7 +86,7 @@ func (d *Dir) Get(key string) ([]byte, bool) {
 	if d == nil {
 		return nil, false
 	}
-	if !validKey(key) {
+	if !ValidKey(key) {
 		d.misses.Add(1)
 		return nil, false
 	}
@@ -111,7 +108,7 @@ func (d *Dir) Put(key string, val []byte) {
 	if d == nil {
 		return
 	}
-	if !validKey(key) {
+	if !ValidKey(key) {
 		d.errs.Add(1)
 		return
 	}
@@ -148,7 +145,7 @@ func (d *Dir) Len() int {
 	}
 	n := 0
 	filepath.WalkDir(d.root, func(path string, e fs.DirEntry, err error) error {
-		if err == nil && !e.IsDir() && validKey(e.Name()) {
+		if err == nil && !e.IsDir() && ValidKey(e.Name()) {
 			n++
 		}
 		return nil

@@ -13,7 +13,7 @@ import (
 func testKey(t *testing.T, tag string) string {
 	t.Helper()
 	k := Key(map[string]float64{tag: 1}, core.Options{})
-	if !validKey(k) {
+	if !ValidKey(k) {
 		t.Fatalf("Key output %q is not a valid backend key", k)
 	}
 	return k

@@ -8,10 +8,6 @@ import (
 	"repro/internal/dist"
 )
 
-func init() {
-	Register(Registration{Name: EngineBlocked, Engine: blockedEngine{}})
-}
-
 // blockedEngine computes Algorithm 1 in one fused triangular pass over
 // unordered pairs of the rank-ordered index (dist.Index). Two
 // structural changes make it faster than the exact reference while

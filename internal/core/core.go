@@ -82,7 +82,7 @@ type Options struct {
 	// with very long tails; TopM >= N reproduces the exact algorithm.
 	TopM int
 
-	// Engine selects the pairwise scoring engine by registry name:
+	// Engine selects the pairwise scoring engine by name (see Lookup):
 	// EngineAuto (or empty) picks from the cost model, EngineExact forces
 	// the reference O(N²) loop, EngineBlocked forces the fused index engine
 	// (EngineBucketed, its retired name, is an alias). Unknown and

@@ -8,8 +8,8 @@ import (
 	"repro/internal/dist"
 )
 
-// This file is the bridge between the registry and the cost model: auto
-// selection asks the active model which registered batch engine predicts
+// This file is the bridge between the engine table and the cost model: auto
+// selection asks the active model which batch engine predicts
 // cheapest for the workload (costsel — the selection half), and the serving
 // layers ask for a runtime prediction of the engine a request will resolve
 // to (PredictCost — the admission half). Explicit engine pins never consult
@@ -50,7 +50,7 @@ func PredictCost(opts Options, support, bits int) (engine string, predicted time
 	}
 	name := opts.Engine
 	if r, err := lookupBatch(name); err == nil {
-		name = r.Name // the registered name behind a pin, "" for auto
+		name = r.Name // the engine name behind a pin, "" for auto
 	}
 	if name == "" {
 		name = chooseAuto(w)
@@ -83,7 +83,7 @@ func PredictShardCost(opts Options, support, bits, stripes int) (predicted time.
 	return cost.Active().PredictShardedDuration(EngineBlocked, w, stripes)
 }
 
-// Calibrate measures this process's registered engines on synthetic
+// Calibrate measures this process's batch engines on synthetic
 // workloads, refits the cost model's constants from the live samples, and
 // installs the refined model for every subsequent auto selection and
 // prediction. Call it at serving startup (hammerctl serve -calibrate) or on

@@ -16,8 +16,8 @@
 // # Engines
 //
 // The pairwise scan that dominates the cost is delegated to a pluggable
-// Engine (engine.go), selected by name through a registry the engines
-// self-register into (registry.go): "exact" is the reference O(N²) loop
+// Engine (engine.go), selected by name from a fixed table (Lookup in
+// registry.go): "exact" is the reference O(N²) loop
 // matching Algorithm 1 line by line; "blocked" computes the same quantities
 // in one fused triangular pass over the rank-ordered index of the dist
 // package, with a flat inner loop over whichever of two candidate
@@ -32,7 +32,7 @@
 // by the cross-engine goldens, a metamorphic relabeling oracle, and a
 // fuzzer); auto-selection asks the cost model for the cheaper of the two
 // unless Options.Engine pins one. Unknown and streaming-only names flow back
-// as errors from one choke point (the registry) on every path.
+// as errors from one choke point (Lookup) on every path.
 //
 // The incremental engine keeps its state on flat slot-indexed arrays: each
 // outcome gets a slot on first sight (the outcome→slot map is consulted
@@ -74,7 +74,7 @@
 //     that keep it copy it first.
 //   - Goroutine safety: a Session (and a Scratch, and an Incremental) is NOT
 //     safe for concurrent use; each serves one request at a time. The
-//     registry (Register/Lookup) IS safe for concurrent use. Inside one
+//     engine table (Lookup) IS safe for concurrent use. Inside one
 //     reconstruction the engines fan work out across Options.Workers
 //     goroutines with disjoint-write ownership — no locks — and results are
 //     deterministic for a fixed worker count.

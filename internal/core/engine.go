@@ -7,10 +7,9 @@ import (
 	"repro/internal/bitstr"
 )
 
-// Engine names accepted by Options.Engine and the public facade. The built-in
-// engines self-register into the registry (registry.go) from their init
-// functions; EngineAuto is not a registration but a per-problem policy over
-// the registered engines.
+// Engine names accepted by Options.Engine and the public facade. Lookup
+// (registry.go) maps each name to its engine; EngineAuto is not an engine
+// but a per-problem policy over the batch engines.
 const (
 	// EngineAuto (or the empty string) selects the engine per workload from
 	// the active cost model (internal/cost): exact or blocked, whichever

@@ -6,10 +6,6 @@ import (
 	"repro/internal/bitstr"
 )
 
-func init() {
-	Register(Registration{Name: EngineExact, Engine: exactEngine{}})
-}
-
 // exactEngine is the reference implementation: a line-by-line transcription
 // of Algorithm 1. Step 1 accumulates the global CHS over a triangular
 // pairwise loop; step 3 scores every outcome against every other. It is kept

@@ -12,15 +12,11 @@ import (
 )
 
 // EngineIncremental names the streaming engine in Result.Engine. It is
-// registered as streaming-only: not a valid Options.Engine value for the
-// batch Reconstruct path, because incremental state only exists inside an
-// Incremental accumulator. The stream layer resolves it through the registry
-// like every other engine name.
+// streaming-only: not a valid Options.Engine value for the batch
+// Reconstruct path, because incremental state only exists inside an
+// Incremental accumulator. The stream layer resolves it through Lookup like
+// every other engine name.
 const EngineIncremental = "incremental"
-
-func init() {
-	Register(Registration{Name: EngineIncremental, Streaming: true})
-}
 
 // fullResyncEvery bounds floating-point drift: delta-patched rows are exact
 // sums in exact arithmetic but accumulate one rounding error per patch, so

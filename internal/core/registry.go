@@ -2,80 +2,48 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/cost"
 )
 
-// Registration describes one named scoring engine in the registry. Batch
-// engines (a non-nil Engine) serve Reconstruct/Session requests; streaming
-// entries (Streaming with a nil Engine) name engines whose state lives inside
-// an Incremental accumulator and are valid only through the stream layer.
+// Registration describes one named scoring engine. Batch engines (a non-nil
+// Engine) serve Reconstruct/Session requests; the streaming engine (a nil
+// Engine) keeps its state inside an Incremental accumulator and is valid
+// only through the stream layer.
 type Registration struct {
-	// Name is the identifier Options.Engine selects the engine by. It must
-	// be non-empty and must not shadow EngineAuto.
+	// Name is the identifier Options.Engine selects the engine by.
 	Name string
-	// Engine is the batch scoring implementation; nil for streaming-only
-	// registrations.
+	// Engine is the batch scoring implementation; nil for the streaming
+	// engine.
 	Engine Engine
-	// Streaming marks engines served by incremental stream state.
-	Streaming bool
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Registration)
-)
-
-// Register adds an engine to the registry. The built-in engines self-register
-// from their init functions; external packages may add their own before first
-// use. It panics on an empty, reserved, or duplicate name — registration
-// happens at init time, where a bad wiring should fail loudly.
-func Register(r Registration) {
-	if r.Name == "" || r.Name == EngineAuto {
-		panic(fmt.Sprintf("core: cannot register engine with reserved name %q", r.Name))
-	}
-	if r.Engine == nil && !r.Streaming {
-		panic(fmt.Sprintf("core: registration %q has neither a batch engine nor the streaming marker", r.Name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[r.Name]; dup {
-		panic(fmt.Sprintf("core: duplicate engine registration %q", r.Name))
-	}
-	registry[r.Name] = r
-}
-
-// Lookup returns the registration for an engine name. The empty string and
-// EngineAuto are not registry entries — auto-selection is a policy over the
-// registered engines, resolved per problem size.
+// Lookup returns the registration for an engine name: exact, blocked or
+// incremental. The empty string and EngineAuto are not engines —
+// auto-selection is a policy over the batch engines, resolved per problem
+// size.
 func Lookup(name string) (Registration, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	r, ok := registry[name]
-	return r, ok
+	switch name {
+	case EngineExact:
+		return Registration{Name: name, Engine: exactEngine{}}, true
+	case EngineBlocked:
+		return Registration{Name: name, Engine: blockedEngine{}}, true
+	case EngineIncremental:
+		return Registration{Name: name}, true
+	}
+	return Registration{}, false
 }
 
 // EngineNames lists the accepted Options.Engine values: EngineAuto first,
-// then every registered batch-capable engine in sorted order. Streaming-only
-// registrations are excluded — they are not valid batch selections.
+// then every batch engine in sorted order. The streaming engine is excluded
+// — it is not a valid batch selection.
 func EngineNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry)+1)
-	for name, r := range registry {
-		if r.Engine != nil {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return append([]string{EngineAuto}, names...)
+	return []string{EngineAuto, EngineBlocked, EngineExact}
 }
 
 // ValidateEngine reports whether name is an accepted Options.Engine value
 // (the empty string selects auto). Facades, the scheduler, and CLIs share it
-// so the accepted set lives in one place — the registry.
+// so the accepted set lives in one place — Lookup.
 func ValidateEngine(name string) error {
 	_, err := lookupBatch(name)
 	return err
@@ -103,9 +71,9 @@ func lookupBatch(name string) (Registration, error) {
 	return r, nil
 }
 
-// resolve picks the engine for a workload: registered engines by name, auto
-// (or empty) by the active cost model's cheaper prediction of exact and
-// blocked (chooseAuto takes blocked when the model covers neither). Unknown
+// resolve picks the engine for a workload: batch engines by name, auto (or
+// empty) by the active cost model's cheaper prediction of exact and blocked
+// (chooseAuto takes blocked when the model covers neither). Unknown
 // and streaming-only names come back as errors — the single choke point the
 // session, scheduler, and facades all flow through.
 func resolve(name string, w cost.Workload) (Engine, error) {
@@ -113,13 +81,8 @@ func resolve(name string, w cost.Workload) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.Engine != nil {
-		return r.Engine, nil
-	}
-	auto := chooseAuto(w)
-	r, ok := Lookup(auto)
-	if !ok || r.Engine == nil {
-		return nil, fmt.Errorf("auto-selected engine %q is not registered", auto)
+	if r.Engine == nil {
+		r, _ = Lookup(chooseAuto(w)) // always exact or blocked
 	}
 	return r.Engine, nil
 }

@@ -166,7 +166,7 @@ func NewSession(opts Options) (*Session, error) {
 
 // ValidateOptions performs the full option validation NewSession (and
 // Session.Reconfigure) apply: radius and TopM signs, the weight scheme, and
-// the engine name against the registry.
+// the engine name against Lookup's table.
 func ValidateOptions(opts Options) error {
 	if opts.Radius < 0 {
 		return fmt.Errorf("core: negative radius %d", opts.Radius)
@@ -197,7 +197,7 @@ func (s *Session) CompatibleWith(opts Options) bool { return s.opts == opts }
 // Reconfigure revalidates and swaps the session's options in place, keeping
 // every warmed-up scratch buffer. Invalid options are rejected with the same
 // errors as NewSession and leave the session unchanged. The cost is a few
-// registry lookups — far below rebuilding a warm session.
+// engine-name lookups — far below rebuilding a warm session.
 func (s *Session) Reconfigure(opts Options) error {
 	if s.opts == opts {
 		return nil

@@ -38,10 +38,9 @@ func BudgetMS(ms int64) time.Duration {
 	return time.Duration(ms) * time.Millisecond
 }
 
-// ValidatePolicy reports whether name is an accepted Config.Policy value
-// (the empty string selects FIFO). Facades and CLIs share it so the accepted
-// set lives in one place.
-func ValidatePolicy(name string) error {
+// validatePolicy reports whether name is an accepted Config.Policy value
+// (the empty string selects FIFO).
+func validatePolicy(name string) error {
 	switch name {
 	case "", PolicyFIFO, PolicySPJF:
 		return nil

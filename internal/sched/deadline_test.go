@@ -15,11 +15,11 @@ import (
 
 func TestValidatePolicy(t *testing.T) {
 	for _, ok := range []string{"", PolicyFIFO, PolicySPJF} {
-		if err := ValidatePolicy(ok); err != nil {
-			t.Errorf("ValidatePolicy(%q) = %v", ok, err)
+		if err := validatePolicy(ok); err != nil {
+			t.Errorf("validatePolicy(%q) = %v", ok, err)
 		}
 	}
-	if err := ValidatePolicy("priority"); err == nil {
+	if err := validatePolicy("priority"); err == nil {
 		t.Error("unknown policy accepted")
 	}
 	if _, err := New(Config{Policy: "lifo"}); err == nil {
@@ -238,7 +238,8 @@ func TestDeadlineCallerCancelWins(t *testing.T) {
 
 // TestCostMetrics pins the predicted-vs-actual instrumentation: served
 // requests observe all three cost series labeled by engine, and deadline
-// rejections count by reason.
+// rejections count by reason. Batch members are served requests too: each
+// is observed, and each is admitted against its own deadline.
 func TestCostMetrics(t *testing.T) {
 	s, err := New(Config{Workers: 1})
 	if err != nil {
@@ -269,16 +270,41 @@ func TestCostMetrics(t *testing.T) {
 		t.Errorf("infeasible rejections = %d, want 1", got)
 	}
 
+	// Three served members, then a batch whose member 1 is already past
+	// its deadline. One worker takes the members in order, so member 0 is
+	// served before member 1 is rejected.
+	if err := s.Batch(context.Background(), 3,
+		func(int) (Request, error) { return Request{In: in}, nil },
+		func(int, *core.Result) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Batch(context.Background(), 2,
+		func(i int) (Request, error) {
+			if i == 1 {
+				return req, nil
+			}
+			return Request{In: in}, nil
+		},
+		func(int, *core.Result) error { return nil })
+	var be *BatchError
+	var de *DeadlineError
+	if !errors.As(err, &be) || be.Index != 1 || !errors.As(err, &de) || !de.Infeasible {
+		t.Fatalf("batch err = %v, want an infeasible DeadlineError at index 1", err)
+	}
+	if got := m.DeadlineRejected.Value("infeasible"); got != 2 {
+		t.Errorf("infeasible rejections = %d, want 2", got)
+	}
+
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()
 	for _, want := range []string{
-		`test_cost_predicted_seconds_count{engine="` + engine + `"} 1`,
-		`test_cost_actual_seconds_count{engine="` + engine + `"} 1`,
-		`test_cost_error_ratio_count{engine="` + engine + `"} 1`,
-		`test_deadline_rejected_total{reason="infeasible"} 1`,
+		`test_cost_predicted_seconds_count{engine="` + engine + `"} 5`,
+		`test_cost_actual_seconds_count{engine="` + engine + `"} 5`,
+		`test_cost_error_ratio_count{engine="` + engine + `"} 5`,
+		`test_deadline_rejected_total{reason="infeasible"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n%s", want, text)

@@ -10,10 +10,14 @@
 //
 //   - Goroutine safety: a Scheduler is safe for concurrent use; Reconstruct,
 //     Batch, and Do may be called from any number of goroutines.
-//   - One budget: a single shared semaphore of Workers slots bounds
-//     everything CPU-bound — concurrent Reconstruct calls, Batch members,
-//     and whatever the serving layer runs through Do (streaming snapshots).
-//     No combination of request types can oversubscribe the host.
+//   - One budget, one slot path: a single shared semaphore of Workers
+//     slots bounds everything CPU-bound, and DoBudgeted is the only code
+//     that takes a slot from it. Reconstruct runs through it, each Batch
+//     member is a Reconstruct of its own (so it gets its own prediction,
+//     deadline admission, pooled session and SPJF rank), Do is DoBudgeted
+//     with no prediction and no deadline (streaming snapshots), and the
+//     serving layer's sharded requests and replica stripes call it
+//     directly. No combination of request types can oversubscribe the host.
 //   - Reuse: each request is served by a core.Session drawn from a
 //     sync.Pool, so steady-state traffic reconstructs allocation-free in
 //     the core. Per-request option overrides (Request.Opts) are honored by
@@ -31,9 +35,11 @@
 //     threaded through every in-flight scoring scan and is returned as a
 //     *BatchError carrying the lowest genuinely failing index.
 //   - Observability: Instrument attaches an optional Metrics set (queue
-//     depth, in-flight count, wait and run latency histograms) before the
-//     scheduler starts serving. Uninstrumented schedulers pay one nil check
-//     per request; instrumented ones a few atomic updates and two clock
-//     reads. Every slot path — Reconstruct, Batch members, Do — reports
-//     through the same instruments, mirroring the one-budget invariant.
+//     depth, in-flight count, wait and run latency histograms, cost
+//     predicted against actual, deadline rejections) before the scheduler
+//     starts serving. Uninstrumented schedulers pay one nil check per
+//     request; instrumented ones a few atomic updates and a few clock
+//     reads. The one slot path reports every request through the same
+//     instruments: a Batch member is observed in the wait, run and cost
+//     series exactly as a single Reconstruct is.
 package sched

@@ -14,7 +14,8 @@ import (
 // policies, and then proves the invariant the serving layer depends on:
 // however the requests were rejected, canceled, or served, every worker
 // slot is reacquirable afterwards — deadline handling can never leak a
-// semaphore slot.
+// semaphore slot. Half the requests arrive as single requests and half as
+// the members of one Batch, racing each other for the same slots.
 func FuzzDeadline(f *testing.F) {
 	f.Add(uint8(1), int16(0), int16(50), true)
 	f.Add(uint8(2), int16(-100), int16(0), false)
@@ -33,25 +34,32 @@ func FuzzDeadline(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		const requests = 6
-		var wg sync.WaitGroup
-		for i := 0; i < requests; i++ {
+		const requests = 12
+		reqs := make([]Request, requests)
+		for i := range reqs {
 			// Spread deadlines around the fuzzed base so expired, hair-
 			// trigger, and comfortable deadlines race each other for slots.
 			offset := time.Duration(deadlineMicro)*time.Microsecond +
 				time.Duration(i)*time.Duration(skewMicro)*time.Microsecond
-			req := Request{In: in, Deadline: time.Now().Add(offset)}
-			if i == requests-1 {
-				req.Deadline = time.Time{} // one undeadlined request in the mix
-			}
+			reqs[i] = Request{In: in, Deadline: time.Now().Add(offset)}
+		}
+		// One undeadlined request in each half of the mix.
+		reqs[requests/2-1].Deadline = time.Time{}
+		reqs[requests-1].Deadline = time.Time{}
+		// Errors (deadline rejections, timeouts) are expected; the
+		// invariant under test is slot accounting, not success.
+		var wg sync.WaitGroup
+		for _, req := range reqs[:requests/2] {
 			wg.Add(1)
 			go func(req Request) {
 				defer wg.Done()
-				// Errors (deadline rejections, timeouts) are expected; the
-				// invariant under test is slot accounting, not success.
 				_ = s.Reconstruct(context.Background(), req, func(*core.Result) error { return nil })
 			}(req)
 		}
+		members := reqs[requests/2:]
+		_ = s.Batch(context.Background(), len(members),
+			func(i int) (Request, error) { return members[i], nil },
+			func(int, *core.Result) error { return nil })
 		wg.Wait()
 
 		// Every slot must be free again: acquire the full budget without

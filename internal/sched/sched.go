@@ -76,9 +76,10 @@ type Scheduler struct {
 	metrics *Metrics
 }
 
-// Instrument attaches the metrics set every slot path (Reconstruct, Batch,
-// Do) reports through. Call it after New and before the scheduler starts
-// serving; it is not synchronized against in-flight requests.
+// Instrument attaches the metrics set the one slot path (DoBudgeted, under
+// Reconstruct, Batch members and Do) reports through. Call it after New and
+// before the scheduler starts serving; it is not synchronized against
+// in-flight requests.
 func (s *Scheduler) Instrument(m *Metrics) { s.metrics = m }
 
 // New validates the configuration and returns a ready scheduler.
@@ -92,7 +93,7 @@ func New(cfg Config) (*Scheduler, error) {
 	if _, err := core.NewSession(opts); err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
-	if err := ValidatePolicy(cfg.Policy); err != nil {
+	if err := validatePolicy(cfg.Policy); err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
 	policy := cfg.Policy
@@ -161,32 +162,29 @@ func (s *Scheduler) release(taken time.Time) {
 	}
 }
 
-// Do runs fn inside one slot of the shared worker budget: it waits for a
-// slot (or ctx), runs fn, and releases the slot. It exists for work that is
+// Do runs fn inside one slot of the shared worker budget: DoBudgeted with no
+// prediction and no deadline. It exists for work that is
 // reconstruction-shaped but not a pooled-session request — a streaming
 // session's snapshot, for instance — so long-lived sessions and one-shot
 // requests cannot together oversubscribe the host: everything CPU-bound the
-// server does drains from cap(sem) slots.
+// server does drains from the same slots.
 func (s *Scheduler) Do(ctx context.Context, fn func() error) error {
-	taken, err := s.acquire(ctx, predUnknown)
-	if err != nil {
-		return err
-	}
-	defer s.release(taken)
-	return fn()
+	return s.DoBudgeted(ctx, "", 0, time.Time{}, func(context.Context) error { return fn() })
 }
 
-// DoBudgeted runs fn inside one worker slot with the exact deadline
-// admission Reconstruct applies, for reconstruction-shaped work whose cost
-// the caller predicted itself — a shard coordinator's fan-out, a replica's
-// stripe scan. A positive predicted duration ranks the slot wait under
-// PolicySPJF and drives admission against the deadline: predicted-infeasible
-// work is rejected before taking a slot (infeasible *DeadlineError, with
-// engine as its label), and feasible work waits for a slot only until
-// deadline−predicted before being rejected as overloaded. Zero predicted
-// means unpredicted work (no admission, deadline-bounded slot wait only);
-// a zero deadline disables admission entirely, reducing to Do. fn receives
-// a context bounded by the deadline.
+// DoBudgeted runs fn inside one worker slot with deadline admission. It is
+// the scheduler's one slot path: Reconstruct (and so every Batch member) and
+// Do take their slots here, and so do callers that predicted the cost of
+// their own reconstruction-shaped work — a shard coordinator's fan-out, a
+// replica's stripe scan. A positive predicted duration ranks the slot wait
+// under PolicySPJF and drives admission against the deadline:
+// predicted-infeasible work is rejected before taking a slot (infeasible
+// *DeadlineError, with engine as its label), and feasible work waits for a
+// slot only until deadline−predicted before being rejected as overloaded.
+// Zero predicted means unpredicted work (no admission, deadline-bounded slot
+// wait only); a zero deadline disables admission entirely. fn receives a
+// context bounded by the deadline; when the deadline runs out during fn, the
+// returned error says so and wraps context.DeadlineExceeded.
 func (s *Scheduler) DoBudgeted(ctx context.Context, engine string, predicted time.Duration, deadline time.Time, fn func(ctx context.Context) error) error {
 	predNs := int64(predUnknown)
 	predOK := predicted > 0
@@ -225,7 +223,11 @@ func (s *Scheduler) DoBudgeted(ctx context.Context, engine string, predicted tim
 		rctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	return fn(rctx)
+	err = fn(rctx)
+	if !deadline.IsZero() && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("sched: the deadline ran out during the reconstruction: %w", err)
+	}
+	return err
 }
 
 // Request is one unit of scheduler work: the input distribution plus optional
@@ -240,15 +242,18 @@ type Request struct {
 	Opts *core.Options
 
 	// Deadline, when non-zero, is the absolute time by which the request's
-	// reconstruction must have finished. Admission control compares it
-	// against the cost model's runtime prediction: a request whose
-	// predicted run alone exceeds the remaining time is rejected
-	// immediately with an infeasible *DeadlineError, and a feasible one
-	// waits for a slot only until deadline−predicted — the last instant it
-	// could still start and finish in time — before being rejected as
-	// overloaded. Rejections happen while the request is queued, so they
-	// never consume or leak a worker slot. Requests the model cannot
-	// predict fall back to plain context-deadline behavior.
+	// reconstruction must have finished, whether it is served alone or as
+	// a Batch member. Admission control compares it against the cost
+	// model's runtime prediction: a request whose predicted run alone
+	// exceeds the remaining time is rejected immediately with an
+	// infeasible *DeadlineError, and a feasible one waits for a slot only
+	// until deadline−predicted — the last instant it could still start and
+	// finish in time — before being rejected as overloaded. Rejections
+	// happen while the request is queued, so they never consume or leak a
+	// worker slot. An admitted run that outlasts the deadline is canceled
+	// and fails with an error wrapping context.DeadlineExceeded. Requests
+	// the model cannot predict fall back to plain context-deadline
+	// behavior.
 	Deadline time.Time
 }
 
@@ -260,17 +265,6 @@ func (s *Scheduler) effective(opts *core.Options) core.Options {
 	eff := *opts
 	eff.Workers = s.opts.Workers
 	return eff
-}
-
-// prepare draws a pooled session reconfigured for the request's effective
-// options. Invalid per-request options surface as the request's error; the
-// session stays poolable either way (Reconfigure leaves it unchanged on
-// error).
-func (s *Scheduler) prepare(sess *core.Session, opts *core.Options) error {
-	if eff := s.effective(opts); !sess.CompatibleWith(eff) {
-		return sess.Reconfigure(eff)
-	}
-	return nil
 }
 
 // predict runs the cost model against a request, returning the engine the
@@ -290,7 +284,9 @@ func (s *Scheduler) predict(req Request) (engine string, d time.Duration, ok boo
 // in place if the request overrides the default options), reconstructs, and
 // hands the result to consume before the session returns to the pool. The
 // result is session-owned — consume must copy anything it keeps (formatting
-// into a response inside consume is the intended shape).
+// into a response inside consume is the intended shape). Invalid
+// per-request options surface as the request's error; the session stays
+// poolable either way (Reconfigure leaves it unchanged on error).
 func (s *Scheduler) Reconstruct(ctx context.Context, req Request, consume func(*core.Result) error) error {
 	engine, predicted, predOK := s.predict(req)
 	if !predOK {
@@ -299,8 +295,10 @@ func (s *Scheduler) Reconstruct(ctx context.Context, req Request, consume func(*
 	return s.DoBudgeted(ctx, engine, predicted, req.Deadline, func(rctx context.Context) error {
 		sess := s.pool.Get().(*core.Session)
 		defer s.pool.Put(sess)
-		if err := s.prepare(sess, req.Opts); err != nil {
-			return err
+		if eff := s.effective(req.Opts); !sess.CompatibleWith(eff) {
+			if err := sess.Reconfigure(eff); err != nil {
+				return err
+			}
 		}
 		start := time.Now()
 		res, err := sess.Reconstruct(rctx, req.In)
@@ -339,11 +337,14 @@ func (e *BatchError) Error() string { return fmt.Sprintf("request %d: %v", e.Ind
 func (e *BatchError) Unwrap() error { return e.Err }
 
 // Batch reconstructs n requests with bounded concurrency and deterministic
-// result placement. source(i) materializes request i (conversion from wire
-// form runs inside the worker, in parallel), including any per-request option
-// overrides; consume(i, res) receives request i's session-owned result and
-// must copy what it keeps. Distinct indices are consumed concurrently —
-// writing to distinct slots of a preallocated slice needs no locking.
+// result placement. At most min(Workers, n) goroutines take requests in index
+// order; each materializes request i with source(i) (conversion from wire
+// form runs there, in parallel) and serves it through Reconstruct, so every
+// member gets its own prediction, deadline admission, pooled session, cost
+// metrics and SPJF rank, exactly as a single request does. consume(i, res)
+// receives request i's session-owned result and must copy what it keeps.
+// Distinct indices are consumed concurrently — writing to distinct slots of
+// a preallocated slice needs no locking.
 //
 // Errors fail fast: the first failure cancels the shared context, aborting
 // in-flight scoring scans and skipping unstarted requests. The returned error
@@ -367,9 +368,9 @@ func (s *Scheduler) Batch(ctx context.Context, n int, source func(i int) (Reques
 		// Cancellation fallout — a sibling's failure (or the parent) tore
 		// the batch context down under this request — must never mask the
 		// root cause. But a context error from a live batch context is a
-		// genuine failure (e.g. a source callback's own I/O deadline) and
-		// is recorded like any other, or the request would go silently
-		// unserved.
+		// genuine failure (e.g. a source callback's own I/O deadline, or the
+		// member's own deadline running out mid-scan) and is recorded like
+		// any other, or the request would go silently unserved.
 		if bctx.Err() != nil &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			return
@@ -391,42 +392,20 @@ func (s *Scheduler) Batch(ctx context.Context, n int, source func(i int) (Reques
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sess *core.Session
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || bctx.Err() != nil {
-					break
-				}
-				// Batch members materialize after the slot is taken (source
-				// runs inside the worker), so there is no prediction to rank
-				// by yet; they queue behind predicted interactive requests
-				// under PolicySPJF.
-				taken, err := s.acquire(bctx, predUnknown)
-				if err != nil {
-					break
-				}
-				if sess == nil {
-					sess = s.pool.Get().(*core.Session)
+					return
 				}
 				req, err := source(i)
 				if err == nil {
-					err = s.prepare(sess, req.Opts)
+					err = s.Reconstruct(bctx, req, func(r *core.Result) error { return consume(i, r) })
 				}
-				if err == nil {
-					var res *core.Result
-					if res, err = sess.Reconstruct(bctx, req.In); err == nil {
-						err = consume(i, res)
-					}
-				}
-				s.release(taken)
 				if err != nil {
 					fail(i, err)
-					break
+					return
 				}
 				completed.Add(1)
-			}
-			if sess != nil {
-				s.pool.Put(sess)
 			}
 		}()
 	}

@@ -40,13 +40,11 @@ type Config struct {
 	// Replicas are the stripe-serving base URLs ("host:port" or full URL;
 	// a missing scheme defaults to http://). At least one is required.
 	Replicas []string
-	// Client issues the stripe RPCs; nil uses a dedicated client with no
-	// global timeout (per-stripe budgets bound each call).
-	Client *http.Client
 	// Local recomputes one stripe in-process when its replica fails. The
-	// returned partial must not alias scratch shared with other concurrent
-	// fallbacks or with the session the coordinator merges on — pull a
-	// pooled session, ScoreStripe, deep-copy, put back. Required.
+	// coordinator calls it on the request's own goroutine, one stripe at a
+	// time. The returned partial must not alias scratch shared with the
+	// session the coordinator merges on — pull a pooled session,
+	// ScoreStripe, deep-copy, put back. Required.
 	Local func(ctx context.Context, spec core.StripeSpec) (core.StripePartial, error)
 	// Metrics instruments the coordinator (optional).
 	Metrics Metrics
@@ -89,10 +87,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	mult := cfg.BudgetMultiplier
 	if mult <= 0 {
 		mult = 4
@@ -103,18 +97,13 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	return &Coordinator{
 		replicas:   replicas,
-		client:     client,
+		client:     &http.Client{}, // no global timeout: per-stripe budgets bound each call
 		local:      cfg.Local,
 		metrics:    cfg.Metrics,
 		budgetMult: mult,
 		floor:      floor,
 		minSupport: cfg.MinSupport,
 	}, nil
-}
-
-// Replicas returns the normalized replica base URLs.
-func (c *Coordinator) Replicas() []string {
-	return append([]string(nil), c.replicas...)
 }
 
 // NumReplicas returns the configured replica count (the fan-out width).
@@ -155,26 +144,38 @@ func (c *Coordinator) Reconstruct(ctx context.Context, sess *core.Session, in *d
 	S := plan.Len()
 	outs := FormatOuts(spec.Outs, spec.NumBits)
 
+	specs := make([]core.StripeSpec, S)
 	parts := make([]core.StripePartial, S)
 	errs := make([]error, S)
 	var wg sync.WaitGroup
-	for i := 0; i < S; i++ {
+	for i := range specs {
 		st := plan.Stripe(i)
-		sp := spec
-		sp.Lo, sp.Hi = st.Lo, st.Hi
-		replica := c.replicas[i%len(c.replicas)]
+		specs[i] = spec
+		specs[i].Lo, specs[i].Hi = st.Lo, st.Hi
 		wg.Add(1)
-		go func(i int, sp core.StripeSpec, pairs int64, replica string) {
+		go func(i int, pairs int64) {
 			defer wg.Done()
-			parts[i], errs[i] = c.stripe(ctx, sp, outs, pairs, replica)
-		}(i, sp, st.Pairs, replica)
+			parts[i], errs[i] = c.stripe(ctx, specs[i], outs, pairs, c.replicas[i%len(c.replicas)])
+		}(i, st.Pairs)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
+	// Stripes whose replica failed or missed its budget are recomputed here,
+	// one after another, so the CPU-bound fallbacks stay inside the one
+	// worker slot the sharded request holds: a replica's failure slows the
+	// request but never fails it.
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		reason := "error"
+		if errors.Is(err, context.DeadlineExceeded) {
+			reason = "deadline"
+		}
+		c.metrics.Fallbacks.Inc(reason)
+		if parts[i], err = c.local(ctx, specs[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -188,26 +189,14 @@ func (c *Coordinator) Reconstruct(ctx context.Context, sess *core.Session, in *d
 	return res, nil
 }
 
-// stripe fetches one stripe from its replica, falling back to the local
-// executor on error or deadline-budget miss. Only the caller's own
-// cancellation is terminal.
+// stripe fetches one stripe from its replica within the stripe's deadline
+// budget, observing the call's wall time.
 func (c *Coordinator) stripe(ctx context.Context, sp core.StripeSpec, outs []string, pairs int64, replica string) (core.StripePartial, error) {
 	budget := c.stripeBudget(sp, pairs)
 	start := time.Now()
 	part, err := c.remote(ctx, sp, outs, budget, replica)
 	c.metrics.StripeSeconds.Observe(time.Since(start).Seconds())
-	if err == nil {
-		return part, nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return core.StripePartial{}, cerr
-	}
-	reason := "error"
-	if errors.Is(err, context.DeadlineExceeded) {
-		reason = "deadline"
-	}
-	c.metrics.Fallbacks.Inc(reason)
-	return c.local(ctx, sp)
+	return part, err
 }
 
 // stripeBudget prices the stripe with the cost model and scales the

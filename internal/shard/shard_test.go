@@ -246,13 +246,28 @@ func TestCoordinatorFallbackOnReplicaError(t *testing.T) {
 	}
 }
 
+// TestCoordinatorAllReplicasDown recomputes every stripe locally when no
+// replica answers, one stripe at a time: the fallbacks run inside the one
+// worker slot the sharded request holds, so at most one is ever in flight.
 func TestCoordinatorAllReplicasDown(t *testing.T) {
-	dead := httptest.NewServer(replicaHandler(t))
-	dead.Close() // connection refused from here on
-	var calls atomic.Int64
+	var replicas []string
+	for i := 0; i < 4; i++ {
+		dead := httptest.NewServer(replicaHandler(t))
+		dead.Close() // connection refused from here on
+		replicas = append(replicas, dead.URL)
+	}
+	var calls, inFlight, peak atomic.Int64
+	fallback := localFallback(&calls)
 	coord, err := New(Config{
-		Replicas: []string{dead.URL},
-		Local:    localFallback(&calls),
+		Replicas: replicas,
+		Local: func(ctx context.Context, spec core.StripeSpec) (core.StripePartial, error) {
+			n := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(5 * time.Millisecond) // long enough for concurrent calls to overlap
+			return fallback(ctx, spec)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,8 +281,11 @@ func TestCoordinatorAllReplicasDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls.Load() == 0 {
-		t.Fatal("expected every stripe to fall back locally")
+	if got := calls.Load(); got != int64(dist.NewStripePlan(in.Len(), len(replicas)).Len()) {
+		t.Fatalf("%d local stripes, want every stripe to fall back locally", got)
+	}
+	if got := peak.Load(); got != 1 {
+		t.Fatalf("%d local stripes in flight at once, want 1", got)
 	}
 	local := core.Reconstruct(in, core.Options{})
 	if d := dist.TVD(res.Out, local.Out); d > 1e-12 {
@@ -402,7 +420,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.Replicas()
+	got := c.replicas
 	if got[0] != "http://host:8080" || got[1] != "https://other" {
 		t.Fatalf("replica normalization: %v", got)
 	}
